@@ -16,7 +16,7 @@ from collections.abc import Sequence
 from ._limits import TermBudgetExceeded, term_budget
 from .perm import Perm, check_partition, format_perm, parse_perm
 from .poly import Polynomial, fundamental_quasisym, slide_polynomial
-from .schubert import schubert_via_compatible, schubert_via_slides, schur, stanley
+from .schubert import schubert, schubert_via_compatible, schubert_via_slides, schur, stanley
 from .transition import (
     lr_chains,
     lr_coefficient,
@@ -91,7 +91,11 @@ def _emit_expansion(
 
 
 def _cmd_schubert(args: argparse.Namespace) -> int:
-    build = schubert_via_compatible if args.method == "compatible" else schubert_via_slides
+    build = {
+        "transition": schubert,
+        "slides": schubert_via_slides,
+        "compatible": schubert_via_compatible,
+    }[args.method]
     _emit_poly(build(args.perm), args.format)
     return 0
 
@@ -188,7 +192,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("schubert", parents=[common], help="Schubert polynomial of w")
     p.add_argument("perm", type=_perm)
-    p.add_argument("--method", choices=("slides", "compatible"), default="slides")
+    p.add_argument(
+        "--method", choices=("transition", "slides", "compatible"), default="transition"
+    )
     p.set_defaults(func=_cmd_schubert)
 
     p = sub.add_parser("stanley", parents=[common], help="Stanley polynomial of w in k variables")

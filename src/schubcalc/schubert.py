@@ -1,26 +1,26 @@
 """Schubert, Stanley and Schur polynomials, and Schubert-basis expansion.
 
-Everything is built from reduced words: a Schubert polynomial is the sum
-of slide polynomials of the weak descent compositions of its reduced
-words (equivalently, a sum over compatible sequences), and a Stanley
-symmetric polynomial replaces each slide with the quasisymmetric function
-of the strong descent composition.
+schubert, stanley and schur compute by Lascoux–Schützenberger transition
+(see the transition module), through two memos bounded by the monomials
+they hold.  A Stanley symmetric polynomial comes from stability:
+F_v(x1..xk) = S_{1^k x v}(x1..xk, 0, ...).  The reduced-word constructors
+schubert_via_slides (slide polynomials of weak descent compositions) and
+schubert_via_compatible (compatible sequences) are independent oracles
+and are not used by the others.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from functools import lru_cache
 
-from ._limits import CACHE_SIZE as _CACHE_SIZE
-from .perm import Perm, canonical, from_code, grassmannian, length
-from .poly import Polynomial, fundamental_quasisym, slide_polynomial
+from .perm import Perm, canonical, from_code, grassmannian, length, shift
+from .poly import NonExpandableError, Polynomial, slide_polynomial
+from .transition import _schubert, _stanley, truncated_schubert
 from .words import (
     VIRTUAL,
     compatible_sequences,
     iter_reduced_words,
     sequence_weight,
-    strong_descent_composition,
     weak_descent_composition,
 )
 
@@ -29,24 +29,18 @@ class NoSolutionError(ValueError):
     """The polynomial has no Schubert expansion within the ambient bound."""
 
 
-def _accumulate(acc: dict[tuple[int, ...], int], p: Polynomial) -> None:
-    for e, c in p.terms.items():
-        c2 = acc.get(e, 0) + c
-        if c2:
-            acc[e] = c2
-        else:
-            del acc[e]
+def schubert(w: Sequence[int]) -> Polynomial:
+    """Schubert polynomial of w, by transition.
 
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _schubert(w: Perm) -> Polynomial:
-    acc: dict[tuple[int, ...], int] = {}
-    for word in iter_reduced_words(w):
-        comp = weak_descent_composition(word)
-        if comp is VIRTUAL:
-            continue
-        _accumulate(acc, slide_polynomial(comp))
-    return Polynomial._raw(acc)
+    >>> str(schubert((4, 2, 1, 5, 3)))
+    'x1^3*x2^2 + x1^3*x2*x3 + x1^3*x2*x4'
+    """
+    w = canonical(w)
+    p = _schubert.get(w)
+    if p is None:
+        return truncated_schubert(w, len(w))
+    _schubert.hits += 1
+    return p
 
 
 def schubert_via_slides(w: Sequence[int]) -> Polynomial:
@@ -57,31 +51,27 @@ def schubert_via_slides(w: Sequence[int]) -> Polynomial:
     >>> str(schubert_via_slides((1, 3, 2)))
     'x1 + x2'
     """
-    return _schubert(canonical(w))
+    acc: dict[tuple[int, ...], int] = {}
+    for word in iter_reduced_words(canonical(w)):
+        comp = weak_descent_composition(word)
+        if comp is VIRTUAL:
+            continue
+        for e, c in slide_polynomial(comp).terms.items():
+            acc[e] = acc.get(e, 0) + c
+    return Polynomial._raw(acc)
 
 
 def schubert_via_compatible(w: Sequence[int]) -> Polynomial:
     """Schubert polynomial as a sum over compatible sequences.
 
-    Slower than schubert_via_slides but independent of the slide
-    enumeration, which makes it a useful cross-check.
+    Independent of the slide enumeration and of transition, which makes
+    it a useful cross-check.
     """
     acc: dict[tuple[int, ...], int] = {}
     for word in iter_reduced_words(canonical(w)):
         for seq in compatible_sequences(word):
             e = sequence_weight(seq)
             acc[e] = acc.get(e, 0) + 1
-    return Polynomial._raw(acc)
-
-
-schubert = schubert_via_slides
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _stanley(w: Perm, k: int) -> Polynomial:
-    acc: dict[tuple[int, ...], int] = {}
-    for word in iter_reduced_words(w):
-        _accumulate(acc, fundamental_quasisym(strong_descent_composition(word), k))
     return Polynomial._raw(acc)
 
 
@@ -93,7 +83,12 @@ def stanley(w: Sequence[int], k: int) -> Polynomial:
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    return _stanley(canonical(w), k)
+    key = (shift(w, k), k)
+    p = _stanley.get(key)
+    if p is None:
+        return truncated_schubert(*key)
+    _stanley.hits += 1
+    return p
 
 
 def schur(lam: Sequence[int], k: int) -> Polynomial:
@@ -141,9 +136,8 @@ def schubert_expand(
                 work[e] = c2
             else:
                 work.pop(e, None)
-        assert m not in work, "pivot monomial must clear"
-        if work and min(work) <= m:
-            raise AssertionError(f"pivot {m} did not advance the minimum")
+        if m in work or (work and min(work) <= m):
+            raise NonExpandableError(f"pivot {m} did not clear the minimum")
     return out
 
 

@@ -1,4 +1,15 @@
-"""Monk multiplication, last-descent truncation, and product expansion.
+"""Transition, Monk multiplication, last-descent truncation, and products.
+
+Schubert polynomials are built by Lascoux–Schützenberger transition, the
+m = 1 case of last-descent truncation: with r the last descent of w, s
+the largest j > r with w_j < w_r, and v = w (r, s),
+
+    S_w = x_r S_v + sum of S_{v (q, r)} over q < r where v (q, r) covers v.
+
+Every term on the right is shorter than w or lexicographically larger at
+the same length, so the recursion ends at the identity.  Setting x_{k+1},
+x_{k+2}, ... to zero drops the x_r S_v term whenever r > k, which gives
+Stanley polynomials through stability.
 
 Multiplying a Schubert polynomial by a Schur polynomial s_lam(x1..xk) is
 done without ever touching monomials: cross the permutation with the
@@ -11,11 +22,11 @@ the structure constants.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from types import SimpleNamespace
 
-from ._limits import CACHE_SIZE as _CACHE_SIZE
 from ._limits import charge
 from .perm import (
     Perm,
@@ -29,7 +40,125 @@ from .perm import (
     last_descent,
 )
 from .poly import Polynomial, substitute_zero
-from .schubert import schubert, stanley
+
+# Monomials held by the two polynomial memos together; each gets half.
+MEMO_MONOMIALS = 1 << 16
+
+
+class _Memo(OrderedDict):
+    """Polynomials by key, bounded by the monomials they hold.
+
+    _schubert holds S_w by w; _stanley holds S_w(x1..xk, 0, ...) by (w, k)
+    for the w whose last descent is beyond k, where truncation matters.
+    Readers call get() and count a hit themselves; put() counts a miss
+    and evicts the oldest entries first until the new one fits.  An entry
+    larger than the bound is still stored, alone.
+    """
+
+    def __init__(self, bound: int):
+        super().__init__()
+        self.bound = bound
+        self.held = 0
+        self.hits = 0
+        self.misses = 0
+
+    def put(self, key, p: Polynomial) -> None:
+        self.misses += 1
+        size = len(p.terms)
+        while self and self.held + size > self.bound:
+            self.held -= len(self.popitem(last=False)[1].terms)
+        self[key] = p
+        self.held += size
+
+    def cache_info(self) -> SimpleNamespace:
+        """The fields of functools.lru_cache's; maxsize and currsize count monomials."""
+        return SimpleNamespace(
+            hits=self.hits, misses=self.misses, maxsize=self.bound, currsize=self.held
+        )
+
+    def cache_clear(self) -> None:
+        self.clear()
+        self.held = self.hits = self.misses = 0
+
+
+_schubert = _Memo(MEMO_MONOMIALS // 2)
+_stanley = _Memo(MEMO_MONOMIALS // 2)
+_ONE = Polynomial._raw({(): 1})
+
+
+def _strip_fixed(values: list[int]) -> Perm:
+    n = len(values)
+    while n and values[n - 1] == n:
+        n -= 1
+    return tuple(values[:n])
+
+
+def _node(w: Perm, k: int) -> Polynomial:
+    """S_w(x1..xk, 0, ...) for canonical w, through the memos.
+
+    One frame per level of the recursion; over all of S_8 the depth is at
+    most 28, the length of the longest element.
+    """
+    if not w:
+        return _ONE
+    r = len(w) - 1
+    while w[r - 1] < w[r]:
+        r -= 1
+    if r <= k:
+        memo, key = _schubert, w
+    else:
+        memo, key = _stanley, (w, k)
+    p = memo.get(key)
+    if p is not None:
+        memo.hits += 1
+        return p
+    # One unit of budget per computed node, before its children.
+    charge()
+    wr = w[r - 1]
+    s = len(w)
+    while w[s - 1] > wr:
+        s -= 1
+    v = list(w)
+    v[r - 1], v[s - 1] = v[s - 1], wr
+    out: dict[tuple[int, ...], int] = {}
+    if r <= k:
+        for e, c in _node(_strip_fixed(v), k).terms.items():
+            if len(e) >= r:
+                e = e[: r - 1] + (e[r - 1] + 1,) + e[r:]
+            else:
+                e = e + (0,) * (r - 1 - len(e)) + (1,)
+            out[e] = c
+    # v (q, r) covers v exactly when v_q < v_r and no value strictly
+    # between them sits in positions q+1..r-1.
+    vr = v[r - 1]
+    lo = 0
+    for q in range(r - 1, 0, -1):
+        vq = v[q - 1]
+        if lo < vq < vr:
+            lo = vq
+            u = v[:]
+            u[q - 1], u[r - 1] = vr, vq
+            # Coefficients are positive, so sums never cancel.
+            for e, c in _node(_strip_fixed(u), k).terms.items():
+                out[e] = out.get(e, 0) + c
+    p = Polynomial._raw(out)
+    memo.put(key, p)
+    return p
+
+
+def truncated_schubert(w: Sequence[int], k: int) -> Polynomial:
+    """S_w(x1..xk, 0, 0, ...): the Schubert polynomial with x_{k+1}, ... set to 0.
+
+    Computed by transition, through memos bounded by MEMO_MONOMIALS.
+
+    >>> str(truncated_schubert((1, 3, 2), 1))
+    'x1'
+    >>> str(truncated_schubert((4, 2, 1, 5, 3), 4))
+    'x1^3*x2^2 + x1^3*x2*x3 + x1^3*x2*x4'
+    """
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    return _node(canonical(w), k)
 
 
 @dataclass(frozen=True)
@@ -145,7 +274,9 @@ def truncation_paths(w: Sequence[int]) -> tuple[tuple[Perm, tuple[int, ...]], ..
     def go(p: Perm, j: int, acc: tuple[int, ...]) -> None:
         if j == m:
             charge()
-            assert last_descent(p) is None or last_descent(p) < k
+            ld = last_descent(p)
+            if ld is not None and ld >= k:
+                raise RuntimeError(f"truncation endpoint {p} keeps a descent at {ld} >= {k}")
             out.append((p, acc))
             return
         for a in range(k - 1, 0, -1):
@@ -374,6 +505,8 @@ def cross_identity_check(
     with the product of u's Schubert polynomial and v's Stanley
     polynomial in those variables.  Needs u inside S_k and k <= n.
     """
+    from .schubert import schubert, stanley
+
     u = canonical(u)
     v = canonical(v)
     if len(u) > k:
@@ -384,10 +517,3 @@ def cross_identity_check(
     rhs = schubert(u) * stanley(v, k)
     return lhs == rhs
 
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _product_poly(u: Perm, lam: tuple[int, ...], k: int) -> Polynomial:
-    total = Polynomial()
-    for w, c in schubert_times_schur(u, lam, k).items():
-        total = total + schubert(w) * c
-    return total

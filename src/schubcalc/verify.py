@@ -58,10 +58,11 @@ def basis_vector(k: int) -> Polynomial:
 
 
 def verify_slides(nmax: int = 4) -> int:
-    """Both Schubert constructors agree on all of S_nmax."""
+    """Transition, slides and compatible sequences agree on all of S_nmax."""
     count = 0
     for w in all_perms(nmax):
-        if schubert_via_slides(w) != schubert_via_compatible(w):
+        p = schubert(w)
+        if p != schubert_via_slides(w) or p != schubert_via_compatible(w):
             raise CounterexampleError(f"constructors disagree on {w}")
         count += 1
     return count

@@ -15,6 +15,12 @@ def run(*args):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def run_python(script):
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_schubert_plain():
     assert run("schubert", "42153") == (
         0,
@@ -25,10 +31,11 @@ def test_schubert_plain():
 
 
 def test_schubert_methods_agree():
-    slides = run("schubert", "153264", "--method", "slides")
-    compat = run("schubert", "153264", "--method", "compatible")
-    assert slides == compat
-    assert slides[0] == 0
+    default = run("schubert", "153264")
+    assert default == run("schubert", "153264", "--method", "transition")
+    assert default == run("schubert", "153264", "--method", "slides")
+    assert default == run("schubert", "153264", "--method", "compatible")
+    assert default[0] == 0
 
 
 def test_schubert_json():
@@ -151,6 +158,19 @@ def test_exit_4_on_term_budget():
     assert code == 4
     assert out == ""
     assert "partial results discarded" in err
+
+
+def test_term_budget_is_exact_for_a_cold_construction():
+    # A fresh process builds every transition node once, charging one unit each.
+    nodes = int(run_python(
+        "from schubcalc import schubert\n"
+        "from schubcalc.transition import _schubert\n"
+        "schubert((4, 2, 1, 5, 3))\n"
+        "print(_schubert.cache_info().misses)\n"
+    ))
+    plain = run("schubert", "42153")
+    assert run("schubert", "42153", "--timeout-terms", str(nodes)) == plain
+    assert run("schubert", "42153", "--timeout-terms", str(nodes - 1))[0] == 4
 
 
 def test_output_is_deterministic():

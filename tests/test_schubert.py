@@ -1,11 +1,19 @@
+import importlib
+import subprocess
+import sys
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schubcalc import (
+    NonExpandableError,
     NoSolutionError,
     Polynomial,
     code,
     descent_set,
     fundamental_quasisym,
+    length,
     schubert,
     schubert_coefficient,
     schubert_expand,
@@ -18,7 +26,13 @@ from schubcalc import (
     substitute_zero,
 )
 from schubcalc.verify import all_partitions, all_perms
-from oracles import brute_schubert, dd_schubert, ssyt_schur
+from oracles import (
+    brute_fqs,
+    brute_reduced_words,
+    brute_schubert,
+    dd_schubert,
+    ssyt_schur,
+)
 
 SCHUBERT_42153 = {(3, 1, 0, 1): 1, (3, 1, 1): 1, (3, 2): 1}
 
@@ -114,6 +128,24 @@ def test_schubert_matches_divided_differences():
         assert dict(schubert(w).terms) == dd_schubert(w), w
 
 
+def perms_of(*sizes):
+    return st.sampled_from(sizes).flatmap(lambda n: st.permutations(range(1, n + 1))).map(tuple)
+
+
+# Length 9 keeps the reduced-word walk of the slide oracle to a few
+# thousand words; the longest element of S7 has over a billion.
+@given(perms_of(6, 7).filter(lambda w: length(w) <= 9))
+@settings(max_examples=60, deadline=None)
+def test_transition_matches_slides(w):
+    assert schubert(w) == schubert_via_slides(w)
+
+
+@given(perms_of(6, 7))
+@settings(max_examples=25, deadline=None)
+def test_transition_matches_divided_differences(w):
+    assert dict(schubert(w).terms) == dd_schubert(w)
+
+
 def test_schubert_minimum_monomial_is_code():
     # code(w) is the dominance-least exponent, hence the lex minimum, and it
     # carries coefficient 1 — this is what makes basis elimination work
@@ -129,6 +161,30 @@ def test_stanley_42153_quasisymmetric_expansion():
         for alpha, mult in STANLEY_42153.items():
             want = want + fundamental_quasisym(alpha, k) * mult
         assert stanley((4, 2, 1, 5, 3), k) == want, k
+
+
+def strong_descent(word):
+    """Sizes of the maximal increasing runs of the word, read right to left."""
+    sizes = []
+    for i, x in enumerate(word):
+        if i and word[i - 1] < x:
+            sizes[-1] += 1
+        else:
+            sizes.append(1)
+    return tuple(reversed(sizes))
+
+
+def test_stanley_matches_reduced_word_definition():
+    # F_w(x1..xk) is the sum over reduced words of the fundamental
+    # quasisymmetric polynomial of the word's strong descent composition.
+    for w in all_perms(5):
+        words = brute_reduced_words(w)
+        for k in range(5):
+            want = {}
+            for word in words:
+                for e in brute_fqs(strong_descent(word), k):
+                    want[e] = want.get(e, 0) + 1
+            assert dict(stanley(w, k).terms) == want, (w, k)
 
 
 def test_stanley_identity_and_small_k():
@@ -235,6 +291,34 @@ def test_schubert_expand_rejects_bad_input():
     with pytest.raises(ValueError):
         schubert_expand(Polynomial({(1,): 1, (0, 1): 1}), degree=3)
     assert schubert_expand(Polynomial()) == {}
+
+
+def test_schubert_expand_rejects_a_wrong_pivot_polynomial(monkeypatch):
+    # schubcalc.schubert as an attribute is the function, not the module.
+    module = importlib.import_module("schubcalc.schubert")
+    p = Polynomial({(1,): 1, (0, 1): 1})
+    # A pivot polynomial without its pivot monomial leaves the pivot behind;
+    # one with a smaller monomial moves the minimum backwards.
+    monkeypatch.setattr(module, "schubert", lambda w: Polynomial({(9,): 1}))
+    with pytest.raises(NonExpandableError):
+        schubert_expand(p)
+    monkeypatch.setattr(module, "schubert", lambda w: Polynomial({(0, 1): 1, (0, 0, 1): 1}))
+    with pytest.raises(NonExpandableError):
+        schubert_expand(p)
+
+
+def test_schubert_expand_guard_holds_under_optimization():
+    script = (
+        "import importlib\n"
+        "m = importlib.import_module('schubcalc.schubert')\n"
+        "m.schubert = lambda w: m.Polynomial({(9,): 1})\n"
+        "try:\n"
+        "    m.schubert_expand(m.Polynomial({(1,): 1, (0, 1): 1}))\n"
+        "except m.NonExpandableError:\n"
+        "    print('raised')\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "raised\n"), proc.stderr
 
 
 def test_schubert_expand_round_trips_s4():
