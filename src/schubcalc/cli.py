@@ -3,7 +3,7 @@
 Every command prints either plain text (line-oriented, sorted) or JSON
 (schema-stable, sorted); output is byte-identical across runs.  Exit
 codes: 0 success, 1 verification counterexample, 2 malformed input,
-3 precondition violation, 4 term budget exceeded.
+3 precondition violation, 4 term budget exceeded, 5 internal error.
 """
 
 from __future__ import annotations
@@ -258,6 +258,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        # Imported here: only a failing run pays for it.
+        import traceback
+
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

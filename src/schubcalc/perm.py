@@ -3,8 +3,14 @@
 A permutation is a tuple of distinct positive integers whose entry at
 index i-1 is the image of i.  The canonical form strips trailing fixed
 points, so the identity is the empty tuple and S_n embeds in S_{n+1}.
-All functions accept non-canonical input and return canonical output;
-positions and values are 1-based throughout.
+Positions and values are 1-based throughout.
+
+The module has two layers.  Public functions accept any one-line
+notation, validate it once through canonical(), and return canonical
+output.  The private kernels (_strip, _last_descent, _swap, _covers)
+trust their input, a permutation word, canonical or padded with
+trailing fixed points, and check nothing.  Loops that call many kernels
+validate once at their entry.
 """
 
 from __future__ import annotations
@@ -28,10 +34,15 @@ def canonical(values: Sequence[int]) -> Perm:
     w = tuple(values)
     if sorted(w) != list(range(1, len(w) + 1)):
         raise ValueError(f"not a permutation of 1..{len(w)}: {w!r}")
-    n = len(w)
-    while n > 0 and w[n - 1] == n:
+    return _strip(w)
+
+
+def _strip(values: Sequence[int]) -> Perm:
+    """Kernel: drop trailing fixed points of a permutation word."""
+    n = len(values)
+    while n and values[n - 1] == n:
         n -= 1
-    return w[:n]
+    return tuple(values[:n])
 
 
 def pad(w: Sequence[int], n: int) -> Perm:
@@ -61,9 +72,22 @@ def descent_set(w: Sequence[int]) -> set[int]:
 
 
 def last_descent(w: Sequence[int]) -> int | None:
-    """Largest descent position, or None for the identity."""
-    d = descent_set(w)
-    return max(d) if d else None
+    """Largest descent position, or None for the identity.
+
+    >>> last_descent((4, 2, 1, 5, 3))
+    4
+    >>> last_descent((1, 2)) is None
+    True
+    """
+    return _last_descent(canonical(w)) or None
+
+
+def _last_descent(w: Sequence[int]) -> int:
+    """Kernel: largest descent position of a permutation word, 0 if none."""
+    for i in range(len(w) - 1, 0, -1):
+        if w[i - 1] > w[i]:
+            return i
+    return 0
 
 
 def code(w: Sequence[int]) -> tuple[int, ...]:
@@ -114,9 +138,16 @@ def _check_transposition(t: Sequence[int]) -> Transposition:
 def apply_transposition(w: Sequence[int], t: Sequence[int]) -> Perm:
     """Right multiplication by (a, b): swap the values in positions a and b."""
     a, b = _check_transposition(t)
-    ww = list(pad(canonical(w), b))
-    ww[a - 1], ww[b - 1] = ww[b - 1], ww[a - 1]
-    return canonical(ww)
+    return _swap(canonical(w), a, b)
+
+
+def _swap(w: Sequence[int], a: int, b: int) -> Perm:
+    """Kernel: canonical w (a, b) for a permutation word w and 1 <= a < b."""
+    v = list(w)
+    if b > len(v):
+        v.extend(range(len(v) + 1, b + 1))
+    v[a - 1], v[b - 1] = v[b - 1], v[a - 1]
+    return _strip(v)
 
 
 def is_covering(w: Sequence[int], t: Sequence[int]) -> bool:
@@ -126,10 +157,13 @@ def is_covering(w: Sequence[int], t: Sequence[int]) -> bool:
     a value strictly between w_a and w_b.
     """
     a, b = _check_transposition(t)
-    ww = pad(canonical(w), b)
-    if ww[a - 1] > ww[b - 1]:
-        return False
-    return not any(ww[a - 1] < ww[c] < ww[b - 1] for c in range(a, b - 1))
+    return _covers(pad(canonical(w), b), a, b)
+
+
+def _covers(p: Sequence[int], a: int, b: int) -> bool:
+    """Kernel: is_covering for a permutation word p of length at least b."""
+    pa, pb = p[a - 1], p[b - 1]
+    return pa < pb and not any(pa < p[c] < pb for c in range(a, b - 1))
 
 
 def shift(w: Sequence[int], m: int) -> Perm:

@@ -24,20 +24,22 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from collections.abc import Sequence
-from dataclasses import dataclass
 from types import SimpleNamespace
 
 from ._limits import charge
 from .perm import (
     Perm,
     Transposition,
-    apply_transposition,
+    _check_transposition,
+    _covers,
+    _last_descent,
+    _strip,
+    _swap,
     canonical,
     check_partition,
     cross,
     grassmannian,
-    is_covering,
-    last_descent,
+    pad,
 )
 from .poly import Polynomial, substitute_zero
 
@@ -86,13 +88,6 @@ _stanley = _Memo(MEMO_MONOMIALS // 2)
 _ONE = Polynomial._raw({(): 1})
 
 
-def _strip_fixed(values: list[int]) -> Perm:
-    n = len(values)
-    while n and values[n - 1] == n:
-        n -= 1
-    return tuple(values[:n])
-
-
 def _node(w: Perm, k: int) -> Polynomial:
     """S_w(x1..xk, 0, ...) for canonical w, through the memos.
 
@@ -122,7 +117,7 @@ def _node(w: Perm, k: int) -> Polynomial:
     v[r - 1], v[s - 1] = v[s - 1], wr
     out: dict[tuple[int, ...], int] = {}
     if r <= k:
-        for e, c in _node(_strip_fixed(v), k).terms.items():
+        for e, c in _node(_strip(v), k).terms.items():
             if len(e) >= r:
                 e = e[: r - 1] + (e[r - 1] + 1,) + e[r:]
             else:
@@ -139,7 +134,7 @@ def _node(w: Perm, k: int) -> Polynomial:
             u = v[:]
             u[q - 1], u[r - 1] = vr, vq
             # Coefficients are positive, so sums never cancel.
-            for e, c in _node(_strip_fixed(u), k).terms.items():
+            for e, c in _node(_strip(u), k).terms.items():
                 out[e] = out.get(e, 0) + c
     p = Polynomial._raw(out)
     memo.put(key, p)
@@ -161,36 +156,67 @@ def truncated_schubert(w: Sequence[int], k: int) -> Polynomial:
     return _node(canonical(w), k)
 
 
-@dataclass(frozen=True)
 class Chain:
     """A walk in Bruhat order: steps[i] moves the length by directions[i].
 
     Construction validates every step, so a Chain that exists is a real
-    saturated chain from its base.
+    saturated chain from its base.  Chains are immutable, and equal and
+    hash by (base, steps, directions).
     """
 
+    __slots__ = ("base", "steps", "directions", "_end")
     base: Perm
     steps: tuple[Transposition, ...]
     directions: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "base", canonical(self.base))
-        object.__setattr__(self, "steps", tuple(tuple(t) for t in self.steps))
-        object.__setattr__(self, "directions", tuple(self.directions))
-        if len(self.steps) != len(self.directions):
+    def __init__(
+        self,
+        base: Sequence[int],
+        steps: Sequence[Sequence[int]],
+        directions: Sequence[int],
+    ):
+        base = canonical(base)
+        steps = tuple(_check_transposition(t) for t in steps)
+        directions = tuple(directions)
+        if len(steps) != len(directions):
             raise ValueError("steps and directions must pair up")
-        if any(d not in (-1, 1) for d in self.directions):
+        if any(d not in (-1, 1) for d in directions):
             raise ValueError("directions must be +1 or -1")
-        w = self.base
-        for t, d in zip(self.steps, self.directions):
-            nxt = apply_transposition(w, t)
+        p = list(pad(base, max([b for _, b in steps], default=0)))
+        for (a, b), d in zip(steps, directions):
             # A transposition can shift length by any odd amount; covering
             # from below is the exact test for a move of one.
-            ok = is_covering(w, t) if d == 1 else is_covering(nxt, t)
-            if not ok:
-                raise ValueError(f"step {t} is not a covering in direction {d}")
-            w = nxt
-        object.__setattr__(self, "_end", w)
+            up = _covers(p, a, b)
+            p[a - 1], p[b - 1] = p[b - 1], p[a - 1]
+            if not (up if d == 1 else _covers(p, a, b)):
+                raise ValueError(f"step {(a, b)} is not a covering in direction {d}")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "directions", directions)
+        object.__setattr__(self, "_end", _strip(p))
+
+    def _key(self) -> tuple:
+        return (self.base, self.steps, self.directions)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"Chain(base={self.base!r}, steps={self.steps!r}, directions={self.directions!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (Chain, self._key())
 
     @property
     def endpoint(self) -> Perm:
@@ -198,8 +224,8 @@ class Chain:
 
     def walk(self) -> tuple[Perm, ...]:
         out = [self.base]
-        for t in self.steps:
-            out.append(apply_transposition(out[-1], t))
+        for a, b in self.steps:
+            out.append(_swap(out[-1], a, b))
         return tuple(out)
 
     def __str__(self) -> str:
@@ -220,23 +246,43 @@ def monk_multiply(w: Sequence[int], k: int) -> dict[Perm, int]:
     if k < 1:
         raise ValueError("k must be positive")
     n = max(len(w), k)
+    p = pad(w, n + 1)
     out: dict[Perm, int] = {}
     for a in range(1, k + 1):
         for b in range(k + 1, n + 2):
-            if is_covering(w, (a, b)):
-                u = apply_transposition(w, (a, b))
-                assert u not in out, "covers of distinct transpositions differ"
+            if _covers(p, a, b):
+                u = _swap(w, a, b)
+                if u in out:
+                    raise RuntimeError(f"Monk term {u} reached by two transpositions")
                 out[u] = 1
     return out
 
 
 def _descent_data(w: Perm) -> tuple[int, int]:
-    """Last descent k of w and the width m with w_k > w_{k+m} maximal."""
-    k = last_descent(w)
-    if k is None:
+    """Last descent k of canonical w and the width m with w_k > w_{k+m} maximal."""
+    k = _last_descent(w)
+    if not k:
         raise ValueError("the identity has no descent to truncate")
-    km = max(i + 1 for i, v in enumerate(w) if v < w[k - 1])
+    wk = w[k - 1]
+    km = len(w)
+    while w[km - 1] > wk:
+        km -= 1
     return k, km - k
+
+
+def _start_word(w: Perm, k: int, m: int) -> list[int]:
+    """w-hat of canonical w as a word of length len(w), checked against its definition.
+
+    w-hat is w (k, k+m) (k, k+m-1) ... (k, k+1): the value at k moves
+    just past the m values after it.
+    """
+    what = [*w[: k - 1], *w[k : k + m], w[k - 1], *w[k + m :]]
+    check = w
+    for j in range(m, 0, -1):
+        check = _swap(check, k, k + j)
+    if _strip(what) != check:
+        raise RuntimeError(f"truncation start of {w} disagrees with its transpositions")
+    return what
 
 
 def truncation_start(w: Sequence[int]) -> Perm:
@@ -246,14 +292,7 @@ def truncation_start(w: Sequence[int]) -> Perm:
     (5, 1, 7, 3, 2, 4, 6)
     """
     w = canonical(w)
-    k, m = _descent_data(w)
-    what = w[: k - 1] + w[k : k + m] + (w[k - 1],) + w[k + m :]
-    if __debug__:
-        check = w
-        for j in range(m, 0, -1):
-            check = apply_transposition(check, (k, k + j))
-        assert canonical(what) == check
-    return canonical(what)
+    return _strip(_start_word(w, *_descent_data(w)))
 
 
 def truncation_paths(w: Sequence[int]) -> tuple[tuple[Perm, tuple[int, ...]], ...]:
@@ -268,22 +307,37 @@ def truncation_paths(w: Sequence[int]) -> tuple[tuple[Perm, tuple[int, ...]], ..
     """
     w = canonical(w)
     k, m = _descent_data(w)
-    what = truncation_start(w)
+    # One word, long enough for every column, swapped in place and
+    # restored on return.
+    p = _start_word(w, k, m)
     out: list[tuple[Perm, tuple[int, ...]]] = []
 
-    def go(p: Perm, j: int, acc: tuple[int, ...]) -> None:
+    def go(j: int, acc: tuple[int, ...]) -> None:
         if j == m:
             charge()
-            ld = last_descent(p)
-            if ld is not None and ld >= k:
-                raise RuntimeError(f"truncation endpoint {p} keeps a descent at {ld} >= {k}")
-            out.append((p, acc))
+            e = _strip(p)
+            ld = _last_descent(e)
+            if ld >= k:
+                raise RuntimeError(f"truncation endpoint {e} keeps a descent at {ld} >= {k}")
+            out.append((e, acc))
             return
+        b = k + j
+        pb = p[b - 1]
+        # (a, b) is a covering exactly when lo < p_a < p_b, where lo is the
+        # largest value below p_b in positions a+1..b-1.
+        lo = 0
+        for c in range(k, b):
+            if lo < p[c - 1] < pb:
+                lo = p[c - 1]
         for a in range(k - 1, 0, -1):
-            if is_covering(p, (a, k + j)):
-                go(apply_transposition(p, (a, k + j)), j + 1, acc + (a,))
+            pa = p[a - 1]
+            if lo < pa < pb:
+                lo = pa
+                p[a - 1], p[b - 1] = pb, pa
+                go(j + 1, acc + (a,))
+                p[a - 1], p[b - 1] = pa, pb
 
-    go(what, 0, ())
+    go(0, ())
     return tuple(out)
 
 
@@ -307,8 +361,8 @@ def _product_preconditions(u: Perm, lam: tuple[int, ...], k: int) -> None:
         raise ValueError("k must be positive")
     if len(lam) > k:
         raise ValueError(f"partition has {len(lam)} rows, more than k={k}")
-    ld = last_descent(u)
-    if ld is not None and ld > k:
+    ld = _last_descent(u)
+    if ld > k:
         raise ValueError(f"last descent of u is {ld}, beyond k={k}")
 
 
@@ -339,8 +393,7 @@ def schubert_times_schur(
     while pending:
         w = max(pending)
         c = pending.pop(w)
-        ld = last_descent(w)
-        if ld is None or ld <= k:
+        if _last_descent(w) <= k:
             done[w] = done.get(w, 0) + c
             continue
         charge()
@@ -444,12 +497,14 @@ def normalize_chain(chain: Chain) -> Chain:
             items.append(((k, j), True))
             items.append(((k, j), False))
     downs, ups = _push_downs_left(items)
-    assert downs == [(k, k + m - i) for i in range(m)]
+    if downs != [(k, k + m - i) for i in range(m)]:
+        raise RuntimeError(f"down-steps {downs} of {chain!r} are not the staircase")
     ups = _reverse_ups(ups)
-    assert [b for _, b in ups] == list(range(k, k + m))
-    assert all(a < k for a, _ in ups)
+    if [b for _, b in ups] != list(range(k, k + m)) or any(a >= k for a, _ in ups):
+        raise RuntimeError(f"up-steps {ups} of {chain!r} are not in column order below {k}")
     out = Chain(w, tuple(downs + ups), (-1,) * m + (1,) * m)
-    assert out.endpoint == chain.endpoint
+    if out.endpoint != chain.endpoint:
+        raise RuntimeError(f"normal form of {chain!r} ends at {out.endpoint}")
     return out
 
 
@@ -473,17 +528,18 @@ def lr_chains(
     out: dict[Perm, list[Chain]] = {}
 
     def go(w: Perm, raw: list[tuple[Transposition, bool]]) -> None:
-        ld = last_descent(w)
-        if ld is None or ld <= k:
+        if _last_descent(w) <= k:
             downs, ups = _push_downs_left(raw)
             base = w0
-            for t in downs:
-                base = apply_transposition(base, t)
-            assert base == u, "down-steps must consume the crossed factor"
-            assert len(ups) == sum(lam)
-            assert all(a <= k < b for a, b in ups)
+            for a, b in downs:
+                base = _swap(base, a, b)
+            if base != u:
+                raise RuntimeError(f"down-steps to {w} leave {base}, not u = {u}")
+            if len(ups) != sum(lam) or not all(a <= k < b for a, b in ups):
+                raise RuntimeError(f"up-steps {ups} to {w} do not cross k = {k} |lam| times")
             chain = Chain(u, tuple(ups), (1,) * len(ups))
-            assert chain.endpoint == w
+            if chain.endpoint != w:
+                raise RuntimeError(f"chain {chain} ends at {chain.endpoint}, not {w}")
             out.setdefault(w, []).append(chain)
             return
         kk, m = _descent_data(w)

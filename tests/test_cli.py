@@ -160,6 +160,22 @@ def test_exit_4_on_term_budget():
     assert "partial results discarded" in err
 
 
+def test_exit_5_on_internal_error(monkeypatch, capsys):
+    from schubcalc import cli
+
+    def broken(w):
+        raise RuntimeError(f"duplicate truncation endpoint {w}")
+
+    monkeypatch.setattr(cli, "truncate_last_descent", broken)
+    assert cli.main(["truncate", "51738246"]) == 5
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("Traceback (most recent call last):")
+    assert err.endswith(
+        "internal error: RuntimeError: duplicate truncation endpoint (5, 1, 7, 3, 8, 2, 4, 6)\n"
+    )
+
+
 def test_term_budget_is_exact_for_a_cold_construction():
     # A fresh process builds every transition node once, charging one unit each.
     nodes = int(run_python(

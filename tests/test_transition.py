@@ -1,3 +1,7 @@
+import copy
+import pickle
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -75,6 +79,22 @@ def test_chain_rejects_bad_steps():
         Chain((3, 2, 1), ((1, 3),), (-1,))  # drops length by 3
     with pytest.raises(ValueError):
         Chain((2, 1), ((1, 2), (1, 2)), (-1,))
+
+
+def test_chain_is_an_immutable_value():
+    c = Chain([1, 4, 2, 3], [[2, 4], [1, 2]], [-1, 1])
+    same = Chain((1, 4, 2, 3, 5), ((2, 4), (1, 2)), (-1, 1))
+    assert c == same and hash(c) == hash(same)
+    assert c != Chain((1, 4, 2, 3), ((2, 4),), (-1,))
+    assert c != ((1, 4, 2, 3), ((2, 4), (1, 2)), (-1, 1))
+    assert repr(c) == "Chain(base=(1, 4, 2, 3), steps=((2, 4), (1, 2)), directions=(-1, 1))"
+    assert copy.copy(c) == pickle.loads(pickle.dumps(c)) == c
+    for name in ("base", "steps", "directions", "endpoint", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(c, name, ())
+    with pytest.raises(AttributeError):
+        del c.base
+    assert c.endpoint == (3, 1, 2)
 
 
 def test_format_chain():
@@ -305,3 +325,52 @@ def test_term_budget_aborts_enumeration():
     with pytest.raises(ValueError):
         with term_budget(-1):
             pass
+
+
+# Budget units each call charges, measured before the permutation kernels
+# were split from the validating layer: one per truncated tree node of the
+# product, one per truncation endpoint.
+PINNED_WORK = [
+    (schubert_times_schur, ((3, 1, 6, 2, 8, 5, 4, 7), (5, 4, 3, 2, 1), 7), 1751),
+    (lr_chains, ((3, 1, 6, 2, 8, 5, 4, 7), (3, 2, 1), 7), 99),
+    (truncate_last_descent, ((8, 6, 3, 2, 1, 5, 10, 4, 7, 9),), 12),
+]
+
+
+@pytest.mark.parametrize("fn, args, units", PINNED_WORK, ids=lambda x: getattr(x, "__name__", ""))
+def test_pinned_work_counts(fn, args, units):
+    want = fn(*args)
+    with term_budget(units):
+        assert fn(*args) == want
+    with pytest.raises(TermBudgetExceeded):
+        with term_budget(units - 1):
+            fn(*args)
+
+
+def test_guards_hold_under_optimize():
+    # Each guard is fed a wrong kernel or helper and must still raise with -O.
+    script = """
+import schubcalc.transition as T
+from schubcalc import Chain
+
+def outcome(fn, *args, **patch):
+    saved = {name: getattr(T, name) for name in patch}
+    vars(T).update(patch)
+    try:
+        fn(*args)
+    except RuntimeError as exc:
+        return type(exc).__name__
+    finally:
+        vars(T).update(saved)
+    return "no error"
+
+push = T._push_downs_left
+print(outcome(T.monk_multiply, (1, 3, 2), 2, _swap=lambda w, a, b: w))
+print(outcome(T.truncation_start, (5, 1, 7, 3, 8, 2, 4, 6), _swap=lambda w, a, b: w))
+print(outcome(T.normalize_chain, Chain((1, 4, 2, 3), ((2, 4), (1, 2)), (-1, 1)),
+              _reverse_ups=lambda ups: []))
+print(outcome(T.lr_chains, (), (1,), 1,
+              _push_downs_left=lambda items: (push(items)[0][1:], push(items)[1])))
+"""
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "RuntimeError\n" * 4), proc.stderr
