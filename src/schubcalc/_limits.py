@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-import os
 
-CACHE_SIZE = int(os.environ.get("SCHUBERT_CACHE_SIZE", "10000"))
+CACHE_SIZE = 10000
 
 
 class TermBudgetExceeded(RuntimeError):
@@ -34,6 +33,12 @@ def charge(n: int = 1) -> None:
     state[0] -= n
     if state[0] < 0:
         raise TermBudgetExceeded(state[1])
+
+
+def remaining() -> int | None:
+    """Units left in the active budget, or None when none is active."""
+    state = _state.get()
+    return None if state is None else state[0]
 
 
 @contextlib.contextmanager

@@ -7,12 +7,12 @@ Python ints.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from functools import lru_cache
 from itertools import zip_longest
 
 from ._limits import CACHE_SIZE as _CACHE_SIZE
-from ._limits import charge
+from ._limits import charge, remaining
 from .words import VIRTUAL, Composition, _Virtual
 
 SLIDE_TERM_CAP = 10**6
@@ -206,19 +206,23 @@ def _placements(
     parts: tuple[int, ...],
     npos: int,
     floor: tuple[int, ...] | None,
-    cap: int,
 ) -> tuple[tuple[int, ...], ...]:
     # Exponent vectors within npos positions whose nonzero entries split
     # the given parts in order; floor (when set) lower-bounds prefix sums.
+    # The caller charges the result; a miss stops past the budget or the cap.
     if not parts:
         return ((),) if floor is None or not any(floor) else ()
+    budget = remaining()
+    cap = SLIDE_TERM_CAP if budget is None else min(budget, SLIDE_TERM_CAP)
     out: list[tuple[int, ...]] = []
     exp: list[int] = []
 
     def place(j: int, t: int, rem: int, psum: int) -> None:
         if t == len(parts):
             if len(out) >= cap:
-                raise ValueError(f"more than {cap} monomials; raise the cap")
+                if cap == SLIDE_TERM_CAP:
+                    raise ValueError(f"more than {cap} monomials")
+                charge(cap + 1)  # raises TermBudgetExceeded
             out.append(_strip(exp))
             return
         if npos - j < len(parts) - t:
@@ -240,7 +244,7 @@ def _placements(
     return tuple(out)
 
 
-def slide_polynomial(a: Sequence[int] | _Virtual, *, max_terms: int | None = None) -> Polynomial:
+def slide_polynomial(a: Sequence[int] | _Virtual) -> Polynomial:
     """Sum of x^b over b dominating a whose nonzero parts refine those of a.
 
     The index a is a weak composition; trailing zeros do not change the
@@ -257,20 +261,17 @@ def slide_polynomial(a: Sequence[int] | _Virtual, *, max_terms: int | None = Non
     aa = _strip(a)
     if any(x < 0 for x in aa):
         raise ValueError(f"weak composition needed, got {tuple(a)!r}")
-    cap = SLIDE_TERM_CAP if max_terms is None else max_terms
     floor = []
     s = 0
     for x in aa:
         s += x
         floor.append(s)
-    exps = _placements(flatten(aa), len(aa), tuple(floor), cap)
+    exps = _placements(flatten(aa), len(aa), tuple(floor))
     charge(len(exps))
     return Polynomial._raw({e: 1 for e in exps})
 
 
-def fundamental_quasisym(
-    alpha: Sequence[int], k: int, *, max_terms: int | None = None
-) -> Polynomial:
+def fundamental_quasisym(alpha: Sequence[int], k: int) -> Polynomial:
     """Sum over x^b in k variables whose nonzero parts refine alpha.
 
     >>> str(fundamental_quasisym((2,), 2))
@@ -283,36 +284,41 @@ def fundamental_quasisym(
         raise ValueError(f"composition parts must be positive: {al!r}")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    cap = SLIDE_TERM_CAP if max_terms is None else max_terms
-    exps = _placements(al, k, None, cap)
+    exps = _placements(al, k, None)
     charge(len(exps))
     return Polynomial._raw({e: 1 for e in exps})
 
 
-def slide_expand(p: Polynomial) -> dict[Composition, int]:
-    """Write p as an integer combination of slide polynomials.
-
-    Works by repeatedly clearing the smallest remaining monomial, which
-    each slide polynomial attains exactly once; the pivot sequence is
-    strictly increasing, so this terminates.
-
-    >>> slide_expand(Polynomial({(1, 1): 1, (2,): -1}))
-    {(1, 1): 1, (2,): -1}
-    """
+def _eliminate(p: Polynomial, pivot: Callable[[tuple[int, ...]], tuple[object, Polynomial]]) -> dict:
+    # Clear the smallest monomial m with pivot(m) = (key, basis element),
+    # whose smallest term must be x^m, so the minimum strictly increases.
     work = dict(p.terms)
-    out: dict[Composition, int] = {}
+    out = {}
+    last = None
     while work:
         m = min(work)
-        c = work.pop(m)
-        out[m] = c
-        for e, ce in slide_polynomial(m).terms.items():
-            if e == m:
-                continue
+        if last is not None and m <= last:
+            raise NonExpandableError(f"pivot {last} did not clear the minimum")
+        key, basis = pivot(m)
+        c = work[m]
+        out[key] = c
+        for e, ce in basis.terms.items():
             c2 = work.get(e, 0) - c * ce
             if c2:
                 work[e] = c2
             else:
                 work.pop(e, None)
-        if work and min(work) <= m:
-            raise NonExpandableError(f"pivot {m} did not clear the minimum")
+        last = m
     return out
+
+
+def slide_expand(p: Polynomial) -> dict[Composition, int]:
+    """Write p as an integer combination of slide polynomials.
+
+    Repeatedly clears the smallest remaining monomial m with the slide
+    polynomial of m, whose unique smallest term is x^m.
+
+    >>> slide_expand(Polynomial({(1, 1): 1, (2,): -1}))
+    {(1, 1): 1, (2,): -1}
+    """
+    return _eliminate(p, lambda m: (m, slide_polynomial(m)))

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .perm import Perm, canonical, from_code, grassmannian, length, shift
-from .poly import NonExpandableError, Polynomial, slide_polynomial
+from .poly import NonExpandableError, Polynomial, _eliminate, slide_polynomial
 from .transition import _schubert, _stanley, truncated_schubert
 from .words import (
     VIRTUAL,
@@ -119,26 +119,16 @@ def schubert_expand(
         raise ValueError("Schubert expansion needs a homogeneous polynomial")
     if degree is not None and degs and degs != {degree}:
         raise ValueError(f"polynomial has degree {degs.pop()}, expected {degree}")
-    work = dict(p.terms)
-    out: dict[Perm, int] = {}
-    while work:
-        m = min(work)
-        c = work[m]
+
+    def pivot(m: tuple[int, ...]) -> tuple[Perm, Polynomial]:
         w = from_code(m)
         if ambient is not None and len(w) > ambient:
             raise NoSolutionError(
                 f"pivot {m} needs a permutation of {len(w)} values, ambient is {ambient}"
             )
-        out[w] = c
-        for e, ce in schubert(w).terms.items():
-            c2 = work.get(e, 0) - c * ce
-            if c2:
-                work[e] = c2
-            else:
-                work.pop(e, None)
-        if m in work or (work and min(work) <= m):
-            raise NonExpandableError(f"pivot {m} did not clear the minimum")
-    return out
+        return w, schubert(w)
+
+    return _eliminate(p, pivot)
 
 
 def schubert_coefficient(p: Polynomial, w: Sequence[int]) -> int:

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from functools import lru_cache
+from itertools import islice
 
 from ._limits import CACHE_SIZE as _CACHE_SIZE
-from ._limits import charge
+from ._limits import charge, remaining
 from .perm import Perm, canonical, descent_set, inverse, length, pad
 
 Word = tuple[int, ...]
@@ -68,24 +69,29 @@ def is_reduced(word: Sequence[int]) -> bool:
     return length(permutation_of_word(word)) == len(word)
 
 
-def _left_descents(w: Perm) -> set[int]:
-    # i with i+1 occurring before i, i.e. descents of the inverse.
-    return descent_set(inverse(w))
+def _walk(u: Perm, buf: list[int]) -> Iterator[Word]:
+    # Reduced words of u followed by reversed(buf), built last letter first.
+    if not u:
+        yield tuple(reversed(buf))
+        return
+    for i in sorted(descent_set(inverse(u))):  # i+1 stands before i in u
+        buf.append(i)
+        yield from _walk(_swap_values(u, i), buf)
+        buf.pop()
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _reduced_words(w: Perm) -> tuple[Word, ...]:
-    if not w:
-        return ((),)
-    out = []
-    for i in _left_descents(w):
-        for rest in _reduced_words(_swap_values(w, i)):
-            out.append(rest + (i,))
-    return tuple(sorted(out))
+    # The caller charges the result; a miss stops one word past the budget.
+    budget = remaining()
+    words = sorted(islice(_walk(w, []), None if budget is None else budget + 1))
+    if budget is not None and len(words) > budget:
+        charge(len(words))  # raises TermBudgetExceeded
+    return tuple(words)
 
 
 def reduced_words(w: Sequence[int]) -> tuple[Word, ...]:
-    """All reduced words for w, sorted, with memoization across calls.
+    """All reduced words for w, sorted, cached and charged one unit each.
 
     >>> reduced_words((2, 1, 4, 3))
     ((1, 3), (3, 1))
@@ -96,25 +102,16 @@ def reduced_words(w: Sequence[int]) -> tuple[Word, ...]:
 
 
 def iter_reduced_words(w: Sequence[int]) -> Iterator[Word]:
-    """Stream reduced words for w without memoizing subproblems.
+    """Stream reduced words for w, charged one unit each, holding none.
 
-    Order matches reduced_words only per-branch; use for traversals where
-    holding the full list (e.g. 292864 words for the longest element of
-    S_6) is wasteful.
+    Words come ordered by their reversals; reduced_words sorts the same set.
+
+    >>> list(iter_reduced_words((2, 1, 4, 3)))
+    [(3, 1), (1, 3)]
     """
-    buf: list[int] = []
-
-    def walk(u: Perm) -> Iterator[Word]:
-        if not u:
-            charge()
-            yield tuple(reversed(buf))
-            return
-        for i in sorted(_left_descents(u)):
-            buf.append(i)
-            yield from walk(_swap_values(u, i))
-            buf.pop()
-
-    yield from walk(canonical(w))
+    for word in _walk(canonical(w), []):
+        charge()
+        yield word
 
 
 def run_decomposition(word: Sequence[int]) -> tuple[Word, ...]:
@@ -173,8 +170,12 @@ def weak_descent_composition(word: Sequence[int]) -> Composition | _Virtual:
     return tuple(comp)
 
 
-def _caps(word: Sequence[int]) -> tuple[int, ...] | _Virtual:
-    # Entrywise maximum over all compatible sequences, right to left.
+def greedy_compatible(word: Sequence[int]) -> tuple[int, ...] | _Virtual:
+    """The entrywise-largest compatible sequence, or VIRTUAL if none exists.
+
+    >>> greedy_compatible((4, 2, 1, 2, 3))
+    (1, 1, 1, 2, 4)
+    """
     rev = tuple(reversed(word))
     n = len(rev)
     caps = [0] * n
@@ -186,15 +187,6 @@ def _caps(word: Sequence[int]) -> tuple[int, ...] | _Virtual:
         if caps[j] < 1:
             return VIRTUAL
     return tuple(caps)
-
-
-def greedy_compatible(word: Sequence[int]) -> tuple[int, ...] | _Virtual:
-    """The entrywise-largest compatible sequence, or VIRTUAL if none exists.
-
-    >>> greedy_compatible((4, 2, 1, 2, 3))
-    (1, 1, 1, 2, 4)
-    """
-    return _caps(word)
 
 
 def compatible_sequences(word: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -209,7 +201,7 @@ def compatible_sequences(word: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     >>> compatible_sequences((2, 4, 1, 2, 3))
     ((1, 1, 1, 2, 2),)
     """
-    caps = _caps(word)
+    caps = greedy_compatible(word)
     if caps is VIRTUAL:
         return ()
     rev = tuple(reversed(word))

@@ -1,9 +1,25 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
+import types
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import schubcalc
+from schubcalc import (
+    Polynomial,
+    canonical,
+    format_perm,
+    last_descent,
+    schubert,
+    schubert_times_schur,
+    stanley,
+)
+from schubcalc import cli
 
 
 def run(*args):
@@ -160,9 +176,14 @@ def test_exit_4_on_term_budget():
     assert "partial results discarded" in err
 
 
-def test_exit_5_on_internal_error(monkeypatch, capsys):
-    from schubcalc import cli
+def test_budget_bounds_slide_placements():
+    # About 49 million placements: the budget stops them, not the cap.
+    code, out, err = run("slide", "0," * 30 + "8", "--timeout-terms", "5")
+    assert (code, out) == (4, "")
+    assert err == "error: term budget of 5 exceeded; partial results discarded\n"
 
+
+def test_exit_5_on_internal_error(monkeypatch, capsys):
     def broken(w):
         raise RuntimeError(f"duplicate truncation endpoint {w}")
 
@@ -193,6 +214,55 @@ def test_output_is_deterministic():
     first = run("multiply", "42153", "2,1", "5", "--chains", "--format", "json")
     second = run("multiply", "42153", "2,1", "5", "--chains", "--format", "json")
     assert first == second
+
+
+def json_terms(capsys, *args):
+    assert cli.main([*args, "--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    return json.loads(out)["terms"]
+
+
+def as_polynomial(terms):
+    return Polynomial({tuple(t["exponents"]): t["coeff"] for t in terms})
+
+
+PERMS = st.integers(1, 6).flatmap(lambda n: st.permutations(range(1, n + 1))).map(canonical)
+
+
+@given(PERMS, st.integers(0, 4), st.data())
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+def test_json_round_trips(capsys, w, k, data):
+    assert as_polynomial(json_terms(capsys, "schubert", format_perm(w))) == schubert(w)
+    assert as_polynomial(json_terms(capsys, "stanley", format_perm(w), str(k))) == stanley(w, k)
+
+    k = max(k, last_descent(w) or 1)
+    parts = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=min(k, 3)))
+    lam = tuple(sorted(parts, reverse=True))
+    terms = json_terms(capsys, "multiply", format_perm(w), ",".join(map(str, lam)), str(k))
+    got = {tuple(t["perm"]): t["coeff"] for t in terms}
+    assert got == schubert_times_schur(w, lam, k)
+
+
+def test_all_names_the_public_surface():
+    public = {
+        name
+        for name, value in vars(schubcalc).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert set(schubcalc.__all__) == public
+
+
+def test_environment_does_not_configure_the_import():
+    proc = subprocess.run(
+        [sys.executable, "-m", "schubcalc", "schubert", "21"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "SCHUBERT_CACHE_SIZE": "x"},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "x1\n", "")
 
 
 @pytest.mark.skipif(shutil.which("schubcalc") is None, reason="script not on PATH")

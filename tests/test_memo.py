@@ -1,4 +1,5 @@
-"""The transition memos: bounded by monomials, invisible in results, budgeted."""
+"""The transition memos and the entry-bounded caches: invisible in
+results, budgeted alike cold and warm; the memos are bounded by monomials."""
 
 from itertools import permutations
 
@@ -6,7 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schubcalc import TermBudgetExceeded, schubert, stanley, term_budget
+import schubcalc.poly as poly
+import schubcalc.words as words
+from schubcalc import (
+    TermBudgetExceeded,
+    fundamental_quasisym,
+    iter_reduced_words,
+    reduced_words,
+    schubert,
+    slide_polynomial,
+    stanley,
+    term_budget,
+)
 from schubcalc.transition import MEMO_MONOMIALS, _Memo, _schubert, _stanley
 
 MEMOS = (_schubert, _stanley)
@@ -101,3 +113,76 @@ def test_budgets_are_monotone(item, n):
         else:
             with term_budget(budget):
                 assert list(build(item).terms.items()) == want
+
+
+# The entry-bounded caches of slide placements and reduced-word lists.
+CACHES = (poly._placements, words._reduced_words)
+
+CACHED = [
+    (slide_polynomial, ((0, 3, 1, 0, 1),)),
+    (slide_polynomial, ((1, 0, 2, 0, 0, 1),)),
+    (fundamental_quasisym, ((3, 1, 1), 4)),
+    (fundamental_quasisym, ((2, 2), 3)),
+    (reduced_words, ((4, 2, 1, 5, 3),)),
+    (reduced_words, ((3, 2, 1, 5, 4),)),
+]
+
+
+def clear_caches():
+    for cache in CACHES:
+        cache.cache_clear()
+
+
+def test_results_do_not_depend_on_the_caches():
+    warm = [fn(*args) for fn, args in CACHED]
+    assert [fn(*args) for fn, args in CACHED] == warm
+    clear_caches()
+    assert [fn(*args) for fn, args in CACHED] == warm
+
+
+def attempt(fn, args, n):
+    try:
+        with term_budget(n):
+            return fn(*args)
+    except TermBudgetExceeded:
+        return None
+
+
+@pytest.mark.parametrize("fn, args", CACHED)
+def test_budgets_fail_alike_cold_and_warm(fn, args):
+    result = fn(*args)
+    size = len(result) if fn is reduced_words else len(result.terms)
+    for n in range(size + 2):
+        clear_caches()
+        cold = attempt(fn, args, n)
+        fn(*args)
+        assert attempt(fn, args, n) == cold
+        assert (cold is None) == (n < size)
+
+
+def test_a_cold_miss_stops_past_the_budget(monkeypatch):
+    # Uncapped, these are about 49 million placements and 292864 words.
+    calls = {"strip": 0, "swap": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(poly, "_strip", counted("strip", poly._strip))
+    monkeypatch.setattr(words, "_swap_values", counted("swap", words._swap_values))
+    clear_caches()
+    with pytest.raises(TermBudgetExceeded):
+        with term_budget(5):
+            slide_polynomial((0,) * 30 + (8,))
+    with pytest.raises(TermBudgetExceeded):
+        with term_budget(5):
+            reduced_words((6, 5, 4, 3, 2, 1))
+    assert calls["strip"] <= 7 and calls["swap"] <= 100, calls
+
+
+def test_reduced_words_sorts_the_stream_on_s5():
+    for w in permutations(range(1, 6)):
+        assert reduced_words(w) == tuple(sorted(iter_reduced_words(w))), w
