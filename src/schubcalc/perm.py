@@ -163,7 +163,12 @@ def is_covering(w: Sequence[int], t: Sequence[int]) -> bool:
 def _covers(p: Sequence[int], a: int, b: int) -> bool:
     """Kernel: is_covering for a permutation word p of length at least b."""
     pa, pb = p[a - 1], p[b - 1]
-    return pa < pb and not any(pa < p[c] < pb for c in range(a, b - 1))
+    if pa > pb:
+        return False
+    for x in p[a : b - 1]:
+        if pa < x < pb:
+            return False
+    return True
 
 
 def shift(w: Sequence[int], m: int) -> Perm:

@@ -23,7 +23,7 @@ the structure constants.
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Sequence
+from collections.abc import Generator, Sequence
 from types import SimpleNamespace
 
 from ._limits import charge
@@ -91,24 +91,53 @@ _ONE = Polynomial._raw({(): 1})
 def _node(w: Perm, k: int) -> Polynomial:
     """S_w(x1..xk, 0, ...) for canonical w, through the memos.
 
-    One frame per level of the recursion; over all of S_8 the depth is at
-    most 28, the length of the longest element.
+    The transition tree is walked depth first on an explicit stack that
+    holds one _transition generator per node being computed, so its depth
+    (the length of w for the longest element) is bounded by memory, not
+    by Python's recursion limit.  A node asks for its children one at a
+    time and each is looked up only when the one before it is complete,
+    so memo hits, misses and evictions come in depth-first order.
     """
-    if not w:
-        return _ONE
-    r = len(w) - 1
-    while w[r - 1] < w[r]:
-        r -= 1
-    if r <= k:
-        memo, key = _schubert, w
-    else:
-        memo, key = _stanley, (w, k)
-    p = memo.get(key)
-    if p is not None:
-        memo.hits += 1
-        return p
-    # One unit of budget per computed node, before its children.
-    charge()
+    stack: list[Generator[Perm, Polynomial, Polynomial]] = []
+    while True:
+        if not w:
+            p = _ONE
+        else:
+            r = len(w) - 1
+            while w[r - 1] < w[r]:
+                r -= 1
+            if r <= k:
+                memo, key = _schubert, w
+            else:
+                memo, key = _stanley, (w, k)
+            p = memo.get(key)
+            if p is None:
+                # One unit of budget per computed node, before its children.
+                charge()
+                stack.append(_transition(w, k, r, memo, key))
+            else:
+                memo.hits += 1
+        # Hand p to the node that asked for it (None starts a new node),
+        # finishing nodes until one asks for another child.
+        while stack:
+            try:
+                w = stack[-1].send(p)
+                break
+            except StopIteration as done:
+                stack.pop()
+                p = done.value
+        else:
+            return p
+
+
+def _transition(
+    w: Perm, k: int, r: int, memo: _Memo, key: Perm | tuple[Perm, int]
+) -> Generator[Perm, Polynomial, Polynomial]:
+    """One transition step of _node: yields each child word, receives its polynomial.
+
+    Stores S_w(x1..xk, 0, ...) in memo under key and returns it; r is the
+    last descent of w.
+    """
     wr = w[r - 1]
     s = len(w)
     while w[s - 1] > wr:
@@ -117,7 +146,8 @@ def _node(w: Perm, k: int) -> Polynomial:
     v[r - 1], v[s - 1] = v[s - 1], wr
     out: dict[tuple[int, ...], int] = {}
     if r <= k:
-        for e, c in _node(_strip(v), k).terms.items():
+        child = yield _strip(v)
+        for e, c in child.terms.items():
             if len(e) >= r:
                 e = e[: r - 1] + (e[r - 1] + 1,) + e[r:]
             else:
@@ -133,8 +163,9 @@ def _node(w: Perm, k: int) -> Polynomial:
             lo = vq
             u = v[:]
             u[q - 1], u[r - 1] = vr, vq
+            child = yield _strip(u)
             # Coefficients are positive, so sums never cancel.
-            for e, c in _node(_strip(u), k).terms.items():
+            for e, c in child.terms.items():
                 out[e] = out.get(e, 0) + c
     p = Polynomial._raw(out)
     memo.put(key, p)
@@ -176,11 +207,11 @@ class Chain:
         directions: Sequence[int],
     ):
         base = canonical(base)
-        steps = tuple(_check_transposition(t) for t in steps)
+        steps = tuple(map(_check_transposition, steps))
         directions = tuple(directions)
         if len(steps) != len(directions):
             raise ValueError("steps and directions must pair up")
-        if any(d not in (-1, 1) for d in directions):
+        if not {*directions} <= {-1, 1}:
             raise ValueError("directions must be +1 or -1")
         p = list(pad(base, max([b for _, b in steps], default=0)))
         for (a, b), d in zip(steps, directions):
@@ -277,10 +308,12 @@ def _start_word(w: Perm, k: int, m: int) -> list[int]:
     just past the m values after it.
     """
     what = [*w[: k - 1], *w[k : k + m], w[k - 1], *w[k + m :]]
-    check = w
-    for j in range(m, 0, -1):
-        check = _swap(check, k, k + j)
-    if _strip(what) != check:
+    # Undo the transpositions in place on a copy: (k, k+1) ... (k, k+m)
+    # must lead back to w.
+    p = what[:]
+    for b in range(k + 1, k + m + 1):
+        p[k - 1], p[b - 1] = p[b - 1], p[k - 1]
+    if _strip(p) != w:
         raise RuntimeError(f"truncation start of {w} disagrees with its transpositions")
     return what
 
@@ -410,34 +443,41 @@ def lr_coefficient(
 
 
 def _conj(d: Transposition, t: Transposition) -> Transposition:
-    table = {d[0]: d[1], d[1]: d[0]}
-    a, b = (table.get(x, x) for x in t)
+    """d t d, the transposition t with d's two points exchanged."""
+    x, y = d
+    a, b = t
+    a = y if a == x else x if a == y else a
+    b = y if b == x else x if b == y else b
     return (a, b) if a < b else (b, a)
+
+
+def _push_down(ups: list[Transposition], t: Transposition) -> bool:
+    """Move a down-step t left across the up-steps ups, rewriting them in place.
+
+    Moving t left across an up-step s rewrites s t as t (t s t); an
+    up-step equal to t cancels against it.  Returns whether t survives,
+    i.e. whether it is a down-step of the rewritten word.  The group
+    element is unchanged.
+    """
+    for i in range(len(ups) - 1, -1, -1):
+        s = ups[i]
+        if s == t:
+            del ups[i]
+            return False
+        ups[i] = _conj(t, s)
+    return True
 
 
 def _push_downs_left(
     items: Sequence[tuple[Transposition, bool]]
 ) -> tuple[list[Transposition], list[Transposition]]:
-    """Rewrite a mixed word so all down-steps precede all up-steps.
-
-    Moving a down-step t left across an up-step s rewrites s t as
-    t (t s t); an up-step equal to t cancels against it.  The group
-    element is unchanged.
-    """
+    """Rewrite a mixed word so all down-steps precede all up-steps, by _push_down."""
     downs: list[Transposition] = []
     ups: list[Transposition] = []
     for t, is_down in items:
         if not is_down:
             ups.append(t)
-            continue
-        cancelled = False
-        for i in range(len(ups) - 1, -1, -1):
-            if ups[i] == t:
-                del ups[i]
-                cancelled = True
-                break
-            ups[i] = _conj(t, ups[i])
-        if not cancelled:
+        elif _push_down(ups, t):
             downs.append(t)
     return downs, ups
 
@@ -527,12 +567,12 @@ def lr_chains(
     w0 = _product_seed(u, lam, k)
     out: dict[Perm, list[Chain]] = {}
 
-    def go(w: Perm, raw: list[tuple[Transposition, bool]]) -> None:
+    # The raw word of a leaf is its path's down-steps and lifted up-steps
+    # in order; each node rewrites its own down-steps into the state it
+    # inherits (the rewritten up-steps, and the seed lowered by the
+    # surviving down-steps), so no leaf rewrites its path from the root.
+    def go(w: Perm, ups: list[Transposition], base: Perm) -> None:
         if _last_descent(w) <= k:
-            downs, ups = _push_downs_left(raw)
-            base = w0
-            for a, b in downs:
-                base = _swap(base, a, b)
             if base != u:
                 raise RuntimeError(f"down-steps to {w} leave {base}, not u = {u}")
             if len(ups) != sum(lam) or not all(a <= k < b for a, b in ups):
@@ -543,12 +583,14 @@ def lr_chains(
             out.setdefault(w, []).append(chain)
             return
         kk, m = _descent_data(w)
-        stage = [((kk, kk + m - i), True) for i in range(m)]
+        # ups is this node's own list: the caller built it for this call.
+        for b in range(kk + m, kk, -1):
+            if _push_down(ups, (kk, b)):
+                base = _swap(base, kk, b)
         for p, cols in truncation_paths(w):
-            lifted = [((a, kk + j), False) for j, a in enumerate(cols)]
-            go(p, raw + stage + lifted)
+            go(p, ups + [(a, kk + j) for j, a in enumerate(cols)], base)
 
-    go(w0, [])
+    go(w0, [], w0)
     return {w: tuple(cs) for w, cs in sorted(out.items())}
 
 

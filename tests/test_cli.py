@@ -197,6 +197,14 @@ def test_exit_5_on_internal_error(monkeypatch, capsys):
     )
 
 
+def test_deep_schubert_in_a_fresh_process():
+    # The longest element of S46 is 1035 transition levels deep, past
+    # Python's default recursion limit; the walk keeps its own stack.
+    code, out, err = run("schubert", ",".join(map(str, range(46, 0, -1))))
+    assert (code, err) == (0, "")
+    assert out == "*".join(f"x{i}^{46 - i}" for i in range(1, 45)) + "*x45\n"
+
+
 def test_term_budget_is_exact_for_a_cold_construction():
     # A fresh process builds every transition node once, charging one unit each.
     nodes = int(run_python(

@@ -8,9 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import schubcalc.poly as poly
+import schubcalc.transition as T
 import schubcalc.words as words
 from schubcalc import (
+    Polynomial,
     TermBudgetExceeded,
+    canonical,
+    code,
     fundamental_quasisym,
     iter_reduced_words,
     reduced_words,
@@ -19,6 +23,8 @@ from schubcalc import (
     stanley,
     term_budget,
 )
+from schubcalc._limits import charge
+from schubcalc.perm import _last_descent
 from schubcalc.transition import MEMO_MONOMIALS, _Memo, _schubert, _stanley
 
 MEMOS = (_schubert, _stanley)
@@ -41,6 +47,49 @@ def build(item):
 def clear():
     for memo in MEMOS:
         memo.cache_clear()
+
+
+def test_cold_build_of_the_longest_element_of_s60():
+    # 1770 transition levels, none of them in the memo: depth is not
+    # bounded by Python's recursion limit.
+    w0 = tuple(range(60, 0, -1))
+    clear()
+    assert schubert(w0) == Polynomial({code(w0): 1})
+    assert _schubert.cache_info().misses == len(w0) * (len(w0) - 1) // 2
+
+
+def recursive_node(w, k):
+    """_node's transition steps driven by plain recursion instead of a stack."""
+    if not w:
+        return T._ONE
+    r = _last_descent(w)
+    memo, key = (_schubert, w) if r <= k else (_stanley, (w, k))
+    p = memo.get(key)
+    if p is not None:
+        memo.hits += 1
+        return p
+    charge()
+    step = T._transition(w, k, r, memo, key)
+    p = None
+    try:
+        while True:
+            p = recursive_node(step.send(p), k)
+    except StopIteration as done:
+        return done.value
+
+
+def memo_traffic(node, items):
+    clear()
+    out = [node(canonical(w), k) for w, k in items]
+    return out, [(m.hits, m.misses, list(m.items())) for m in MEMOS]
+
+
+def test_the_stack_keeps_the_memo_traffic_of_the_recursion(monkeypatch):
+    # Small bounds make evictions, so hits depend on the order of lookups.
+    for memo in MEMOS:
+        monkeypatch.setattr(memo, "bound", 300)
+    items = [(w, k) for w in permutations(range(1, 7)) for k in (2, 6)]
+    assert memo_traffic(T._node, items) == memo_traffic(recursive_node, items)
 
 
 def test_results_do_not_depend_on_the_memo(monkeypatch):

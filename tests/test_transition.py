@@ -5,11 +5,15 @@ import sys
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schubcalc import (
     Chain,
     Polynomial,
     TermBudgetExceeded,
+    apply_transposition,
+    canonical,
     cross_identity_check,
     format_chain,
     length,
@@ -27,6 +31,7 @@ from schubcalc import (
     truncation_paths,
     truncation_start,
 )
+from schubcalc.transition import _product_seed, _push_downs_left
 from schubcalc.verify import all_partitions, all_perms, basis_vector
 from oracles import alternating_chains, chain_end, last_descent
 
@@ -241,6 +246,65 @@ def test_lr_chains_small_cases():
             assert {w: len(cs) for w, cs in chains.items()} == product, (u, lam, k)
 
 
+def lr_chains_rewriting_each_leaf(u, lam, k):
+    """lr_chains as first written: every leaf rewrites its whole raw word.
+
+    The raw word of a leaf is the staircase of down-steps of each tree
+    node on its path, each followed by the up-steps of the chosen
+    truncation columns; one _push_downs_left per leaf sorts it.
+    """
+    u = canonical(u)
+    if not lam:
+        return {u: (Chain(u, (), ()),)}
+    w0 = _product_seed(u, tuple(lam), k)
+    out = {}
+
+    def go(w, raw):
+        kk = last_descent(w)
+        if kk is None or kk <= k:
+            downs, ups = _push_downs_left(raw)
+            base = w0
+            for t in downs:
+                base = apply_transposition(base, t)
+            assert base == u
+            out.setdefault(w, []).append(Chain(u, ups, (1,) * len(ups)))
+            return
+        m = max(b for b in range(kk + 1, len(w) + 1) if w[b - 1] < w[kk - 1]) - kk
+        stage = [((kk, kk + m - i), True) for i in range(m)]
+        for p, cols in truncation_paths(w):
+            go(p, raw + stage + [((a, kk + j), False) for j, a in enumerate(cols)])
+
+    go(w0, [])
+    return {w: tuple(cs) for w, cs in sorted(out.items())}
+
+
+def allowed_ks(u, lam, top):
+    return range(max(1, len(lam), last_descent(u) or 0), top + 1)
+
+
+def test_lr_chains_equal_the_per_leaf_rewrite_on_s5():
+    for u in all_perms(5):
+        for lam in [(), *all_partitions(3)]:
+            for k in allowed_ks(u, lam, 5):
+                assert lr_chains(u, lam, k) == lr_chains_rewriting_each_leaf(u, lam, k), (u, lam, k)
+
+
+@st.composite
+def product_case(draw):
+    n = draw(st.integers(6, 8))
+    u = canonical(draw(st.permutations(range(1, n + 1))))
+    size = draw(st.integers(1, 4))
+    lam = draw(st.sampled_from([p for p in all_partitions(size) if sum(p) == size]))
+    ks = allowed_ks(u, lam, max(1, len(lam), last_descent(u) or 0) + 2)
+    return u, lam, draw(st.sampled_from(ks))
+
+
+@given(product_case())
+@settings(max_examples=200, deadline=None)
+def test_lr_chains_equal_the_per_leaf_rewrite_on_s6_to_s8(case):
+    assert lr_chains(*case) == lr_chains_rewriting_each_leaf(*case)
+
+
 def test_cross_identity_examples():
     assert cross_identity_check((4, 2, 1, 5, 3), (2, 1), 5, 5)
     assert cross_identity_check((2, 1), (2, 1), 2, 3)
@@ -364,13 +428,11 @@ def outcome(fn, *args, **patch):
         vars(T).update(saved)
     return "no error"
 
-push = T._push_downs_left
 print(outcome(T.monk_multiply, (1, 3, 2), 2, _swap=lambda w, a, b: w))
-print(outcome(T.truncation_start, (5, 1, 7, 3, 8, 2, 4, 6), _swap=lambda w, a, b: w))
+print(outcome(T.truncation_start, (5, 1, 7, 3, 8, 2, 4, 6), _strip=lambda w: tuple(w)[1:]))
 print(outcome(T.normalize_chain, Chain((1, 4, 2, 3), ((2, 4), (1, 2)), (-1, 1)),
               _reverse_ups=lambda ups: []))
-print(outcome(T.lr_chains, (), (1,), 1,
-              _push_downs_left=lambda items: (push(items)[0][1:], push(items)[1])))
+print(outcome(T.lr_chains, (), (1,), 1, _push_down=lambda ups, t: False))
 """
     proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
     assert (proc.returncode, proc.stdout) == (0, "RuntimeError\n" * 4), proc.stderr
