@@ -112,9 +112,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def max_variable(self) -> int:
-        return max((len(e) for e in self.terms), default=0)
-
     def degrees(self) -> set[int]:
         return {sum(e) for e in self.terms}
 
@@ -161,44 +158,6 @@ def flatten(comp: Sequence[int]) -> Composition:
     (3, 1, 1)
     """
     return tuple(x for x in comp if x)
-
-
-def refines(fine: Sequence[int], coarse: Sequence[int]) -> bool:
-    """Whether consecutive parts of fine group together into coarse.
-
-    >>> refines((2, 1, 1), (3, 1))
-    True
-    >>> refines((1, 3), (3, 1))
-    False
-    """
-    if any(x < 1 for x in fine) or any(x < 1 for x in coarse):
-        raise ValueError("refinement is defined for positive parts")
-    i = 0
-    for part in coarse:
-        acc = 0
-        while acc < part:
-            if i >= len(fine):
-                return False
-            acc += fine[i]
-            i += 1
-        if acc != part:
-            return False
-    return i == len(fine)
-
-
-def dominates(b: Sequence[int], a: Sequence[int]) -> bool:
-    """Whether every prefix sum of b is at least the matching one of a.
-
-    >>> dominates((3, 1, 1), (3, 1, 0, 1))
-    True
-    """
-    sb = sa = 0
-    for x, y in zip_longest(b, a, fillvalue=0):
-        sb += x
-        sa += y
-        if sb < sa:
-            return False
-    return True
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

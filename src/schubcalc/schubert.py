@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .perm import Perm, canonical, from_code, grassmannian, length, shift
+from .perm import Perm, canonical, from_code, grassmannian, shift
 from .poly import NonExpandableError, Polynomial, _eliminate, slide_polynomial
 from .transition import _schubert, _stanley, truncated_schubert
 from .words import (
@@ -129,12 +129,3 @@ def schubert_expand(
         return w, schubert(w)
 
     return _eliminate(p, pivot)
-
-
-def schubert_coefficient(p: Polynomial, w: Sequence[int]) -> int:
-    """Coefficient of w's Schubert polynomial in p."""
-    w = canonical(w)
-    degs = p.degrees()
-    if degs and degs != {length(w)}:
-        return 0
-    return schubert_expand(p).get(w, 0)

@@ -41,7 +41,7 @@ from .perm import (
     grassmannian,
     pad,
 )
-from .poly import Polynomial, substitute_zero
+from .poly import Polynomial
 
 # Monomials held by the two polynomial memos together; each gets half.
 MEMO_MONOMIALS = 1 << 16
@@ -592,26 +592,3 @@ def lr_chains(
 
     go(w0, [], w0)
     return {w: tuple(cs) for w, cs in sorted(out.items())}
-
-
-def cross_identity_check(
-    u: Sequence[int], v: Sequence[int], k: int, n: int
-) -> bool:
-    """Whether splicing v above position n factors after killing x_{k+1}...
-
-    Compares the crossed Schubert polynomial, truncated to k variables,
-    with the product of u's Schubert polynomial and v's Stanley
-    polynomial in those variables.  Needs u inside S_k and k <= n.
-    """
-    from .schubert import schubert, stanley
-
-    u = canonical(u)
-    v = canonical(v)
-    if len(u) > k:
-        raise ValueError(f"u moves position {len(u)}, beyond k={k}")
-    if k > n:
-        raise ValueError(f"need k <= n, got k={k}, n={n}")
-    lhs = substitute_zero(schubert(cross(u, v, n)), k)
-    rhs = schubert(u) * stanley(v, k)
-    return lhs == rhs
-

@@ -2,16 +2,16 @@
 
 Each suite checks one identity on every instance below a size bound and
 returns the number of instances checked; the first failure raises
-CounterexampleError with the witness.  These back the CLI verify
-command.
+CounterexampleError with the witness, and a negative bound raises
+ValueError.  These back the CLI verify command.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from itertools import permutations
 
-from .perm import Perm, canonical, last_descent, length
+from .perm import Perm, canonical, cross, last_descent, length
 from .poly import Polynomial, substitute_zero
 from .schubert import (
     schubert,
@@ -19,17 +19,18 @@ from .schubert import (
     schubert_via_compatible,
     schubert_via_slides,
     schur,
+    stanley,
 )
-from .transition import (
-    cross_identity_check,
-    monk_multiply,
-    schubert_times_schur,
-    truncate_last_descent,
-)
+from .transition import monk_multiply, schubert_times_schur, truncate_last_descent
 
 
 class CounterexampleError(Exception):
     """An exhaustive suite found an instance violating its identity."""
+
+
+def _check_nmax(nmax: int) -> None:
+    if nmax < 0:
+        raise ValueError(f"nmax must be nonnegative, got {nmax}")
 
 
 def all_perms(n: int) -> Iterator[Perm]:
@@ -59,6 +60,7 @@ def basis_vector(k: int) -> Polynomial:
 
 def verify_slides(nmax: int = 4) -> int:
     """Transition, slides and compatible sequences agree on all of S_nmax."""
+    _check_nmax(nmax)
     count = 0
     for w in all_perms(nmax):
         p = schubert(w)
@@ -70,6 +72,7 @@ def verify_slides(nmax: int = 4) -> int:
 
 def verify_monk(nmax: int = 4) -> int:
     """Covering-transposition expansion matches the expansion oracle."""
+    _check_nmax(nmax)
     count = 0
     for w in all_perms(nmax):
         for k in range(1, nmax):
@@ -85,6 +88,7 @@ def verify_monk(nmax: int = 4) -> int:
 
 def verify_truncate(nmax: int = 4) -> int:
     """Killing the last descent variable matches the truncation expansion."""
+    _check_nmax(nmax)
     count = 0
     for w in all_perms(nmax):
         k = last_descent(w)
@@ -102,8 +106,29 @@ def verify_truncate(nmax: int = 4) -> int:
     return count
 
 
+def cross_identity_check(
+    u: Sequence[int], v: Sequence[int], k: int, n: int
+) -> bool:
+    """Whether splicing v above position n factors after killing x_{k+1}...
+
+    Compares the crossed Schubert polynomial, truncated to k variables,
+    with the product of u's Schubert polynomial and v's Stanley
+    polynomial in those variables.  Needs u inside S_k and k <= n.
+    """
+    u = canonical(u)
+    v = canonical(v)
+    if len(u) > k:
+        raise ValueError(f"u moves position {len(u)}, beyond k={k}")
+    if k > n:
+        raise ValueError(f"need k <= n, got k={k}, n={n}")
+    lhs = substitute_zero(schubert(cross(u, v, n)), k)
+    rhs = schubert(u) * stanley(v, k)
+    return lhs == rhs
+
+
 def verify_cross(nmax: int = 4) -> int:
     """Splice-then-truncate factors into Schubert times Stanley."""
+    _check_nmax(nmax)
     count = 0
     for u in all_perms(nmax - 1):
         m = len(u)
@@ -120,6 +145,7 @@ def verify_cross(nmax: int = 4) -> int:
 
 def verify_product(nmax: int = 4) -> int:
     """Transition expansion matches the oracle, positively, degree-correct."""
+    _check_nmax(nmax)
     count = 0
     for u in all_perms(nmax):
         ld = last_descent(u)

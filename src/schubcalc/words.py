@@ -4,6 +4,10 @@ A word is a tuple of positive letters; letter i swaps the values i and
 i+1.  Words act left to right, so (4, 2, 1, 2, 3) builds (4, 2, 1, 5, 3)
 from the identity.  A word is reduced when its length equals the Coxeter
 length of the permutation it builds.
+
+reduced_words and iter_reduced_words validate w once through canonical();
+the walk behind them (_walk, _swap_values) trusts that canonical input
+and checks nothing.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from itertools import islice
 
 from ._limits import CACHE_SIZE as _CACHE_SIZE
 from ._limits import charge, remaining
-from .perm import Perm, canonical, descent_set, inverse, length, pad
+from .perm import Perm, _strip, canonical, descent_set, inverse, pad
 
 Word = tuple[int, ...]
 Composition = tuple[int, ...]
@@ -42,31 +46,7 @@ def _swap_values(w: Perm, i: int) -> Perm:
     a = ww.index(i)
     b = ww.index(i + 1)
     ww[a], ww[b] = ww[b], ww[a]
-    return canonical(ww)
-
-
-def permutation_of_word(word: Sequence[int]) -> Perm:
-    """Build the permutation a word acts out, letter by letter.
-
-    >>> permutation_of_word((4, 2, 1, 2, 3))
-    (4, 2, 1, 5, 3)
-    """
-    w: Perm = ()
-    for i in word:
-        if i < 1:
-            raise ValueError(f"letters must be positive: {tuple(word)!r}")
-        w = _swap_values(w, i)
-    return w
-
-
-def is_reduced(word: Sequence[int]) -> bool:
-    """
-    >>> is_reduced((4, 2, 1, 2, 3))
-    True
-    >>> is_reduced((1, 1))
-    False
-    """
-    return length(permutation_of_word(word)) == len(word)
+    return _strip(ww)
 
 
 def _walk(u: Perm, buf: list[int]) -> Iterator[Word]:
@@ -127,16 +107,6 @@ def run_decomposition(word: Sequence[int]) -> tuple[Word, ...]:
         else:
             runs.append([x])
     return tuple(tuple(r) for r in runs)
-
-
-def strong_descent_composition(word: Sequence[int]) -> Composition:
-    """Run sizes read right to left.
-
-    >>> strong_descent_composition((2, 1, 2, 4, 3))
-    (1, 3, 1)
-    """
-    runs = run_decomposition(word)
-    return tuple(len(r) for r in reversed(runs))
 
 
 def weak_descent_composition(word: Sequence[int]) -> Composition | _Virtual:

@@ -158,6 +158,17 @@ def ssyt_schur(lam, k):
     return terms
 
 
+def strong_descent(word):
+    """Sizes of the maximal increasing runs of the word, read right to left."""
+    sizes = []
+    for i, x in enumerate(word):
+        if i and word[i - 1] < x:
+            sizes[-1] += 1
+        else:
+            sizes.append(1)
+    return tuple(reversed(sizes))
+
+
 def flat(a):
     return tuple(x for x in a if x)
 

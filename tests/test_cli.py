@@ -167,6 +167,8 @@ def test_exit_3_on_precondition_violation():
     assert code == 3 and err.startswith("error:")
     code, _, err = run("multiply", "42153", "2,1", "2")
     assert code == 3 and err.startswith("error:")
+    code, out, err = run("verify", "--suite", "slides", "--nmax", "-1")
+    assert (code, out) == (3, "") and err.startswith("error:")
 
 
 def test_exit_4_on_term_budget():
@@ -261,6 +263,23 @@ def test_all_names_the_public_surface():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert set(schubcalc.__all__) == public
+
+
+def test_import_loads_no_heavy_stdlib_modules():
+    # Every CLI call pays for its imports; these modules cost milliseconds.
+    script = (
+        "import sys, schubcalc, schubcalc.cli\n"
+        "heavy = ('dataclasses', 'typing', 'inspect', 'traceback', 'ast')\n"
+        "print(sorted(m for m in heavy if m in sys.modules))\n"
+    )
+    src = os.path.dirname(os.path.dirname(schubcalc.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_environment_does_not_configure_the_import():

@@ -7,15 +7,13 @@ from schubcalc import (
     VIRTUAL,
     NonExpandableError,
     Polynomial,
-    dominates,
     flatten,
     fundamental_quasisym,
-    refines,
     slide_expand,
     slide_polynomial,
     substitute_zero,
 )
-from oracles import brute_fqs, brute_slide, strip, weak_compositions
+from oracles import brute_fqs, brute_slide, refines, strip, weak_compositions
 
 # the displayed monomial expansion of the slide polynomial of (0,3,1,0,1)
 SLIDE_03101 = {
@@ -43,26 +41,6 @@ def test_flatten():
     assert flatten((0, 3, 1, 0, 1)) == (3, 1, 1)
     assert flatten((0, 0)) == ()
     assert flatten((3, 2, 0, 0)) == (3, 2)
-
-
-def test_refines():
-    assert refines((2, 1, 1), (2, 2))
-    assert refines((2, 1, 1), (4,))
-    assert refines((3, 1), (3, 1))
-    assert not refines((1, 3), (3, 1))
-    assert not refines((3, 1), (2, 2))
-    assert refines((), ())
-    assert not refines((1,), ())
-    with pytest.raises(ValueError):
-        refines((1, 0), (1,))
-
-
-def test_dominates():
-    assert dominates((1, 3, 1), (0, 3, 1, 0, 1))
-    assert dominates((2, 2), (2, 2))
-    assert not dominates((0, 1), (1, 0))
-    assert dominates((1,), ())
-    assert not dominates((), (1,))
 
 
 def test_polynomial_normalization():

@@ -8,19 +8,23 @@ from schubcalc import (
     canonical,
     compatible_sequences,
     greedy_compatible,
-    is_reduced,
     iter_reduced_words,
     length,
-    permutation_of_word,
     reduced_words,
     run_decomposition,
     sequence_weight,
     shift,
-    strong_descent_composition,
     weak_descent_composition,
 )
 from schubcalc.poly import flatten
-from oracles import brute_compatible, brute_reduced_words, strip
+from oracles import (
+    brute_compatible,
+    brute_reduced_words,
+    inversions,
+    strip,
+    strong_descent,
+    word_perm,
+)
 
 S4 = [canonical(p) for p in permutations(range(1, 5))]
 S5 = [canonical(p) for p in permutations(range(1, 6))]
@@ -41,19 +45,12 @@ R42153 = {
 }
 
 
-def test_permutation_of_word():
-    assert permutation_of_word(()) == ()
-    assert permutation_of_word((4, 2, 1, 2, 3)) == (4, 2, 1, 5, 3)
-    assert permutation_of_word((1, 2, 1)) == (3, 2, 1)
+def test_reduced_word_walk_rejects_non_permutations():
+    # The walk trusts its input; the public entries validate it once.
     with pytest.raises(ValueError):
-        permutation_of_word((0, 1))
-
-
-def test_is_reduced():
-    assert is_reduced(())
-    assert is_reduced((4, 2, 1, 2, 3))
-    assert not is_reduced((1, 1))
-    assert not is_reduced((1, 2, 1, 2))
+        reduced_words((1, 1))
+    with pytest.raises(ValueError):
+        next(iter_reduced_words((2, 2)))
 
 
 def test_reduced_words_identity_and_321():
@@ -78,7 +75,9 @@ def test_reduced_words_sorted_and_reduced():
     for w in S5:
         words = reduced_words(w)
         assert list(words) == sorted(words)
-        assert all(is_reduced(rho) and permutation_of_word(rho) == w for rho in words)
+        assert all(
+            len(rho) == inversions(w) and word_perm(rho, 5) == w for rho in words
+        )
 
 
 def test_iter_reduced_words_streams_the_same_set():
@@ -121,13 +120,6 @@ def test_runs_reassemble_and_break_at_weak_descents():
             assert all(a[-1] >= b[0] for a, b in zip(runs, runs[1:]))
 
 
-def test_strong_descent_composition():
-    assert strong_descent_composition((4, 2, 1, 2, 3)) == (3, 1, 1)
-    assert strong_descent_composition((1, 2, 3)) == (3,)
-    # runs are (2 | 1,2,4 | 3), so the sizes read right to left are 1,3,1
-    assert strong_descent_composition((2, 1, 2, 4, 3)) == (1, 3, 1)
-
-
 def test_weak_descent_composition_examples():
     assert weak_descent_composition((4, 2, 1, 2, 3)) == (3, 1, 0, 1)
     assert weak_descent_composition((2, 4, 1, 2, 3)) == (3, 2)
@@ -145,7 +137,7 @@ def test_flat_of_weak_equals_strong_on_s5():
             des = weak_descent_composition(rho)
             if des is VIRTUAL:
                 continue
-            assert flatten(des) == strong_descent_composition(rho)
+            assert flatten(des) == strong_descent(rho)
 
 
 def test_weak_descent_composition_of_shifted_word_on_s4():
@@ -214,13 +206,14 @@ def test_sequence_weight():
 def test_virtual_word_for_41758236():
     # a 12-letter reduced word whose greedy slots fall off the left edge
     rho = (5, 6, 3, 4, 5, 7, 3, 1, 4, 2, 3, 6)
-    assert is_reduced(rho)
-    assert permutation_of_word(rho) == (4, 1, 7, 5, 8, 2, 3, 6)
+    w = word_perm(rho, 8)
+    assert w == (4, 1, 7, 5, 8, 2, 3, 6)
+    assert inversions(w) == len(rho)
     assert weak_descent_composition(rho) is VIRTUAL
 
 
 def test_descent_composition_counts_42153():
-    des_multiset = Counter(strong_descent_composition(rho) for rho in R42153)
+    des_multiset = Counter(strong_descent(rho) for rho in R42153)
     assert des_multiset == Counter(
         {
             (3, 1, 1): 1,
