@@ -9,7 +9,6 @@ codes: 0 success, 1 verification counterexample, 2 malformed input,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from collections.abc import Sequence
 
@@ -27,8 +26,23 @@ from .transition import (
 from .verify import SUITE_UNITS, SUITES, CounterexampleError
 
 
-def _perm(text: str) -> Perm:
-    return parse_perm(text)
+def _converter(parse):
+    """Wrap parse so that argparse reports its ValueError message as is.
+
+    argparse turns a bare ValueError into "invalid <function name> value",
+    which names a private helper and drops the message.
+    """
+
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
+
+
+_perm = _converter(parse_perm)
 
 
 def _ints(text: str) -> tuple[int, ...]:
@@ -38,10 +52,12 @@ def _ints(text: str) -> tuple[int, ...]:
         raise ValueError(f"cannot read integers from {text!r}") from None
 
 
+@_converter
 def _partition(text: str) -> tuple[int, ...]:
     return check_partition(_ints(text))
 
 
+@_converter
 def _weak_comp(text: str) -> tuple[int, ...]:
     comp = _ints(text)
     if any(x < 0 for x in comp):
@@ -49,11 +65,19 @@ def _weak_comp(text: str) -> tuple[int, ...]:
     return comp
 
 
+@_converter
 def _strong_comp(text: str) -> tuple[int, ...]:
     comp = _ints(text)
     if any(x < 1 for x in comp):
         raise ValueError(f"composition parts must be positive: {comp!r}")
     return comp
+
+
+def _json(doc: dict) -> str:
+    # Imported here: plain output, the default, never pays for it.
+    import json
+
+    return json.dumps(doc)
 
 
 def _emit_poly(p: Polynomial, fmt: str) -> None:
@@ -63,7 +87,7 @@ def _emit_poly(p: Polynomial, fmt: str) -> None:
         terms = [
             {"coeff": c, "exponents": list(e)} for e, c in p.sorted_terms()
         ]
-        print(json.dumps({"terms": terms}))
+        print(_json({"terms": terms}))
 
 
 def _emit_expansion(
@@ -87,7 +111,7 @@ def _emit_expansion(
             if chains is not None:
                 entry["chains"] = [str(chain) for chain in chains.get(w, ())]
             terms.append(entry)
-        print(json.dumps({"terms": terms}))
+        print(_json({"terms": terms}))
 
 
 def _cmd_schubert(args: argparse.Namespace) -> int:
@@ -147,7 +171,7 @@ def _cmd_coeff(args: argparse.Namespace) -> int:
     if args.format == "plain":
         print(c)
     else:
-        print(json.dumps({"coeff": c}))
+        print(_json({"coeff": c}))
     return 0
 
 
@@ -166,14 +190,35 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         else:
             print(f"OK ({counts[args.suite]} {SUITE_UNITS[args.suite]})")
     elif args.suite == "all":
-        print(json.dumps({"ok": True, "counts": counts}))
+        print(_json({"ok": True, "counts": counts}))
     else:
-        print(json.dumps({"ok": True, "suite": args.suite, "count": counts[args.suite]}))
+        print(_json({"ok": True, "suite": args.suite, "count": counts[args.suite]}))
     return 0
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """Wraps help and usage at 78 columns, whatever the terminal.
+
+    By default argparse sizes every formatter from
+    shutil.get_terminal_size(), and add_argument builds one per call, so
+    each process would import shutil (with zlib, bz2 and lzma) for help
+    text it rarely prints.  78 is the width argparse picks when stdout is
+    not a terminal.
+    """
+
+    def __init__(self, prog: str) -> None:
+        super().__init__(prog, width=78)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and by inheritance each subparser, that uses _HelpFormatter."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(formatter_class=_HelpFormatter, **kwargs)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument(
         "--format", choices=("plain", "json"), default="plain", help="output format"
     )
@@ -184,7 +229,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="abort with exit code 4 after enumerating N items",
     )
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="schubcalc",
         description="Exact Schubert-calculus polynomials and product expansions.",
     )

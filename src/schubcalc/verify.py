@@ -21,7 +21,12 @@ from .schubert import (
     schur,
     stanley,
 )
-from .transition import monk_multiply, schubert_times_schur, truncate_last_descent
+from .transition import (
+    monk_multiply,
+    schubert_times_schur,
+    truncate_last_descent,
+    truncated_schubert,
+)
 
 
 class CounterexampleError(Exception):
@@ -87,14 +92,26 @@ def verify_monk(nmax: int = 4) -> int:
 
 
 def verify_truncate(nmax: int = 4) -> int:
-    """Killing the last descent variable matches the truncation expansion."""
+    """Killing the last descent variable matches the truncation expansion.
+
+    Also checks truncation by transition against substitution,
+    truncated_schubert(w, j) == S_w(x1..xj, 0, ...), for every
+    0 <= j <= len(w); cross_identity_check relies on it.  The count is
+    of the permutations with a last descent.
+    """
     _check_nmax(nmax)
     count = 0
     for w in all_perms(nmax):
+        p = schubert(w)
+        for j in range(len(w) + 1):
+            if truncated_schubert(w, j) != substitute_zero(p, j):
+                raise CounterexampleError(
+                    f"truncated_schubert({w}, {j}) differs from substitution"
+                )
         k = last_descent(w)
         if k is None:
             continue
-        lhs = substitute_zero(schubert(w), k - 1)
+        lhs = substitute_zero(p, k - 1)
         rhs = Polynomial()
         for u, c in truncate_last_descent(w).items():
             if c != 1:
@@ -121,7 +138,7 @@ def cross_identity_check(
         raise ValueError(f"u moves position {len(u)}, beyond k={k}")
     if k > n:
         raise ValueError(f"need k <= n, got k={k}, n={n}")
-    lhs = substitute_zero(schubert(cross(u, v, n)), k)
+    lhs = truncated_schubert(cross(u, v, n), k)
     rhs = schubert(u) * stanley(v, k)
     return lhs == rhs
 

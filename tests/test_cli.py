@@ -15,11 +15,13 @@ from schubcalc import (
     canonical,
     format_perm,
     last_descent,
+    parse_perm,
     schubert,
     schubert_times_schur,
     stanley,
 )
 from schubcalc import cli
+from schubcalc.perm import check_partition
 
 
 def run(*args):
@@ -153,13 +155,26 @@ def test_verify_all_and_json():
     assert set(doc["counts"]) == {"slides", "monk", "truncate", "cross", "product"}
 
 
+def library_message(parse, arg):
+    with pytest.raises(ValueError) as exc:
+        parse(arg)
+    return str(exc.value)
+
+
 def test_exit_2_on_malformed_input():
-    code, _, err = run("schubert", "4215x")
-    assert code == 2 and err
-    code, _, _ = run("schur", "1,2", "3")  # not weakly decreasing
-    assert code == 2
-    code, _, _ = run("fqs", "3,0,1", "3")  # zero part in a strong composition
-    assert code == 2
+    # The message names what was wrong, not the private converter that saw it.
+    cases = [
+        (("schubert", "4215x"), "perm", library_message(parse_perm, "4215x")),
+        (("schubert", "1,1"), "perm", library_message(parse_perm, "1,1")),
+        (("schur", "1,2", "3"), "partition", library_message(check_partition, (1, 2))),
+        (("fqs", "3,0,1", "3"), "comp", "composition parts must be positive: (3, 0, 1)"),
+        (("slide", "0,-1"), "comp", "weak composition parts must be nonnegative: (0, -1)"),
+    ]
+    for args, dest, message in cases:
+        code, out, err = run(*args)
+        assert (code, out) == (2, "")
+        assert err.endswith(f": error: argument {dest}: {message}\n"), err
+        assert "invalid" not in err and " _" not in err, err
 
 
 def test_exit_3_on_precondition_violation():
@@ -280,6 +295,57 @@ def test_import_loads_no_heavy_stdlib_modules():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_plain_output_loads_neither_json_nor_shutil():
+    # json is imported only to render --format json, and the fixed-width
+    # help formatter keeps argparse from importing shutil.
+    script = (
+        "import sys\n"
+        "from schubcalc import cli\n"
+        "cli.main(['schubert', '21'])\n"
+        "print(sorted(m for m in ('json', 'shutil') if m in sys.modules))\n"
+        "cli.main(['schubert', '21', '--format', 'json'])\n"
+    )
+    src = os.path.dirname(os.path.dirname(schubcalc.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    plain, loaded, doc = proc.stdout.splitlines()
+    assert (plain, loaded) == ("x1", "[]")
+    assert json.loads(doc) == {"terms": [{"coeff": 1, "exponents": [1]}]}
+
+
+def exit_with(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+SUBCOMMANDS = (
+    "schubert", "stanley", "schur", "slide", "fqs",
+    "multiply", "truncate", "monk", "coeff", "verify",
+)
+
+
+def test_help_does_not_depend_on_the_terminal(monkeypatch, capsys):
+    argvs = [["--help"], *([name, "--help"] for name in SUBCOMMANDS)]
+    argvs += [[], ["multiply", "42153"]]  # exit 2, with the usage on stderr
+    for argv in argvs:
+        seen = []
+        for columns in (None, "40", "200"):
+            if columns is None:
+                monkeypatch.delenv("COLUMNS", raising=False)
+            else:
+                monkeypatch.setenv("COLUMNS", columns)
+            seen.append(exit_with(capsys, argv))
+        assert seen[0][0] == (0 if "--help" in argv else 2)
+        assert seen[1] == seen[0] and seen[2] == seen[0], argv
 
 
 def test_environment_does_not_configure_the_import():
