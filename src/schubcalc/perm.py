@@ -9,8 +9,9 @@ The module has two layers.  Public functions accept any one-line
 notation, validate it once through canonical(), and return canonical
 output.  The private kernels (_strip, _last_descent, _swap, _covers)
 trust their input, a permutation word, canonical or padded with
-trailing fixed points, and check nothing.  Loops that call many kernels
-validate once at their entry.
+trailing fixed points, and check nothing; _from_code likewise trusts a
+code to be nonnegative.  Loops that call many kernels validate once at
+their entry.
 """
 
 from __future__ import annotations
@@ -114,10 +115,15 @@ def from_code(c: Sequence[int]) -> Perm:
     c = tuple(c)
     if any(x < 0 for x in c):
         raise ValueError(f"code entries must be nonnegative: {c!r}")
+    return _from_code(c)
+
+
+def _from_code(c: Sequence[int]) -> Perm:
+    """Kernel: from_code for a code known to be nonnegative."""
     n = len(c) + (max(c) if c else 0)
     avail = list(range(1, n + 1))
     w = [avail.pop(x) for x in c]
-    return canonical(w + avail)
+    return _strip(w + avail)
 
 
 def inverse(w: Sequence[int]) -> Perm:
@@ -195,7 +201,7 @@ def cross(u: Sequence[int], v: Sequence[int], m: int) -> Perm:
     v = canonical(v)
     if len(u) > m:
         raise ValueError(f"u moves position {len(u)} beyond m={m}")
-    return canonical(pad(u, m) + tuple(x + m for x in v))
+    return _strip(pad(u, m) + tuple(x + m for x in v))
 
 
 def check_partition(lam: Sequence[int]) -> tuple[int, ...]:
@@ -224,7 +230,7 @@ def grassmannian(lam: Sequence[int], k: int) -> Perm:
     front = tuple(i + full[k - i] for i in range(1, k + 1))
     n = k + (lam[0] if lam else 0)
     rest = sorted(set(range(1, n + 1)) - set(front))
-    return canonical(front + tuple(rest))
+    return _strip(front + tuple(rest))
 
 
 def to_partition(v: Sequence[int], k: int) -> tuple[int, ...]:

@@ -3,13 +3,19 @@
 Exponent vectors are tuples with trailing zeros stripped, so a monomial
 means the same thing in any number of variables.  Coefficients are exact
 Python ints.
+
+Public functions validate their input once.  The private kernel _slide
+builds a slide polynomial from a composition that is already stripped
+and nonnegative, such as a key of a Polynomial, and checks nothing;
+slide_expand builds its pivots with it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Mapping, Sequence
 from functools import lru_cache
-from itertools import zip_longest
+from itertools import accumulate, chain
+from operator import add
 
 from ._limits import CACHE_SIZE as _CACHE_SIZE
 from ._limits import charge, remaining
@@ -97,12 +103,17 @@ class Polynomial:
             return Polynomial._raw({e: c * other for e, c in self.terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
+        # Pad every key once to the longest length n.  The sum of two
+        # stripped keys, cut to the longer of them, is stripped: its last
+        # slot is nonzero.
+        n = max(map(len, chain(self.terms, other.terms)), default=0)
+        right = [(e + (0,) * (n - len(e)), len(e), c) for e, c in other.terms.items()]
         out: dict[tuple[int, ...], int] = {}
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                # Sums of stripped keys are stripped: the last slot of the
-                # longer key (or of both, at equal length) is nonzero.
-                e = tuple(a + b for a, b in zip_longest(e1, e2, fillvalue=0))
+            l1 = len(e1)
+            p1 = e1 + (0,) * (n - l1)
+            for p2, l2, c2 in right:
+                e = tuple(map(add, p1, p2))[: l1 if l1 > l2 else l2]
                 c = out.get(e, 0) + c1 * c2
                 if c:
                     out[e] = c
@@ -220,12 +231,12 @@ def slide_polynomial(a: Sequence[int] | _Virtual) -> Polynomial:
     aa = _strip(a)
     if any(x < 0 for x in aa):
         raise ValueError(f"weak composition needed, got {tuple(a)!r}")
-    floor = []
-    s = 0
-    for x in aa:
-        s += x
-        floor.append(s)
-    exps = _placements(flatten(aa), len(aa), tuple(floor))
+    return _slide(aa)
+
+
+def _slide(a: tuple[int, ...]) -> Polynomial:
+    """Kernel: slide_polynomial of a stripped, nonnegative composition."""
+    exps = _placements(flatten(a), len(a), tuple(accumulate(a)))
     charge(len(exps))
     return Polynomial._raw({e: 1 for e in exps})
 
@@ -280,4 +291,4 @@ def slide_expand(p: Polynomial) -> dict[Composition, int]:
     >>> slide_expand(Polynomial({(1, 1): 1, (2,): -1}))
     {(1, 1): 1, (2,): -1}
     """
-    return _eliminate(p, lambda m: (m, slide_polynomial(m)))
+    return _eliminate(p, lambda m: (m, _slide(m)))

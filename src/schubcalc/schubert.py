@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .perm import Perm, canonical, from_code, grassmannian, shift
+from .perm import Perm, _from_code, canonical, grassmannian, shift
 from .poly import NonExpandableError, Polynomial, _eliminate, slide_polynomial
-from .transition import _schubert, _stanley, truncated_schubert
+from .transition import _node, _schubert, _stanley, truncated_schubert
 from .words import (
     VIRTUAL,
     compatible_sequences,
@@ -35,10 +35,14 @@ def schubert(w: Sequence[int]) -> Polynomial:
     >>> str(schubert((4, 2, 1, 5, 3)))
     'x1^3*x2^2 + x1^3*x2*x3 + x1^3*x2*x4'
     """
-    w = canonical(w)
+    return _schubert_of(canonical(w))
+
+
+def _schubert_of(w: Perm) -> Polynomial:
+    """Kernel: schubert for canonical w."""
     p = _schubert.get(w)
     if p is None:
-        return truncated_schubert(w, len(w))
+        return _node(w, len(w))
     _schubert.hits += 1
     return p
 
@@ -97,7 +101,7 @@ def schur(lam: Sequence[int], k: int) -> Polynomial:
     >>> str(schur((1, 1), 2))
     'x1*x2'
     """
-    return schubert(grassmannian(lam, k))
+    return _schubert_of(grassmannian(lam, k))
 
 
 def schubert_expand(
@@ -121,11 +125,12 @@ def schubert_expand(
         raise ValueError(f"polynomial has degree {degs.pop()}, expected {degree}")
 
     def pivot(m: tuple[int, ...]) -> tuple[Perm, Polynomial]:
-        w = from_code(m)
+        # Keys of a Polynomial are nonnegative, so m is a valid code.
+        w = _from_code(m)
         if ambient is not None and len(w) > ambient:
             raise NoSolutionError(
                 f"pivot {m} needs a permutation of {len(w)} values, ambient is {ambient}"
             )
-        return w, schubert(w)
+        return w, _schubert_of(w)
 
     return _eliminate(p, pivot)

@@ -1,25 +1,37 @@
-"""The private permutation kernels against the public, validating layer.
+"""The private kernels against the public, validating layer.
 
 The kernels trust their input; each must agree with the public function
 that validates first, on canonical words and on words padded with fixed
 points.  The fused truncation tree is checked against a reference built
-from the public is_covering and apply_transposition only.
+from the public is_covering and apply_transposition only, and the
+Schubert expansion, whose pivots the kernels build, against divided
+differences.
 """
 
-from itertools import permutations
+from itertools import permutations, zip_longest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import schubcalc.poly as poly
 from schubcalc import (
     apply_transposition,
     canonical,
+    code,
+    from_code,
     is_covering,
     last_descent,
     length,
+    schubert,
+    schubert_expand,
+    slide_polynomial,
+    term_budget,
     truncation_paths,
 )
-from schubcalc.perm import _covers, _last_descent, _strip, _swap, pad
+from schubcalc._limits import remaining
+from schubcalc.perm import _covers, _from_code, _last_descent, _strip, _swap, pad
+from schubcalc.verify import all_perms
+from oracles import dd_schubert, strip
 
 perms = st.integers(1, 10).flatmap(lambda n: st.permutations(range(1, n + 1))).map(tuple)
 
@@ -88,3 +100,60 @@ def test_truncation_paths_match_reference_on_s6():
 @settings(max_examples=300, deadline=None)
 def test_truncation_paths_match_reference(w):
     assert truncation_paths(w) == reference_truncation_paths(w)
+
+
+def test_from_code_kernel_on_s6():
+    for p in permutations(range(1, 7)):
+        c = code(p)
+        assert _from_code(c) == from_code(c) == canonical(p), p
+
+
+@given(st.lists(st.integers(0, 6), max_size=8).map(tuple))
+@settings(max_examples=300, deadline=None)
+def test_from_code_kernel_equals_from_code(c):
+    w = _from_code(c)
+    assert w == from_code(c)
+    assert code(w) == strip(c)
+
+
+def charged(fn, a):
+    """Units fn(a) charges under a budget, and its result."""
+    with term_budget(10**6):
+        p = fn(a)
+        return 10**6 - remaining(), p
+
+
+@given(st.lists(st.integers(0, 3), max_size=5).map(strip))
+@settings(max_examples=200, deadline=None)
+def test_slide_kernel_equals_slide_polynomial(a):
+    poly._placements.cache_clear()
+    cold, p = charged(poly._slide, a)
+    warm, q = charged(poly._slide, a)
+    poly._placements.cache_clear()
+    public_cold, r = charged(slide_polynomial, a)
+    public_warm, s = charged(slide_polynomial, a)
+    assert p == q == r == s
+    assert cold == warm == public_cold == public_warm == len(p.terms)
+
+
+def test_schubert_expand_of_products_matches_divided_differences_on_s4():
+    dd = {}
+
+    def oracle(w):
+        if w not in dd:
+            dd[w] = dd_schubert(w)
+        return dd[w]
+
+    for u in all_perms(4):
+        for v in all_perms(4):
+            want = {}
+            for e1, c1 in oracle(u).items():
+                for e2, c2 in oracle(v).items():
+                    e = strip(a + b for a, b in zip_longest(e1, e2, fillvalue=0))
+                    want[e] = want.get(e, 0) + c1 * c2
+            got = {}
+            for w, c in schubert_expand(schubert(u) * schubert(v)).items():
+                for e, ce in oracle(w).items():
+                    got[e] = got.get(e, 0) + c * ce
+            nonzero = {e: c for e, c in want.items() if c}
+            assert {e: c for e, c in got.items() if c} == nonzero, (u, v)

@@ -1,3 +1,5 @@
+from itertools import zip_longest
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -88,6 +90,39 @@ def test_ring_axioms(p, q, r):
     assert p * (q + r) == p * q + p * r
     assert p + Polynomial() == p
     assert p * Polynomial.monomial(()) == p
+
+
+def reference_product(p, q):
+    """p * q term by term, each key summed by zip_longest; zeros dropped at the end."""
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = strip(a + b for a, b in zip_longest(e1, e2, fillvalue=0))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+# Keys of unequal length, signed coefficients, the empty and constant polynomials.
+mul_polys = st.one_of(
+    st.dictionaries(
+        st.lists(st.integers(min_value=0, max_value=2), max_size=5).map(tuple),
+        st.integers(min_value=-2, max_value=2),
+        max_size=5,
+    ).map(Polynomial),
+    st.just(Polynomial()),
+    st.integers(min_value=-3, max_value=3).map(lambda c: Polynomial({(): c})),
+)
+
+
+@given(mul_polys, mul_polys, st.integers(min_value=-3, max_value=3))
+@settings(max_examples=300, deadline=None)
+def test_mul_matches_zip_longest_reference(p, q, k):
+    assert (p * q).terms == reference_product(p, q)
+    # The cross terms p*q and -q*p cancel to zero.
+    s, d = p + q, p - q
+    assert (s * d).terms == reference_product(s, d)
+    constant = Polynomial({(): k})
+    assert (p * k).terms == (k * p).terms == reference_product(p, constant)
 
 
 @given(polys, st.integers(min_value=0, max_value=3))

@@ -287,11 +287,12 @@ def test_schubert_expand_rejects_a_wrong_pivot_polynomial(monkeypatch):
     module = importlib.import_module("schubcalc.schubert")
     p = Polynomial({(1,): 1, (0, 1): 1})
     # A pivot polynomial without its pivot monomial leaves the pivot behind;
-    # one with a smaller monomial moves the minimum backwards.
-    monkeypatch.setattr(module, "schubert", lambda w: Polynomial({(9,): 1}))
+    # one with a smaller monomial moves the minimum backwards.  Pivots are
+    # looked up through the _schubert_of kernel.
+    monkeypatch.setattr(module, "_schubert_of", lambda w: Polynomial({(9,): 1}))
     with pytest.raises(NonExpandableError):
         schubert_expand(p)
-    monkeypatch.setattr(module, "schubert", lambda w: Polynomial({(0, 1): 1, (0, 0, 1): 1}))
+    monkeypatch.setattr(module, "_schubert_of", lambda w: Polynomial({(0, 1): 1, (0, 0, 1): 1}))
     with pytest.raises(NonExpandableError):
         schubert_expand(p)
 
@@ -300,7 +301,7 @@ def test_schubert_expand_guard_holds_under_optimization():
     script = (
         "import importlib\n"
         "m = importlib.import_module('schubcalc.schubert')\n"
-        "m.schubert = lambda w: m.Polynomial({(9,): 1})\n"
+        "m._schubert_of = lambda w: m.Polynomial({(9,): 1})\n"
         "try:\n"
         "    m.schubert_expand(m.Polynomial({(1,): 1, (0, 1): 1}))\n"
         "except m.NonExpandableError:\n"
