@@ -7,7 +7,8 @@ Positions and values are 1-based throughout.
 
 The module has two layers.  Public functions accept any one-line
 notation, validate it once through canonical(), and return canonical
-output.  The private kernels (_strip, _last_descent, _swap, _covers)
+output; those that build a word (shift, cross, grassmannian) end with
+_strip.  The private kernels (_strip, _last_descent, _swap, _covers)
 trust their input, a permutation word, canonical or padded with
 trailing fixed points, and check nothing; _from_code likewise trusts a
 code to be nonnegative.  Loops that call many kernels validate once at
@@ -186,7 +187,7 @@ def shift(w: Sequence[int], m: int) -> Perm:
     if m < 0:
         raise ValueError("shift amount must be nonnegative")
     w = canonical(w)
-    return tuple(range(1, m + 1)) + tuple(v + m for v in w)
+    return _strip(tuple(range(1, m + 1)) + tuple(v + m for v in w))
 
 
 def cross(u: Sequence[int], v: Sequence[int], m: int) -> Perm:
@@ -224,6 +225,8 @@ def grassmannian(lam: Sequence[int], k: int) -> Perm:
     (2, 4, 1, 3)
     """
     lam = check_partition(lam)
+    if k < 0:
+        raise ValueError("k must be nonnegative")
     if len(lam) > k:
         raise ValueError(f"partition has {len(lam)} parts, more than k={k}")
     full = lam + (0,) * (k - len(lam))
@@ -238,8 +241,7 @@ def to_partition(v: Sequence[int], k: int) -> tuple[int, ...]:
     v = canonical(v)
     if k < 0:
         raise ValueError("k must be nonnegative")
-    d = descent_set(v)
-    if d and d != {k}:
+    if any(v[i - 1] > v[i] for i in range(1, len(v)) if i != k):
         raise ValueError(f"{v!r} is not grassmannian with descent at {k}")
     vv = pad(v, k)
     lam = [vv[k - j] - (k - j + 1) for j in range(1, k + 1)]

@@ -1,12 +1,13 @@
 """Schubert, Stanley and Schur polynomials, and Schubert-basis expansion.
 
 schubert, stanley and schur compute by Lascoux–Schützenberger transition
-(see the transition module), through two memos bounded by the monomials
-they hold.  A Stanley symmetric polynomial comes from stability:
-F_v(x1..xk) = S_{1^k x v}(x1..xk, 0, ...).  The reduced-word constructors
-schubert_via_slides (slide polynomials of weak descent compositions) and
-schubert_via_compatible (compatible sequences) are independent oracles
-and are not used by the others.
+(see the transition module): each validates its input once and calls
+transition._node, the only reader of the two memos, which are bounded
+by the monomials they hold.  A Stanley symmetric polynomial comes from
+stability: F_v(x1..xk) = S_{1^k x v}(x1..xk, 0, ...).  The reduced-word
+constructors schubert_via_slides (slide polynomials of weak descent
+compositions) and schubert_via_compatible (compatible sequences) are
+independent oracles and are not used by the others.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from collections.abc import Sequence
 
 from .perm import Perm, _from_code, canonical, grassmannian, shift
 from .poly import NonExpandableError, Polynomial, _eliminate, slide_polynomial
-from .transition import _node, _schubert, _stanley, truncated_schubert
+# _schubert and _stanley stay bound here: perfbench/tracer.py reads their cache_info().
+from .transition import _node, _schubert, _stanley  # noqa: F401
 from .words import (
     VIRTUAL,
     compatible_sequences,
@@ -35,16 +37,8 @@ def schubert(w: Sequence[int]) -> Polynomial:
     >>> str(schubert((4, 2, 1, 5, 3)))
     'x1^3*x2^2 + x1^3*x2*x3 + x1^3*x2*x4'
     """
-    return _schubert_of(canonical(w))
-
-
-def _schubert_of(w: Perm) -> Polynomial:
-    """Kernel: schubert for canonical w."""
-    p = _schubert.get(w)
-    if p is None:
-        return _node(w, len(w))
-    _schubert.hits += 1
-    return p
+    w = canonical(w)
+    return _node(w, len(w))
 
 
 def schubert_via_slides(w: Sequence[int]) -> Polynomial:
@@ -87,12 +81,7 @@ def stanley(w: Sequence[int], k: int) -> Polynomial:
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    key = (shift(w, k), k)
-    p = _stanley.get(key)
-    if p is None:
-        return truncated_schubert(*key)
-    _stanley.hits += 1
-    return p
+    return _node(shift(w, k), k)
 
 
 def schur(lam: Sequence[int], k: int) -> Polynomial:
@@ -101,7 +90,8 @@ def schur(lam: Sequence[int], k: int) -> Polynomial:
     >>> str(schur((1, 1), 2))
     'x1*x2'
     """
-    return _schubert_of(grassmannian(lam, k))
+    w = grassmannian(lam, k)
+    return _node(w, len(w))
 
 
 def schubert_expand(
@@ -131,6 +121,6 @@ def schubert_expand(
             raise NoSolutionError(
                 f"pivot {m} needs a permutation of {len(w)} values, ambient is {ambient}"
             )
-        return w, _schubert_of(w)
+        return w, _node(w, len(w))
 
     return _eliminate(p, pivot)

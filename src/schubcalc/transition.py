@@ -52,9 +52,9 @@ class _Memo(OrderedDict):
 
     _schubert holds S_w by w; _stanley holds S_w(x1..xk, 0, ...) by (w, k)
     for the w whose last descent is beyond k, where truncation matters.
-    Readers call get() and count a hit themselves; put() counts a miss
-    and evicts the oldest entries first until the new one fits.  An entry
-    larger than the bound is still stored, alone.
+    _node is the only reader: it calls get() and counts a hit itself.
+    put() counts a miss and evicts the oldest entries first until the new
+    one fits.  An entry larger than the bound is still stored, alone.
     """
 
     def __init__(self, bound: int):
@@ -339,7 +339,11 @@ def truncation_paths(w: Sequence[int]) -> tuple[tuple[Perm, tuple[int, ...]], ..
     (((3, 1, 2), (1, 1)),)
     """
     w = canonical(w)
-    k, m = _descent_data(w)
+    return _paths(w, *_descent_data(w))
+
+
+def _paths(w: Perm, k: int, m: int) -> tuple[tuple[Perm, tuple[int, ...]], ...]:
+    """Kernel: truncation_paths of canonical w, whose _descent_data is (k, m)."""
     # One word, long enough for every column, swapped in place and
     # restored on return.
     p = _start_word(w, k, m)
@@ -381,8 +385,9 @@ def truncate_last_descent(w: Sequence[int]) -> dict[Perm, int]:
     leaves a sum of Schubert polynomials indexed by the endpoints of
     truncation_paths, each appearing exactly once.
     """
+    w = canonical(w)
     out: dict[Perm, int] = {}
-    for p, _ in truncation_paths(w):
+    for p, _ in _paths(w, *_descent_data(w)):
         if p in out:
             raise RuntimeError(f"duplicate truncation endpoint {p}")
         out[p] = 1
@@ -426,11 +431,13 @@ def schubert_times_schur(
     while pending:
         w = max(pending)
         c = pending.pop(w)
-        if _last_descent(w) <= k:
+        # No node is the identity: truncation keeps the seed's length.
+        kk, m = _descent_data(w)
+        if kk <= k:
             done[w] = done.get(w, 0) + c
             continue
         charge()
-        for p, _ in truncation_paths(w):
+        for p, _ in _paths(w, kk, m):
             pending[p] = pending.get(p, 0) + c
     return dict(sorted(done.items()))
 
@@ -439,7 +446,8 @@ def lr_coefficient(
     u: Sequence[int], lam: Sequence[int], k: int, w: Sequence[int]
 ) -> int:
     """Coefficient of one Schubert polynomial in the product expansion."""
-    return schubert_times_schur(u, lam, k).get(canonical(w), 0)
+    w = canonical(w)
+    return schubert_times_schur(u, lam, k).get(w, 0)
 
 
 def _conj(d: Transposition, t: Transposition) -> Transposition:
@@ -572,7 +580,8 @@ def lr_chains(
     # inherits (the rewritten up-steps, and the seed lowered by the
     # surviving down-steps), so no leaf rewrites its path from the root.
     def go(w: Perm, ups: list[Transposition], base: Perm) -> None:
-        if _last_descent(w) <= k:
+        kk, m = _descent_data(w)
+        if kk <= k:
             if base != u:
                 raise RuntimeError(f"down-steps to {w} leave {base}, not u = {u}")
             if len(ups) != sum(lam) or not all(a <= k < b for a, b in ups):
@@ -582,12 +591,11 @@ def lr_chains(
                 raise RuntimeError(f"chain {chain} ends at {chain.endpoint}, not {w}")
             out.setdefault(w, []).append(chain)
             return
-        kk, m = _descent_data(w)
         # ups is this node's own list: the caller built it for this call.
         for b in range(kk + m, kk, -1):
             if _push_down(ups, (kk, b)):
                 base = _swap(base, kk, b)
-        for p, cols in truncation_paths(w):
+        for p, cols in _paths(w, kk, m):
             go(p, ups + [(a, kk + j) for j, a in enumerate(cols)], base)
 
     go(w0, [], w0)

@@ -6,8 +6,8 @@ from the identity.  A word is reduced when its length equals the Coxeter
 length of the permutation it builds.
 
 reduced_words and iter_reduced_words validate w once through canonical();
-the walk behind them (_walk, _swap_values) trusts that canonical input
-and checks nothing.
+the walk behind them (_walk) trusts that canonical input, reads its
+letters straight from the word and checks nothing.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from itertools import islice
 
 from ._limits import CACHE_SIZE as _CACHE_SIZE
 from ._limits import charge, remaining
-from .perm import Perm, _strip, canonical, descent_set, inverse, pad
+from .perm import Perm, _strip, canonical
 
 Word = tuple[int, ...]
 Composition = tuple[int, ...]
@@ -41,23 +41,20 @@ class _Virtual:
 VIRTUAL = _Virtual()
 
 
-def _swap_values(w: Perm, i: int) -> Perm:
-    ww = list(pad(w, i + 1))
-    a = ww.index(i)
-    b = ww.index(i + 1)
-    ww[a], ww[b] = ww[b], ww[a]
-    return _strip(ww)
-
-
 def _walk(u: Perm, buf: list[int]) -> Iterator[Word]:
     # Reduced words of u followed by reversed(buf), built last letter first.
     if not u:
         yield tuple(reversed(buf))
         return
-    for i in sorted(descent_set(inverse(u))):  # i+1 stands before i in u
-        buf.append(i)
-        yield from _walk(_swap_values(u, i), buf)
-        buf.pop()
+    where = {x: j for j, x in enumerate(u)}
+    for i in range(1, len(u)):
+        a, b = where[i], where[i + 1]
+        if a > b:  # i+1 stands before i in u; swap them
+            v = list(u)
+            v[a], v[b] = i + 1, i
+            buf.append(i)
+            yield from _walk(_strip(v), buf)
+            buf.pop()
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

@@ -23,18 +23,22 @@ from schubcalc import (
 from schubcalc import cli
 from schubcalc.perm import check_partition
 
+# Child processes import the package from the tree under test.
+ENV = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(schubcalc.__file__))}
+
 
 def run(*args):
     proc = subprocess.run(
         [sys.executable, "-m", "schubcalc", *args],
         capture_output=True,
         text=True,
+        env=ENV,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
 
 def run_python(script):
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=ENV)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -180,6 +184,7 @@ def test_exit_2_on_malformed_input():
 def test_exit_3_on_precondition_violation():
     code, _, err = run("schur", "2,1", "1")
     assert code == 3 and err.startswith("error:")
+    assert run("schur", "1", "-1") == (3, "", "error: k must be nonnegative\n")
     code, _, err = run("multiply", "42153", "2,1", "2")
     assert code == 3 and err.startswith("error:")
     code, out, err = run("verify", "--suite", "slides", "--nmax", "-1")
@@ -287,12 +292,8 @@ def test_import_loads_no_heavy_stdlib_modules():
         "heavy = ('dataclasses', 'typing', 'inspect', 'traceback', 'ast')\n"
         "print(sorted(m for m in heavy if m in sys.modules))\n"
     )
-    src = os.path.dirname(os.path.dirname(schubcalc.__file__))
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", script],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": src},
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=ENV
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
@@ -307,12 +308,8 @@ def test_plain_output_loads_neither_json_nor_shutil():
         "print(sorted(m for m in ('json', 'shutil') if m in sys.modules))\n"
         "cli.main(['schubert', '21', '--format', 'json'])\n"
     )
-    src = os.path.dirname(os.path.dirname(schubcalc.__file__))
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", script],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": src},
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=ENV
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     plain, loaded, doc = proc.stdout.splitlines()
@@ -353,7 +350,7 @@ def test_environment_does_not_configure_the_import():
         [sys.executable, "-m", "schubcalc", "schubert", "21"],
         capture_output=True,
         text=True,
-        env={**os.environ, "SCHUBERT_CACHE_SIZE": "x"},
+        env={**ENV, "SCHUBERT_CACHE_SIZE": "x"},
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "x1\n", "")
 

@@ -19,6 +19,7 @@ from schubcalc import (
     iter_reduced_words,
     reduced_words,
     schubert,
+    schur,
     slide_polynomial,
     stanley,
     term_budget,
@@ -130,6 +131,16 @@ def test_cache_info_counts_hits_and_misses():
     schubert((4, 2, 1, 5, 3))
     assert _schubert.cache_info().hits == info.hits + 1
     assert _schubert.cache_info().misses == info.misses
+    # A warm stanley or schur reads one entry of its memo: one hit, no miss.
+    for memo, call in (
+        (_stanley, lambda: stanley((4, 2, 1, 5, 3), 2)),
+        (_schubert, lambda: schur((2, 1), 2)),
+    ):
+        call()
+        before = [(m.hits, m.misses) for m in MEMOS]
+        call()
+        after = [(m.hits - (m is memo), m.misses) for m in MEMOS]
+        assert after == before
 
 
 def test_budget_stops_a_cold_construction():
@@ -211,7 +222,8 @@ def test_budgets_fail_alike_cold_and_warm(fn, args):
 
 def test_a_cold_miss_stops_past_the_budget(monkeypatch):
     # Uncapped, these are about 49 million placements and 292864 words.
-    calls = {"strip": 0, "swap": 0}
+    # Each step of the reduced-word walk strips the word it built once.
+    calls = {"strip": 0, "step": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -221,7 +233,7 @@ def test_a_cold_miss_stops_past_the_budget(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(poly, "_strip", counted("strip", poly._strip))
-    monkeypatch.setattr(words, "_swap_values", counted("swap", words._swap_values))
+    monkeypatch.setattr(words, "_strip", counted("step", words._strip))
     clear_caches()
     with pytest.raises(TermBudgetExceeded):
         with term_budget(5):
@@ -229,7 +241,7 @@ def test_a_cold_miss_stops_past_the_budget(monkeypatch):
     with pytest.raises(TermBudgetExceeded):
         with term_budget(5):
             reduced_words((6, 5, 4, 3, 2, 1))
-    assert calls["strip"] <= 7 and calls["swap"] <= 100, calls
+    assert calls["strip"] <= 7 and calls["step"] <= 100, calls
 
 
 def test_reduced_words_sorts_the_stream_on_s5():

@@ -109,6 +109,29 @@ def test_shift_examples():
     assert shift((2, 1), 0) == (2, 1)
     assert shift((2, 1), 2) == (1, 2, 4, 3)
     assert length(shift((4, 2, 1, 5, 3), 3)) == 5
+    assert shift((), 2) == ()
+    assert shift([1, 2, 3], 1) == ()
+
+
+def test_permutation_results_are_canonical():
+    # pad is left out: appending fixed points is its job.
+    results = [shift((), 2), cross((), (), 3), grassmannian((), 3)]
+    for w in S5:
+        padded = w + tuple(range(len(w) + 1, 7))
+        results += [
+            canonical(padded),
+            inverse(padded),
+            from_code(code(padded) + (0, 0)),
+            parse_perm(",".join(map(str, padded))),
+            apply_transposition(padded, (1, 6)),
+            apply_transposition(padded, (4, 5)),
+        ]
+        for m in range(3):
+            results += [shift(padded, m), cross(padded, padded, len(w) + m)]
+    for lam in ((), (1,), (2, 1), (3, 3)):
+        results += [grassmannian(lam, k) for k in range(len(lam), 4)]
+    for w in results:
+        assert canonical(w) == w
 
 
 def test_cross_examples():
@@ -138,6 +161,9 @@ def test_grassmannian_examples():
         grassmannian((2, 1, 1), 2)
     with pytest.raises(ValueError):
         grassmannian((1, 2), 2)
+    for lam in ((), (1,)):
+        with pytest.raises(ValueError, match="^k must be nonnegative$"):
+            grassmannian(lam, -1)
 
 
 def test_grassmannian_length_and_round_trip():

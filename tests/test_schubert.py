@@ -1,4 +1,5 @@
 import importlib
+import os
 import subprocess
 import sys
 
@@ -288,11 +289,11 @@ def test_schubert_expand_rejects_a_wrong_pivot_polynomial(monkeypatch):
     p = Polynomial({(1,): 1, (0, 1): 1})
     # A pivot polynomial without its pivot monomial leaves the pivot behind;
     # one with a smaller monomial moves the minimum backwards.  Pivots are
-    # looked up through the _schubert_of kernel.
-    monkeypatch.setattr(module, "_schubert_of", lambda w: Polynomial({(9,): 1}))
+    # looked up through transition._node.
+    monkeypatch.setattr(module, "_node", lambda w, k: Polynomial({(9,): 1}))
     with pytest.raises(NonExpandableError):
         schubert_expand(p)
-    monkeypatch.setattr(module, "_schubert_of", lambda w: Polynomial({(0, 1): 1, (0, 0, 1): 1}))
+    monkeypatch.setattr(module, "_node", lambda w, k: Polynomial({(0, 1): 1, (0, 0, 1): 1}))
     with pytest.raises(NonExpandableError):
         schubert_expand(p)
 
@@ -301,13 +302,19 @@ def test_schubert_expand_guard_holds_under_optimization():
     script = (
         "import importlib\n"
         "m = importlib.import_module('schubcalc.schubert')\n"
-        "m._schubert_of = lambda w: m.Polynomial({(9,): 1})\n"
+        "m._node = lambda w, k: m.Polynomial({(9,): 1})\n"
         "try:\n"
         "    m.schubert_expand(m.Polynomial({(1,): 1, (0, 1): 1}))\n"
         "except m.NonExpandableError:\n"
         "    print('raised')\n"
     )
-    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
+    src = os.path.dirname(os.path.dirname(importlib.import_module("schubcalc").__file__))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
     assert (proc.returncode, proc.stdout) == (0, "raised\n"), proc.stderr
 
 

@@ -1,4 +1,5 @@
 import copy
+import os
 import pickle
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import schubcalc
 from schubcalc import (
     Chain,
     Polynomial,
@@ -216,6 +218,10 @@ def test_lr_coefficient_examples():
     assert lr_coefficient((4, 2, 1, 5, 3), (2, 1), 5, (4, 2, 1, 5, 3)) == 0
     assert lr_coefficient((2, 1), (1,), 1, (3, 1, 2)) == 1
     assert lr_coefficient((1, 3, 5, 2, 4), (2, 1), 3, (2, 4, 6, 1, 3, 5)) == 2
+    # A malformed target is an input error, whatever budget is left.
+    with pytest.raises(ValueError, match="not a permutation"):
+        with term_budget(0):
+            lr_coefficient((2, 1), (1,), 1, (1, 1))
 
 
 def test_lr_chains_42153():
@@ -434,5 +440,11 @@ print(outcome(T.normalize_chain, Chain((1, 4, 2, 3), ((2, 4), (1, 2)), (-1, 1)),
               _reverse_ups=lambda ups: []))
 print(outcome(T.lr_chains, (), (1,), 1, _push_down=lambda ups, t: False))
 """
-    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
+    src = os.path.dirname(os.path.dirname(schubcalc.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
     assert (proc.returncode, proc.stdout) == (0, "RuntimeError\n" * 4), proc.stderr
