@@ -1,9 +1,13 @@
 """Command-line front end.
 
 Every command prints either plain text (line-oriented, sorted) or JSON
-(schema-stable, sorted); output is byte-identical across runs.  Exit
-codes: 0 success, 1 verification counterexample, 2 malformed input,
-3 precondition violation, 4 term budget exceeded, 5 internal error.
+(schema-stable, sorted); output is byte-identical across runs.  Each
+subcommand binds `run`, one call into the library, and `emit`, which
+renders its result as text; stdout is written only once both succeed.
+Exit codes: 0 success, 1 verification counterexample, 2 malformed input
+(argparse), 3 precondition violation, 4 term budget exceeded, 5 internal
+error.  Apart from argparse's 2, `main` alone maps exceptions to exit
+codes.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import sys
 from collections.abc import Sequence
 
 from ._limits import TermBudgetExceeded, term_budget
-from .perm import Perm, check_partition, format_perm, parse_perm
+from .perm import check_partition, format_perm, parse_perm
 from .poly import Polynomial, fundamental_quasisym, slide_polynomial
 from .schubert import schubert, schubert_via_compatible, schubert_via_slides, schur, stanley
 from .transition import (
@@ -80,120 +84,41 @@ def _json(doc: dict) -> str:
     return json.dumps(doc)
 
 
-def _emit_poly(p: Polynomial, fmt: str) -> None:
-    if fmt == "plain":
-        print(p)
-    else:
-        terms = [
-            {"coeff": c, "exponents": list(e)} for e, c in p.sorted_terms()
-        ]
-        print(_json({"terms": terms}))
-
-
-def _emit_expansion(
-    expansion: dict[Perm, int],
-    fmt: str,
-    chains: dict[Perm, tuple] | None = None,
-) -> None:
-    items = sorted(expansion.items())
-    if fmt == "plain":
-        if not items:
-            print("0")
-        for w, c in items:
-            print(f"{format_perm(w)}: {c}")
-            if chains is not None:
-                for chain in chains.get(w, ()):
-                    print(f"  {chain}")
-    else:
-        terms = []
-        for w, c in items:
-            entry: dict = {"perm": list(w), "coeff": c}
-            if chains is not None:
-                entry["chains"] = [str(chain) for chain in chains.get(w, ())]
-            terms.append(entry)
-        print(_json({"terms": terms}))
-
-
-def _cmd_schubert(args: argparse.Namespace) -> int:
-    build = {
-        "transition": schubert,
-        "slides": schubert_via_slides,
-        "compatible": schubert_via_compatible,
-    }[args.method]
-    _emit_poly(build(args.perm), args.format)
-    return 0
-
-
-def _cmd_stanley(args: argparse.Namespace) -> int:
-    _emit_poly(stanley(args.perm, args.k), args.format)
-    return 0
-
-
-def _cmd_schur(args: argparse.Namespace) -> int:
-    _emit_poly(schur(args.partition, args.k), args.format)
-    return 0
-
-
-def _cmd_slide(args: argparse.Namespace) -> int:
-    _emit_poly(slide_polynomial(args.comp), args.format)
-    return 0
-
-
-def _cmd_fqs(args: argparse.Namespace) -> int:
-    _emit_poly(fundamental_quasisym(args.comp, args.k), args.format)
-    return 0
-
-
-def _cmd_multiply(args: argparse.Namespace) -> int:
-    if args.chains:
-        chains = lr_chains(args.perm, args.partition, args.k)
-        expansion = {w: len(cs) for w, cs in chains.items()}
-        _emit_expansion(expansion, args.format, chains)
-    else:
-        _emit_expansion(
-            schubert_times_schur(args.perm, args.partition, args.k), args.format
-        )
-    return 0
-
-
-def _cmd_truncate(args: argparse.Namespace) -> int:
-    _emit_expansion(truncate_last_descent(args.perm), args.format)
-    return 0
-
-
-def _cmd_monk(args: argparse.Namespace) -> int:
-    _emit_expansion(monk_multiply(args.perm, args.k), args.format)
-    return 0
-
-
-def _cmd_coeff(args: argparse.Namespace) -> int:
-    c = lr_coefficient(args.perm, args.partition, args.k, args.target)
+def _emit_poly(p: Polynomial, args: argparse.Namespace) -> str:
     if args.format == "plain":
-        print(c)
-    else:
-        print(_json({"coeff": c}))
-    return 0
+        return str(p)
+    return _json({"terms": [{"coeff": c, "exponents": list(e)} for e, c in p.sorted_terms()]})
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    names = list(SUITES) if args.suite == "all" else [args.suite]
-    counts: dict[str, int] = {}
-    try:
-        for name in names:
-            counts[name] = SUITES[name](args.nmax)
-    except CounterexampleError as exc:
-        print(f"FAIL: {exc}", file=sys.stderr)
-        return 1
+def _emit_expansion(result: dict, args: argparse.Namespace) -> str:
+    # Under --chains, result is lr_chains': the witness chains of each term.
+    chains = getattr(args, "chains", False)
+    terms = []
+    for w, c in sorted(result.items()):
+        term: dict = {"perm": list(w), "coeff": len(c) if chains else c}
+        if chains:
+            term["chains"] = [str(chain) for chain in c]
+        terms.append(term)
+    if args.format == "json":
+        return _json({"terms": terms})
+    lines = []
+    for term in terms:
+        lines.append(f"{format_perm(term['perm'])}: {term['coeff']}")
+        lines += ["  " + chain for chain in term.get("chains", ())]
+    return "\n".join(lines) or "0"
+
+
+def _emit_coeff(c: int, args: argparse.Namespace) -> str:
+    return str(c) if args.format == "plain" else _json({"coeff": c})
+
+
+def _emit_counts(counts: dict[str, int], args: argparse.Namespace) -> str:
+    if args.suite == "all":
+        return "OK" if args.format == "plain" else _json({"ok": True, "counts": counts})
+    count = counts[args.suite]
     if args.format == "plain":
-        if args.suite == "all":
-            print("OK")
-        else:
-            print(f"OK ({counts[args.suite]} {SUITE_UNITS[args.suite]})")
-    elif args.suite == "all":
-        print(_json({"ok": True, "counts": counts}))
-    else:
-        print(_json({"ok": True, "suite": args.suite, "count": counts[args.suite]}))
-    return 0
+        return f"OK ({count} {SUITE_UNITS[args.suite]})"
+    return _json({"ok": True, "suite": args.suite, "count": count})
 
 
 class _HelpFormatter(argparse.HelpFormatter):
@@ -240,54 +165,73 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--method", choices=("transition", "slides", "compatible"), default="transition"
     )
-    p.set_defaults(func=_cmd_schubert)
+    # The table is built per call: a name bound at import would miss a
+    # function swapped into this module's globals later.
+    p.set_defaults(
+        run=lambda a: {
+            "transition": schubert,
+            "slides": schubert_via_slides,
+            "compatible": schubert_via_compatible,
+        }[a.method](a.perm),
+        emit=_emit_poly,
+    )
 
     p = sub.add_parser("stanley", parents=[common], help="Stanley polynomial of w in k variables")
     p.add_argument("perm", type=_perm)
     p.add_argument("k", type=int)
-    p.set_defaults(func=_cmd_stanley)
+    p.set_defaults(run=lambda a: stanley(a.perm, a.k), emit=_emit_poly)
 
     p = sub.add_parser("schur", parents=[common], help="Schur polynomial of a partition in k variables")
     p.add_argument("partition", type=_partition)
     p.add_argument("k", type=int)
-    p.set_defaults(func=_cmd_schur)
+    p.set_defaults(run=lambda a: schur(a.partition, a.k), emit=_emit_poly)
 
     p = sub.add_parser("slide", parents=[common], help="fundamental slide polynomial of a weak composition")
     p.add_argument("comp", type=_weak_comp)
-    p.set_defaults(func=_cmd_slide)
+    p.set_defaults(run=lambda a: slide_polynomial(a.comp), emit=_emit_poly)
 
     p = sub.add_parser("fqs", parents=[common], help="fundamental quasisymmetric polynomial in k variables")
     p.add_argument("comp", type=_strong_comp)
     p.add_argument("k", type=int)
-    p.set_defaults(func=_cmd_fqs)
+    p.set_defaults(run=lambda a: fundamental_quasisym(a.comp, a.k), emit=_emit_poly)
 
     p = sub.add_parser("multiply", parents=[common], help="Schubert expansion of S_u times s_lam(x1..xk)")
     p.add_argument("perm", type=_perm)
     p.add_argument("partition", type=_partition)
     p.add_argument("k", type=int)
     p.add_argument("--chains", action="store_true", help="list witness chains per term")
-    p.set_defaults(func=_cmd_multiply)
+    p.set_defaults(
+        run=lambda a: (lr_chains if a.chains else schubert_times_schur)(a.perm, a.partition, a.k),
+        emit=_emit_expansion,
+    )
 
     p = sub.add_parser("truncate", parents=[common], help="expansion of S_w with its last descent variable set to 0")
     p.add_argument("perm", type=_perm)
-    p.set_defaults(func=_cmd_truncate)
+    p.set_defaults(run=lambda a: truncate_last_descent(a.perm), emit=_emit_expansion)
 
     p = sub.add_parser("monk", parents=[common], help="expansion of S_w times (x1 + ... + xk)")
     p.add_argument("perm", type=_perm)
     p.add_argument("k", type=int)
-    p.set_defaults(func=_cmd_monk)
+    p.set_defaults(run=lambda a: monk_multiply(a.perm, a.k), emit=_emit_expansion)
 
     p = sub.add_parser("coeff", parents=[common], help="one coefficient of the multiply expansion")
     p.add_argument("perm", type=_perm)
     p.add_argument("partition", type=_partition)
     p.add_argument("k", type=int)
     p.add_argument("target", type=_perm)
-    p.set_defaults(func=_cmd_coeff)
+    p.set_defaults(
+        run=lambda a: lr_coefficient(a.perm, a.partition, a.k, a.target), emit=_emit_coeff
+    )
 
     p = sub.add_parser("verify", parents=[common], help="run exhaustive identity suites")
     p.add_argument("--suite", choices=(*SUITES, "all"), default="all")
     p.add_argument("--nmax", type=int, default=4)
-    p.set_defaults(func=_cmd_verify)
+    p.set_defaults(
+        run=lambda a: {
+            name: SUITES[name](a.nmax) for name in (SUITES if a.suite == "all" else [a.suite])
+        },
+        emit=_emit_counts,
+    )
 
     return parser
 
@@ -296,13 +240,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         with term_budget(args.timeout_terms):
-            return args.func(args)
-    except TermBudgetExceeded as exc:
-        print(f"error: {exc}; partial results discarded", file=sys.stderr)
-        return 4
+            text = args.emit(args.run(args), args)
+        print(text)
+        return 0
+    except CounterexampleError as exc:
+        print(f"FAIL: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except TermBudgetExceeded as exc:
+        print(f"error: {exc}; partial results discarded", file=sys.stderr)
+        return 4
     except Exception as exc:
         # Imported here: only a failing run pays for it.
         import traceback

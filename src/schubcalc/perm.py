@@ -214,6 +214,11 @@ def check_partition(lam: Sequence[int]) -> tuple[int, ...]:
     return lam
 
 
+def _check_parts(lam: tuple[int, ...], k: int) -> None:
+    if len(lam) > k:
+        raise ValueError(f"partition {lam!r} has more parts than k={k}")
+
+
 def grassmannian(lam: Sequence[int], k: int) -> Perm:
     """The permutation with code lambda reversed into positions 1..k.
 
@@ -227,8 +232,7 @@ def grassmannian(lam: Sequence[int], k: int) -> Perm:
     lam = check_partition(lam)
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if len(lam) > k:
-        raise ValueError(f"partition has {len(lam)} parts, more than k={k}")
+    _check_parts(lam, k)
     full = lam + (0,) * (k - len(lam))
     front = tuple(i + full[k - i] for i in range(1, k + 1))
     n = k + (lam[0] if lam else 0)

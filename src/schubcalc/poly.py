@@ -37,7 +37,11 @@ def _strip(exp: Sequence[int]) -> tuple[int, ...]:
 
 
 class Polynomial:
-    """Sparse polynomial: a map from exponent tuples to nonzero ints."""
+    """Sparse polynomial: a map from exponent tuples to nonzero ints.
+
+    Every exponent entry and coefficient must be an int, and every
+    exponent nonnegative, including in terms whose coefficient is 0.
+    """
 
     __slots__ = ("terms",)
 
@@ -45,11 +49,14 @@ class Polynomial:
         clean: dict[tuple[int, ...], int] = {}
         if terms:
             for exp, c in terms.items():
-                if not c:
-                    continue
-                e = _strip(exp)
+                e = tuple(exp)
+                if not isinstance(c, int) or not all(isinstance(x, int) for x in e):
+                    raise ValueError(f"non-integer term {e!r}: {c!r}")
                 if any(x < 0 for x in e):
                     raise ValueError(f"negative exponent in {e!r}")
+                if not c:
+                    continue
+                e = _strip(e)
                 c2 = clean.get(e, 0) + c
                 if c2:
                     clean[e] = c2

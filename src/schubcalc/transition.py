@@ -30,6 +30,7 @@ from ._limits import charge
 from .perm import (
     Perm,
     Transposition,
+    _check_parts,
     _check_transposition,
     _covers,
     _last_descent,
@@ -397,8 +398,7 @@ def truncate_last_descent(w: Sequence[int]) -> dict[Perm, int]:
 def _product_preconditions(u: Perm, lam: tuple[int, ...], k: int) -> None:
     if k < 1:
         raise ValueError("k must be positive")
-    if len(lam) > k:
-        raise ValueError(f"partition has {len(lam)} rows, more than k={k}")
+    _check_parts(lam, k)
     ld = _last_descent(u)
     if ld > k:
         raise ValueError(f"last descent of u is {ld}, beyond k={k}")

@@ -20,7 +20,7 @@ from schubcalc import (
     schubert_times_schur,
     stanley,
 )
-from schubcalc import cli
+from schubcalc import cli, verify
 from schubcalc.perm import check_partition
 
 # Child processes import the package from the tree under test.
@@ -157,6 +157,17 @@ def test_verify_all_and_json():
     doc = json.loads(out)
     assert code == 0 and doc["ok"] is True
     assert set(doc["counts"]) == {"slides", "monk", "truncate", "cross", "product"}
+
+
+def test_exit_1_on_counterexample(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "monk_multiply", lambda w, k: {})
+    with pytest.raises(verify.CounterexampleError, match=r"^monk_multiply\(\(\), 1\) = \{\}"):
+        verify.verify_monk(3)
+    for fmt in ("plain", "json"):
+        assert cli.main(["verify", "--suite", "monk", "--nmax", "3", "--format", fmt]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("FAIL: monk_multiply(")
 
 
 def library_message(parse, arg):

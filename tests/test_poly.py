@@ -54,6 +54,23 @@ def test_polynomial_normalization():
         Polynomial({(-1,): 1})
 
 
+def test_polynomial_rejects_non_integer_data():
+    # Every key is checked, also those whose coefficient is zero.
+    for terms in (
+        {(1.5,): 1},
+        {(1,): 0.5},
+        {(1, 0.0): 1},
+        {(1.5,): 0},
+        {(1,): 0.0},
+        {(-1,): 0},
+        {("1",): 1},
+    ):
+        with pytest.raises(ValueError):
+            Polynomial(terms)
+    with pytest.raises(ValueError, match="non-integer"):
+        Polynomial.monomial((1,), 0.5)
+
+
 def test_polynomial_arithmetic_examples():
     x1 = Polynomial.monomial((1,))
     x2 = Polynomial.monomial((0, 1))

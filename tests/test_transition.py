@@ -190,6 +190,15 @@ def test_product_preconditions():
         schubert_times_schur((2, 1), (1, 2), 3)  # not a partition
 
 
+def test_too_many_parts_has_one_message():
+    with pytest.raises(ValueError, match=r"^partition \(2, 1\) has more parts than k=1$"):
+        schur((2, 1), 1)
+    with pytest.raises(ValueError, match=r"^partition \(2, 1\) has more parts than k=1$"):
+        schubert_times_schur((2, 1), (2, 1), 1)
+    with pytest.raises(ValueError, match=r"^partition \(1,\) has more parts than k=0$"):
+        schur((1,), 0)
+
+
 def test_product_matches_oracle_on_s4():
     for u in all_perms(4):
         for k in range(1, 4):
