@@ -1,8 +1,17 @@
 """Integer polynomials in x1, x2, ... plus slide and quasisymmetric bases.
 
-Exponent vectors are tuples with trailing zeros stripped, so a monomial
-means the same thing in any number of variables.  Coefficients are exact
-Python ints.
+A monomial is stored as one packed int: the exponent of x_i sits in
+bits B*(i-1) .. B*i - 1 of the key, where the slot width B is a multiple
+of 8 chosen per polynomial.  A monomial then means the same thing in any
+number of variables, the product of two monomials is one integer
+addition, and comparing two keys compares the exponent of the last
+variable first.  Each polynomial keeps a bound on the degrees of its
+monomials, below 2^B; a product's bound is the sum of its factors', and
+a product whose bound would reach 2^B repacks its factors into wider
+slots first, so a slot never carries into the next.  Coefficients are
+exact Python ints.  The public view, Polynomial.terms, is a dict from
+exponent tuples with trailing zeros stripped to coefficients, built on
+each access.
 
 Public functions validate their input once.  The private kernel _slide
 builds a slide polynomial from a composition that is already stripped
@@ -14,8 +23,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Mapping, Sequence
 from functools import lru_cache
-from itertools import accumulate, chain
-from operator import add
+from itertools import accumulate
 
 from ._limits import CACHE_SIZE as _CACHE_SIZE
 from ._limits import charge, remaining
@@ -36,14 +44,45 @@ def _strip(exp: Sequence[int]) -> tuple[int, ...]:
     return e[:n]
 
 
-class Polynomial:
-    """Sparse polynomial: a map from exponent tuples to nonzero ints.
+def _width(bound: int) -> int:
+    """The narrowest slot width, a multiple of 8 bits, that holds bound."""
+    return max(8, (bound.bit_length() + 7) & ~7)
 
-    Every exponent entry and coefficient must be an int, and every
-    exponent nonnegative, including in terms whose coefficient is 0.
+
+def _pack(exp: Sequence[int], bits: int) -> int:
+    """Kernel: the key of a nonnegative exponent vector; raises if an entry needs more bits."""
+    n = bits >> 3
+    return int.from_bytes(b"".join(x.to_bytes(n, "little") for x in exp), "little")
+
+
+def _unpack(key: int, bits: int) -> tuple[int, ...]:
+    """Kernel: the exponent tuple of a key, trailing zeros stripped."""
+    n = bits >> 3
+    raw = key.to_bytes(-(-key.bit_length() // bits) * n, "little")
+    if n == 1:
+        return tuple(raw)
+    return tuple(int.from_bytes(raw[i : i + n], "little") for i in range(0, len(raw), n))
+
+
+def _lift(p: Polynomial, bits: int) -> dict[int, int]:
+    """The keys of p repacked, if need be, with slots of the given width."""
+    if p._bits == bits:
+        return p._keys
+    return {_pack(_unpack(e, p._bits), bits): c for e, c in p._keys.items()}
+
+
+class Polynomial:
+    """Sparse polynomial: a map from monomials to nonzero ints.
+
+    Polynomial(mapping) takes exponent tuples as keys.  Every exponent
+    entry and coefficient must be an int, and every exponent nonnegative,
+    including in terms whose coefficient is 0.
     """
 
-    __slots__ = ("terms",)
+    # _keys maps packed monomials to nonzero coefficients, with slots of
+    # _bits bits; no monomial has degree above _bound, which is below
+    # 2**_bits, so no exponent can carry into the next slot.
+    __slots__ = ("_keys", "_bits", "_bound")
 
     def __init__(self, terms: Mapping[Sequence[int], int] | None = None):
         clean: dict[tuple[int, ...], int] = {}
@@ -62,41 +101,61 @@ class Polynomial:
                     clean[e] = c2
                 else:
                     del clean[e]
-        self.terms = clean
+        bound = max(map(sum, clean), default=0)
+        bits = _width(bound)
+        self._keys = {_pack(e, bits): c for e, c in clean.items()}
+        self._bits = bits
+        self._bound = bound
 
     @classmethod
     def monomial(cls, exp: Sequence[int], coeff: int = 1) -> Polynomial:
         return cls({tuple(exp): coeff})
 
     @classmethod
-    def _raw(cls, clean: dict[tuple[int, ...], int]) -> Polynomial:
-        # Internal: keys already stripped, values already nonzero.
+    def _raw(cls, keys: dict[int, int], bits: int, bound: int) -> Polynomial:
+        # Internal: keys packed with slots of bits bits, values nonzero,
+        # and no degree above bound < 2**bits.
         p = cls.__new__(cls)
-        p.terms = clean
+        p._keys = keys
+        p._bits = bits
+        p._bound = bound
         return p
 
+    @property
+    def terms(self) -> dict[tuple[int, ...], int]:
+        """The terms keyed by exponent tuple, trailing zeros stripped.
+
+        A new dict is built on each access; changing it leaves the
+        polynomial alone.
+        """
+        bits = self._bits
+        return {_unpack(e, bits): c for e, c in self._keys.items()}
+
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._keys)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
+        if self._bits == other._bits:
+            return self._keys == other._keys
         return self.terms == other.terms
 
     def __add__(self, other: Polynomial) -> Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
+        bits = max(self._bits, other._bits)
+        out = dict(_lift(self, bits))
+        for e, c in _lift(other, bits).items():
             c2 = out.get(e, 0) + c
             if c2:
                 out[e] = c2
             else:
                 del out[e]
-        return Polynomial._raw(out)
+        return Polynomial._raw(out, bits, max(self._bound, other._bound))
 
     def __neg__(self) -> Polynomial:
-        return Polynomial._raw({e: -c for e, c in self.terms.items()})
+        return Polynomial._raw({e: -c for e, c in self._keys.items()}, self._bits, self._bound)
 
     def __sub__(self, other: Polynomial) -> Polynomial:
         if not isinstance(other, Polynomial):
@@ -106,39 +165,45 @@ class Polynomial:
     def __mul__(self, other: int | Polynomial) -> Polynomial:
         if isinstance(other, int):
             if not other:
-                return Polynomial._raw({})
-            return Polynomial._raw({e: c * other for e, c in self.terms.items()})
+                return Polynomial._raw({}, 8, 0)
+            return Polynomial._raw(
+                {e: c * other for e, c in self._keys.items()}, self._bits, self._bound
+            )
         if not isinstance(other, Polynomial):
             return NotImplemented
-        # Pad every key once to the longest length n.  The sum of two
-        # stripped keys, cut to the longer of them, is stripped: its last
-        # slot is nonzero.
-        n = max(map(len, chain(self.terms, other.terms)), default=0)
-        right = [(e + (0,) * (n - len(e)), len(e), c) for e, c in other.terms.items()]
-        out: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self.terms.items():
-            l1 = len(e1)
-            p1 = e1 + (0,) * (n - l1)
-            for p2, l2, c2 in right:
-                e = tuple(map(add, p1, p2))[: l1 if l1 > l2 else l2]
+        # No degree of the product exceeds the sum of the bounds; widen the
+        # slots first if that sum would not fit, so no sum carries.
+        bound = self._bound + other._bound
+        bits = max(self._bits, other._bits, _width(bound))
+        right = list(_lift(other, bits).items())
+        out: dict[int, int] = {}
+        for e1, c1 in _lift(self, bits).items():
+            for e2, c2 in right:
+                e = e1 + e2
                 c = out.get(e, 0) + c1 * c2
                 if c:
                     out[e] = c
                 else:
                     del out[e]
-        return Polynomial._raw(out)
+        return Polynomial._raw(out, bits, bound)
 
     __rmul__ = __mul__
 
     def degrees(self) -> set[int]:
-        return {sum(e) for e in self.terms}
+        bits = self._bits
+        mask = (1 << bits) - 1
+        if self._bound < mask:
+            # A key is congruent to the sum of its slots modulo 2^B - 1,
+            # and every degree is below that modulus.
+            return {e % mask for e in self._keys}
+        return {sum(_unpack(e, bits)) for e in self._keys}
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         """Terms ordered by decreasing exponent tuple (padded lexicographic)."""
         return sorted(self.terms.items(), reverse=True)
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._keys:
             return "0"
         return " + ".join(_term_str(e, c) for e, c in self.sorted_terms())
 
@@ -166,7 +231,11 @@ def substitute_zero(p: Polynomial, k: int) -> Polynomial:
     """Set x_{k+1} = x_{k+2} = ... = 0."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    return Polynomial._raw({e: c for e, c in p.terms.items() if len(e) <= k})
+    # A key uses only the first k slots exactly when it has at most B*k bits.
+    top = p._bits * k
+    return Polynomial._raw(
+        {e: c for e, c in p._keys.items() if e.bit_length() <= top}, p._bits, p._bound
+    )
 
 
 def flatten(comp: Sequence[int]) -> Composition:
@@ -183,42 +252,54 @@ def _placements(
     parts: tuple[int, ...],
     npos: int,
     floor: tuple[int, ...] | None,
-) -> tuple[tuple[int, ...], ...]:
-    # Exponent vectors within npos positions whose nonzero entries split
-    # the given parts in order; floor (when set) lower-bounds prefix sums.
-    # The caller charges the result; a miss stops past the budget or the cap.
+) -> Polynomial:
+    # The sum of the monomials within npos positions whose nonzero entries
+    # split the given parts in order; floor (when set) lower-bounds prefix
+    # sums.  Polynomials are immutable, so callers share the cached one.
+    # The caller charges its monomials; a miss stops past the budget or
+    # the cap.
     if not parts:
-        return ((),) if floor is None or not any(floor) else ()
+        return Polynomial._raw({0: 1} if floor is None or not any(floor) else {}, 8, 0)
+    degree = sum(parts)
+    bits = _width(degree)
     budget = remaining()
     cap = SLIDE_TERM_CAP if budget is None else min(budget, SLIDE_TERM_CAP)
-    out: list[tuple[int, ...]] = []
-    exp: list[int] = []
-
-    def place(j: int, t: int, rem: int, psum: int) -> None:
-        if t == len(parts):
+    n = len(parts)
+    out: list[int] = []
+    # Depth first on an explicit stack, so the depth (npos) is not bounded
+    # by Python's recursion limit.  A state is (position j, part t, what
+    # is left of part t, prefix sum, key so far); a position's children
+    # are pushed last-first so they are popped in the order 0, lo, ..., rem.
+    stack = [(0, 0, parts[0], 0, 0)]
+    while stack:
+        j, t, rem, psum, key = stack.pop()
+        if t == n:
             if len(out) >= cap:
                 if cap == SLIDE_TERM_CAP:
                     raise ValueError(f"more than {cap} monomials")
                 charge(cap + 1)  # raises TermBudgetExceeded
-            out.append(_strip(exp))
-            return
-        if npos - j < len(parts) - t:
-            return
+            out.append(key)
+            continue
+        if npos - j < n - t:
+            continue
         lo = 0 if floor is None else floor[j] - psum
-        if lo <= 0:
-            exp.append(0)
-            place(j + 1, t, rem, psum)
-            exp.pop()
-        for v in range(max(lo, 1), rem + 1):
-            exp.append(v)
+        shift = bits * j
+        for v in range(rem, max(lo, 1) - 1, -1):
             if v == rem:
-                place(j + 1, t + 1, parts[t + 1] if t + 1 < len(parts) else 0, psum + v)
+                nxt = parts[t + 1] if t + 1 < n else 0
+                stack.append((j + 1, t + 1, nxt, psum + v, key + (v << shift)))
             else:
-                place(j + 1, t, rem - v, psum + v)
-            exp.pop()
+                stack.append((j + 1, t, rem - v, psum + v, key + (v << shift)))
+        if lo <= 0:
+            stack.append((j + 1, t, rem, psum, key))
+    return Polynomial._raw(dict.fromkeys(out, 1), bits, degree)
 
-    place(0, 0, parts[0], 0)
-    return tuple(out)
+
+def _placed(parts: tuple[int, ...], npos: int, floor: tuple[int, ...] | None) -> Polynomial:
+    """_placements, charged one unit per monomial, hit or miss."""
+    p = _placements(parts, npos, floor)
+    charge(len(p._keys))
+    return p
 
 
 def slide_polynomial(a: Sequence[int] | _Virtual) -> Polynomial:
@@ -226,7 +307,8 @@ def slide_polynomial(a: Sequence[int] | _Virtual) -> Polynomial:
 
     The index a is a weak composition; trailing zeros do not change the
     result, and VIRTUAL gives the zero polynomial.  The monomial x^a
-    itself is the unique smallest term.
+    itself is the unique smallest term in lexicographic order, and the
+    largest when exponents are compared from the last variable back.
 
     >>> str(slide_polynomial((1, 2)))
     'x1*x2^2'
@@ -234,7 +316,7 @@ def slide_polynomial(a: Sequence[int] | _Virtual) -> Polynomial:
     'x1^2 + x1*x2 + x2^2'
     """
     if a is VIRTUAL:
-        return Polynomial._raw({})
+        return Polynomial._raw({}, 8, 0)
     aa = _strip(a)
     if any(x < 0 for x in aa):
         raise ValueError(f"weak composition needed, got {tuple(a)!r}")
@@ -243,9 +325,7 @@ def slide_polynomial(a: Sequence[int] | _Virtual) -> Polynomial:
 
 def _slide(a: tuple[int, ...]) -> Polynomial:
     """Kernel: slide_polynomial of a stripped, nonnegative composition."""
-    exps = _placements(flatten(a), len(a), tuple(accumulate(a)))
-    charge(len(exps))
-    return Polynomial._raw({e: 1 for e in exps})
+    return _placed(flatten(a), len(a), tuple(accumulate(a)))
 
 
 def fundamental_quasisym(alpha: Sequence[int], k: int) -> Polynomial:
@@ -261,39 +341,44 @@ def fundamental_quasisym(alpha: Sequence[int], k: int) -> Polynomial:
         raise ValueError(f"composition parts must be positive: {al!r}")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    exps = _placements(al, k, None)
-    charge(len(exps))
-    return Polynomial._raw({e: 1 for e in exps})
+    return _placed(al, k, None)
 
 
 def _eliminate(p: Polynomial, pivot: Callable[[tuple[int, ...]], tuple[object, Polynomial]]) -> dict:
-    # Clear the smallest monomial m with pivot(m) = (key, basis element),
-    # whose smallest term must be x^m, so the minimum strictly increases.
-    work = dict(p.terms)
-    out = {}
+    # Clear the largest key m with pivot(m) = (key, basis element), whose
+    # largest key must be m, so the maximum strictly decreases.  pivot
+    # receives m as an exponent tuple, and its basis element has degree
+    # at most that of m, so p's slots hold it.  The result is ordered by
+    # those tuples, ascending.
+    bits = p._bits
+    work = dict(p._keys)
+    found = []
     last = None
     while work:
-        m = min(work)
-        if last is not None and m <= last:
-            raise NonExpandableError(f"pivot {last} did not clear the minimum")
-        key, basis = pivot(m)
+        m = max(work)
+        if last is not None and m >= last:
+            raise NonExpandableError(f"pivot {_unpack(last, bits)} did not clear the maximum")
+        e = _unpack(m, bits)
+        key, basis = pivot(e)
         c = work[m]
-        out[key] = c
-        for e, ce in basis.terms.items():
-            c2 = work.get(e, 0) - c * ce
+        found.append((e, key, c))
+        for b, cb in _lift(basis, bits).items():
+            c2 = work.get(b, 0) - c * cb
             if c2:
-                work[e] = c2
+                work[b] = c2
             else:
-                work.pop(e, None)
+                work.pop(b, None)
         last = m
-    return out
+    # The exponent tuples are distinct, so the sort never compares keys.
+    return {key: c for _, key, c in sorted(found)}
 
 
 def slide_expand(p: Polynomial) -> dict[Composition, int]:
     """Write p as an integer combination of slide polynomials.
 
-    Repeatedly clears the smallest remaining monomial m with the slide
-    polynomial of m, whose unique smallest term is x^m.
+    Repeatedly clears the largest remaining monomial m, comparing
+    exponents from the last variable back, with the slide polynomial of
+    m, whose largest term in that order is x^m.
 
     >>> slide_expand(Polynomial({(1, 1): 1, (2,): -1}))
     {(1, 1): 1, (2,): -1}

@@ -56,7 +56,7 @@ def schubert_via_slides(w: Sequence[int]) -> Polynomial:
             continue
         for e, c in slide_polynomial(comp).terms.items():
             acc[e] = acc.get(e, 0) + c
-    return Polynomial._raw(acc)
+    return Polynomial(acc)
 
 
 def schubert_via_compatible(w: Sequence[int]) -> Polynomial:
@@ -70,7 +70,7 @@ def schubert_via_compatible(w: Sequence[int]) -> Polynomial:
         for seq in compatible_sequences(word):
             e = sequence_weight(seq)
             acc[e] = acc.get(e, 0) + 1
-    return Polynomial._raw(acc)
+    return Polynomial(acc)
 
 
 def stanley(w: Sequence[int], k: int) -> Polynomial:
@@ -99,9 +99,10 @@ def schubert_expand(
 ) -> dict[Perm, int]:
     """Expand a homogeneous polynomial in the Schubert basis.
 
-    Repeatedly clears the smallest monomial, which is the code of exactly
-    one permutation and is the smallest monomial of that permutation's
-    Schubert polynomial.  With ambient=N, any permutation moving a value
+    Repeatedly clears the largest monomial, comparing exponents from the
+    last variable back; it is the code of exactly one permutation and
+    the largest monomial of that permutation's Schubert polynomial in the
+    same order.  With ambient=N, any permutation moving a value
     beyond position N raises NoSolutionError; degree, when given, is
     checked against the polynomial.
 

@@ -42,7 +42,7 @@ from .perm import (
     grassmannian,
     pad,
 )
-from .poly import Polynomial
+from .poly import Polynomial, _lift, _width
 
 # Monomials held by the two polynomial memos together; each gets half.
 MEMO_MONOMIALS = 1 << 16
@@ -67,9 +67,9 @@ class _Memo(OrderedDict):
 
     def put(self, key, p: Polynomial) -> None:
         self.misses += 1
-        size = len(p.terms)
+        size = len(p._keys)
         while self and self.held + size > self.bound:
-            self.held -= len(self.popitem(last=False)[1].terms)
+            self.held -= len(self.popitem(last=False)[1]._keys)
         self[key] = p
         self.held += size
 
@@ -86,7 +86,7 @@ class _Memo(OrderedDict):
 
 _schubert = _Memo(MEMO_MONOMIALS // 2)
 _stanley = _Memo(MEMO_MONOMIALS // 2)
-_ONE = Polynomial._raw({(): 1})
+_ONE = Polynomial._raw({0: 1}, 8, 0)
 
 
 def _node(w: Perm, k: int) -> Polynomial:
@@ -145,15 +145,18 @@ def _transition(
         s -= 1
     v = list(w)
     v[r - 1], v[s - 1] = v[s - 1], wr
-    out: dict[tuple[int, ...], int] = {}
+    # S_w has degree length(w) <= n(n-1)/2 for n = len(w), and no child
+    # is longer than w, so slots of this width hold the node and its
+    # children.  bound is the exact degree.
+    n = len(w)
+    bits = _width(n * (n - 1) // 2)
+    bound = 0
+    out: dict[int, int] = {}
     if r <= k:
         child = yield _strip(v)
-        for e, c in child.terms.items():
-            if len(e) >= r:
-                e = e[: r - 1] + (e[r - 1] + 1,) + e[r:]
-            else:
-                e = e + (0,) * (r - 1 - len(e)) + (1,)
-            out[e] = c
+        bound = child._bound + 1
+        step = 1 << bits * (r - 1)
+        out = {e + step: c for e, c in _lift(child, bits).items()}
     # v (q, r) covers v exactly when v_q < v_r and no value strictly
     # between them sits in positions q+1..r-1.
     vr = v[r - 1]
@@ -165,10 +168,13 @@ def _transition(
             u = v[:]
             u[q - 1], u[r - 1] = vr, vq
             child = yield _strip(u)
+            bound = max(bound, child._bound)
             # Coefficients are positive, so sums never cancel.
-            for e, c in child.terms.items():
+            for e, c in _lift(child, bits).items():
                 out[e] = out.get(e, 0) + c
-    p = Polynomial._raw(out)
+    if bound >> bits:
+        raise RuntimeError(f"S_{w} has degree {bound}, too large for {bits}-bit slots")
+    p = Polynomial._raw(out, bits, bound)
     memo.put(key, p)
     return p
 
@@ -207,7 +213,20 @@ class Chain:
         steps: Sequence[Sequence[int]],
         directions: Sequence[int],
     ):
-        base = canonical(base)
+        self._init(canonical(base), steps, directions)
+
+    @classmethod
+    def _trusted(
+        cls, base: Perm, steps: Sequence[Sequence[int]], directions: Sequence[int]
+    ) -> Chain:
+        """Kernel: a Chain from a canonical base; every step is still checked."""
+        chain = cls.__new__(cls)
+        chain._init(base, steps, directions)
+        return chain
+
+    def _init(
+        self, base: Perm, steps: Sequence[Sequence[int]], directions: Sequence[int]
+    ) -> None:
         steps = tuple(map(_check_transposition, steps))
         directions = tuple(directions)
         if len(steps) != len(directions):
@@ -571,7 +590,7 @@ def lr_chains(
     lam = check_partition(lam)
     _product_preconditions(u, lam, k)
     if not lam:
-        return {u: (Chain(u, (), ()),)}
+        return {u: (Chain._trusted(u, (), ()),)}
     w0 = _product_seed(u, lam, k)
     out: dict[Perm, list[Chain]] = {}
 
@@ -586,7 +605,7 @@ def lr_chains(
                 raise RuntimeError(f"down-steps to {w} leave {base}, not u = {u}")
             if len(ups) != sum(lam) or not all(a <= k < b for a, b in ups):
                 raise RuntimeError(f"up-steps {ups} to {w} do not cross k = {k} |lam| times")
-            chain = Chain(u, tuple(ups), (1,) * len(ups))
+            chain = Chain._trusted(u, tuple(ups), (1,) * len(ups))
             if chain.endpoint != w:
                 raise RuntimeError(f"chain {chain} ends at {chain.endpoint}, not {w}")
             out.setdefault(w, []).append(chain)

@@ -216,6 +216,17 @@ def test_budget_bounds_slide_placements():
     assert err == "error: term budget of 5 exceeded; partial results discarded\n"
 
 
+def test_slide_and_fqs_deeper_than_the_recursion_limit():
+    # 1 101 and 1 100 positions, past Python's default recursion limit:
+    # the placements walk keeps its own stack.
+    code, out, err = run("slide", "0," * 1100 + "1")
+    assert (code, err) == (0, "")
+    assert out == " + ".join(f"x{i}" for i in range(1, 1102)) + "\n"
+    code, out, err = run("fqs", "1", "1100")
+    assert (code, err) == (0, "")
+    assert out == " + ".join(f"x{i}" for i in range(1, 1101)) + "\n"
+
+
 def test_exit_5_on_internal_error(monkeypatch, capsys):
     def broken(w):
         raise RuntimeError(f"duplicate truncation endpoint {w}")

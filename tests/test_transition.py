@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import schubcalc
+import schubcalc.transition as T
 from schubcalc import (
     Chain,
     Polynomial,
@@ -247,6 +248,24 @@ def test_lr_chains_count_coefficients():
             assert c.base == (1, 3, 5, 2, 4)
             assert c.endpoint == w
             assert all(a <= 3 < b for a, b in c.steps)
+
+
+def test_lr_chains_validate_u_once(monkeypatch):
+    # Leaves are built by Chain._trusted, which keeps the covering checks
+    # but does not sort u again: one canonical call, on entry.
+    calls = Counter()
+    real = T.canonical
+
+    def counted(w):
+        calls["canonical"] += 1
+        return real(w)
+
+    monkeypatch.setattr(T, "canonical", counted)
+    got = lr_chains((3, 1, 6, 2, 8, 5, 4, 7), (3, 2, 1), 7)
+    assert sum(map(len, got.values())) == 72
+    assert calls["canonical"] == 1
+    with pytest.raises(ValueError, match="not a covering"):
+        T.Chain._trusted((2, 1), ((1, 2),), (1,))
 
 
 def test_lr_chains_small_cases():
