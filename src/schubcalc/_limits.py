@@ -3,15 +3,22 @@
 Enumerations over reduced words, slide monomials and transition trees can
 explode combinatorially.  A term budget, installed as a context, makes
 them fail fast instead of grinding: producers call charge() as they emit
-items and the first item past the limit raises TermBudgetExceeded.
+items and the first item past the limit raises TermBudgetExceeded.  It is
+the only limit on work; without a budget an enumeration runs to the end.
+
+Their results are kept in memos, each bounded by the items its values
+hold (monomials for a polynomial, words for a word list), MEMO_BOUND
+items per memo.
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
+from collections import OrderedDict
+from types import SimpleNamespace
 
-CACHE_SIZE = 10000
+MEMO_BOUND = 1 << 15
 
 
 class TermBudgetExceeded(RuntimeError):
@@ -54,3 +61,38 @@ def term_budget(limit: int | None):
         yield
     finally:
         _state.reset(token)
+
+
+class Memo(OrderedDict):
+    """Values by key, bounded by the items they hold.
+
+    size(value) is the number of items a value holds.  Each memo has one
+    reader: it calls get() and counts a hit itself.  put() counts a miss
+    and evicts entries in the order they were stored (a hit does not
+    refresh one) until the new one fits.  An entry larger than the bound
+    is still stored, alone.
+    """
+
+    def __init__(self, size):
+        super().__init__()
+        self.size = size
+        self.bound = MEMO_BOUND
+        self.held = self.hits = self.misses = 0
+
+    def put(self, key, value) -> None:
+        self.misses += 1
+        n = self.size(value)
+        while self and self.held + n > self.bound:
+            self.held -= self.size(self.popitem(last=False)[1])
+        self[key] = value
+        self.held += n
+
+    def cache_info(self) -> SimpleNamespace:
+        """hits, misses, maxsize and currsize, as functools caches report; sizes count items."""
+        return SimpleNamespace(
+            hits=self.hits, misses=self.misses, maxsize=self.bound, currsize=self.held
+        )
+
+    def cache_clear(self) -> None:
+        self.clear()
+        self.held = self.hits = self.misses = 0

@@ -7,12 +7,13 @@ renders its result as text; stdout is written only once both succeed.
 Exit codes: 0 success, 1 verification counterexample, 2 malformed input
 (argparse), 3 precondition violation, 4 term budget exceeded, 5 internal
 error.  Apart from argparse's 2, `main` alone maps exceptions to exit
-codes.
+codes.  A closed stdout is not an error: the run exits 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections.abc import Sequence
 
@@ -236,12 +237,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(text: str) -> None:
+    """Print text to stdout; a reader that has gone away is not an error."""
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Nobody is left to read the rest.  Point fd 1 at /dev/null so the
+        # interpreter's flush at exit does not fail on the same pipe.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         with term_budget(args.timeout_terms):
             text = args.emit(args.run(args), args)
-        print(text)
+        _write(text)
         return 0
     except CounterexampleError as exc:
         print(f"FAIL: {exc}", file=sys.stderr)

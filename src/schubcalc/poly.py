@@ -22,14 +22,10 @@ slide_expand builds its pivots with it.
 from __future__ import annotations
 
 from collections.abc import Callable, Mapping, Sequence
-from functools import lru_cache
 from itertools import accumulate
 
-from ._limits import CACHE_SIZE as _CACHE_SIZE
-from ._limits import charge, remaining
+from ._limits import Memo, charge, remaining
 from .words import VIRTUAL, Composition, _Virtual
-
-SLIDE_TERM_CAP = 10**6
 
 
 class NonExpandableError(RuntimeError):
@@ -247,23 +243,21 @@ def flatten(comp: Sequence[int]) -> Composition:
     return tuple(x for x in comp if x)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _placements(
-    parts: tuple[int, ...],
-    npos: int,
-    floor: tuple[int, ...] | None,
-) -> Polynomial:
+def _monomials(p: Polynomial) -> int:
+    """The size of a polynomial in a memo: its number of monomials."""
+    return len(p._keys)
+
+
+def _place(parts: tuple[int, ...], npos: int, floor: tuple[int, ...] | None) -> Polynomial:
     # The sum of the monomials within npos positions whose nonzero entries
     # split the given parts in order; floor (when set) lower-bounds prefix
-    # sums.  Polynomials are immutable, so callers share the cached one.
-    # The caller charges its monomials; a miss stops past the budget or
-    # the cap.
+    # sums.  The caller charges its monomials; under a budget the walk
+    # stops one monomial past what is left of it.
     if not parts:
         return Polynomial._raw({0: 1} if floor is None or not any(floor) else {}, 8, 0)
     degree = sum(parts)
     bits = _width(degree)
     budget = remaining()
-    cap = SLIDE_TERM_CAP if budget is None else min(budget, SLIDE_TERM_CAP)
     n = len(parts)
     out: list[int] = []
     # Depth first on an explicit stack, so the depth (npos) is not bounded
@@ -274,10 +268,8 @@ def _placements(
     while stack:
         j, t, rem, psum, key = stack.pop()
         if t == n:
-            if len(out) >= cap:
-                if cap == SLIDE_TERM_CAP:
-                    raise ValueError(f"more than {cap} monomials")
-                charge(cap + 1)  # raises TermBudgetExceeded
+            if len(out) == budget:  # never, when budget is None
+                charge(budget + 1)  # raises TermBudgetExceeded
             out.append(key)
             continue
         if npos - j < n - t:
@@ -295,9 +287,20 @@ def _placements(
     return Polynomial._raw(dict.fromkeys(out, 1), bits, degree)
 
 
+# Polynomials are immutable, so callers share the stored one.  _placed is
+# the only reader.
+_placements = Memo(_monomials)
+
+
 def _placed(parts: tuple[int, ...], npos: int, floor: tuple[int, ...] | None) -> Polynomial:
-    """_placements, charged one unit per monomial, hit or miss."""
-    p = _placements(parts, npos, floor)
+    """_place through the _placements memo, charged one unit per monomial, hit or miss."""
+    key = (parts, npos, floor)
+    p = _placements.get(key)
+    if p is None:
+        p = _place(parts, npos, floor)
+        _placements.put(key, p)
+    else:
+        _placements.hits += 1
     charge(len(p._keys))
     return p
 

@@ -22,11 +22,9 @@ the structure constants.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from collections.abc import Generator, Sequence
-from types import SimpleNamespace
 
-from ._limits import charge
+from ._limits import Memo, charge
 from .perm import (
     Perm,
     Transposition,
@@ -42,50 +40,13 @@ from .perm import (
     grassmannian,
     pad,
 )
-from .poly import Polynomial, _lift, _width
+from .poly import Polynomial, _lift, _monomials, _width
 
-# Monomials held by the two polynomial memos together; each gets half.
-MEMO_MONOMIALS = 1 << 16
-
-
-class _Memo(OrderedDict):
-    """Polynomials by key, bounded by the monomials they hold.
-
-    _schubert holds S_w by w; _stanley holds S_w(x1..xk, 0, ...) by (w, k)
-    for the w whose last descent is beyond k, where truncation matters.
-    _node is the only reader: it calls get() and counts a hit itself.
-    put() counts a miss and evicts the oldest entries first until the new
-    one fits.  An entry larger than the bound is still stored, alone.
-    """
-
-    def __init__(self, bound: int):
-        super().__init__()
-        self.bound = bound
-        self.held = 0
-        self.hits = 0
-        self.misses = 0
-
-    def put(self, key, p: Polynomial) -> None:
-        self.misses += 1
-        size = len(p._keys)
-        while self and self.held + size > self.bound:
-            self.held -= len(self.popitem(last=False)[1]._keys)
-        self[key] = p
-        self.held += size
-
-    def cache_info(self) -> SimpleNamespace:
-        """The fields of functools.lru_cache's; maxsize and currsize count monomials."""
-        return SimpleNamespace(
-            hits=self.hits, misses=self.misses, maxsize=self.bound, currsize=self.held
-        )
-
-    def cache_clear(self) -> None:
-        self.clear()
-        self.held = self.hits = self.misses = 0
-
-
-_schubert = _Memo(MEMO_MONOMIALS // 2)
-_stanley = _Memo(MEMO_MONOMIALS // 2)
+# _schubert holds S_w by w; _stanley holds S_w(x1..xk, 0, ...) by (w, k)
+# for the w whose last descent is beyond k, where truncation matters.
+# _node is their only reader.
+_schubert = Memo(_monomials)
+_stanley = Memo(_monomials)
 _ONE = Polynomial._raw({0: 1}, 8, 0)
 
 
@@ -132,7 +93,7 @@ def _node(w: Perm, k: int) -> Polynomial:
 
 
 def _transition(
-    w: Perm, k: int, r: int, memo: _Memo, key: Perm | tuple[Perm, int]
+    w: Perm, k: int, r: int, memo: Memo, key: Perm | tuple[Perm, int]
 ) -> Generator[Perm, Polynomial, Polynomial]:
     """One transition step of _node: yields each child word, receives its polynomial.
 
@@ -182,7 +143,7 @@ def _transition(
 def truncated_schubert(w: Sequence[int], k: int) -> Polynomial:
     """S_w(x1..xk, 0, 0, ...): the Schubert polynomial with x_{k+1}, ... set to 0.
 
-    Computed by transition, through memos bounded by MEMO_MONOMIALS.
+    Computed by transition, through two memos of MEMO_BOUND monomials each.
 
     >>> str(truncated_schubert((1, 3, 2), 1))
     'x1'

@@ -7,17 +7,17 @@ length of the permutation it builds.
 
 reduced_words and iter_reduced_words validate w once through canonical();
 the walk behind them (_walk) trusts that canonical input, reads its
-letters straight from the word and checks nothing.
+letters straight from the word and checks nothing.  It keeps its own
+stack, as compatible_sequences does, so the length of a word is not
+bounded by Python's recursion limit.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from functools import lru_cache
 from itertools import islice
 
-from ._limits import CACHE_SIZE as _CACHE_SIZE
-from ._limits import charge, remaining
+from ._limits import Memo, charge, remaining
 from .perm import Perm, _strip, canonical
 
 Word = tuple[int, ...]
@@ -41,30 +41,55 @@ class _Virtual:
 VIRTUAL = _Virtual()
 
 
-def _walk(u: Perm, buf: list[int]) -> Iterator[Word]:
-    # Reduced words of u followed by reversed(buf), built last letter first.
-    if not u:
-        yield tuple(reversed(buf))
-        return
+def _steps(u: Perm) -> Iterator[tuple[int, Perm]]:
+    # Each letter i that can end a reduced word of u, ascending, with the
+    # permutation the word builds before that letter.
     where = {x: j for j, x in enumerate(u)}
     for i in range(1, len(u)):
         a, b = where[i], where[i + 1]
         if a > b:  # i+1 stands before i in u; swap them
             v = list(u)
             v[a], v[b] = i + 1, i
-            buf.append(i)
-            yield from _walk(_strip(v), buf)
+            yield i, _strip(v)
+
+
+def _walk(w: Perm) -> Iterator[Word]:
+    # Reduced words of w, built last letter first, depth first with the
+    # letters of each step ascending.  stack holds one _steps iterator per
+    # letter in buf, plus one for the permutation buf has reached.
+    if not w:
+        yield ()
+        return
+    buf: list[int] = []
+    stack = [_steps(w)]
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+            if buf:
+                buf.pop()
+            continue
+        i, v = step
+        buf.append(i)
+        if v:
+            stack.append(_steps(v))
+        else:
+            yield tuple(reversed(buf))
             buf.pop()
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _reduced_words(w: Perm) -> tuple[Word, ...]:
-    # The caller charges the result; a miss stops one word past the budget.
+def _sorted_walk(w: Perm) -> tuple[Word, ...]:
+    # The caller charges the result; the walk stops one word past the budget.
     budget = remaining()
-    words = sorted(islice(_walk(w, []), None if budget is None else budget + 1))
+    words = sorted(islice(_walk(w), None if budget is None else budget + 1))
     if budget is not None and len(words) > budget:
         charge(len(words))  # raises TermBudgetExceeded
     return tuple(words)
+
+
+# Word lists by permutation, sized by their words; reduced_words is the
+# only reader.
+_reduced_words = Memo(len)
 
 
 def reduced_words(w: Sequence[int]) -> tuple[Word, ...]:
@@ -73,7 +98,13 @@ def reduced_words(w: Sequence[int]) -> tuple[Word, ...]:
     >>> reduced_words((2, 1, 4, 3))
     ((1, 3), (3, 1))
     """
-    out = _reduced_words(canonical(w))
+    w = canonical(w)
+    out = _reduced_words.get(w)
+    if out is None:
+        out = _sorted_walk(w)
+        _reduced_words.put(w, out)
+    else:
+        _reduced_words.hits += 1
     charge(len(out))
     return out
 
@@ -86,7 +117,7 @@ def iter_reduced_words(w: Sequence[int]) -> Iterator[Word]:
     >>> list(iter_reduced_words((2, 1, 4, 3)))
     [(3, 1), (1, 3)]
     """
-    for word in _walk(canonical(w), []):
+    for word in _walk(canonical(w)):
         charge()
         yield word
 
@@ -173,20 +204,28 @@ def compatible_sequences(word: Sequence[int]) -> tuple[tuple[int, ...], ...]:
         return ()
     rev = tuple(reversed(word))
     n = len(rev)
+    if not n:
+        return ((),)
     out: list[tuple[int, ...]] = []
+    # Depth first, smallest entry first; stack holds one iterator over
+    # the candidates of each position from 0 to len(seq).
     seq: list[int] = []
-
-    def place(j: int) -> None:
+    stack = [iter(range(1, caps[0] + 1))]
+    while stack:
+        v = next(stack[-1], None)
+        if v is None:
+            stack.pop()
+            if seq:
+                seq.pop()
+            continue
+        seq.append(v)
+        j = len(seq)
         if j == n:
             out.append(tuple(seq))
-            return
-        lo = 1 if j == 0 else seq[-1] + (1 if rev[j - 1] < rev[j] else 0)
-        for v in range(lo, caps[j] + 1):
-            seq.append(v)
-            place(j + 1)
             seq.pop()
-
-    place(0)
+        else:
+            lo = v + (1 if rev[j - 1] < rev[j] else 0)
+            stack.append(iter(range(lo, caps[j] + 1)))
     return tuple(out)
 
 

@@ -27,18 +27,26 @@ from schubcalc.perm import check_partition
 ENV = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(schubcalc.__file__))}
 
 
+# Seconds a child process may take: the budgeted commands below stop at
+# once, and would grind for minutes if their budget were lost.
+TIMEOUT = 120
+
+
 def run(*args):
     proc = subprocess.run(
         [sys.executable, "-m", "schubcalc", *args],
         capture_output=True,
         text=True,
         env=ENV,
+        timeout=TIMEOUT,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
 
 def run_python(script):
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=ENV)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=ENV, timeout=TIMEOUT
+    )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -210,7 +218,7 @@ def test_exit_4_on_term_budget():
 
 
 def test_budget_bounds_slide_placements():
-    # About 49 million placements: the budget stops them, not the cap.
+    # About 49 million placements: the budget stops them one past its end.
     code, out, err = run("slide", "0," * 30 + "8", "--timeout-terms", "5")
     assert (code, out) == (4, "")
     assert err == "error: term budget of 5 exceeded; partial results discarded\n"
@@ -247,6 +255,35 @@ def test_deep_schubert_in_a_fresh_process():
     code, out, err = run("schubert", ",".join(map(str, range(46, 0, -1))))
     assert (code, err) == (0, "")
     assert out == "*".join(f"x{i}^{46 - i}" for i in range(1, 45)) + "*x45\n"
+
+
+@pytest.mark.parametrize("method", ["slides", "compatible"])
+def test_budget_stops_a_reduced_word_walk_deeper_than_the_recursion_limit(method):
+    # The first reduced word of the longest element of S46 is 1035
+    # letters long; the walk keeps its own stack, so the budget stops it.
+    w0 = ",".join(map(str, range(46, 0, -1)))
+    assert run("schubert", w0, "--timeout-terms", "10", "--method", method) == (
+        4,
+        "",
+        "error: term budget of 10 exceeded; partial results discarded\n",
+    )
+
+
+def test_closed_stdout_exits_quietly():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "schubcalc", "schubert", "21"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=ENV,
+            timeout=TIMEOUT,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_term_budget_is_exact_for_a_cold_construction():

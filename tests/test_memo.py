@@ -1,7 +1,7 @@
-"""The transition memos and the entry-bounded caches: invisible in
-results, budgeted alike cold and warm; the memos are bounded by monomials."""
+"""The four memos: invisible in results, budgeted alike cold and warm,
+and bounded by the items they hold."""
 
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -24,10 +24,11 @@ from schubcalc import (
     stanley,
     term_budget,
 )
-from schubcalc._limits import charge
+from schubcalc._limits import MEMO_BOUND, charge
 from schubcalc.perm import _last_descent
-from schubcalc.transition import MEMO_MONOMIALS, _Memo, _schubert, _stanley
+from schubcalc.transition import _schubert, _stanley
 
+# The transition memos, read by _node.
 MEMOS = (_schubert, _stanley)
 
 SAMPLE = [
@@ -93,34 +94,69 @@ def test_the_stack_keeps_the_memo_traffic_of_the_recursion(monkeypatch):
     assert memo_traffic(T._node, items) == memo_traffic(recursive_node, items)
 
 
+def items(value):
+    """What a memo entry holds: monomials of a polynomial, words of a list."""
+    return len(value) if isinstance(value, tuple) else len(value.terms)
+
+
+# Each memo with calls that read it: a sample, and a flood that overfills
+# a bound of FLOOD_BOUND items.
+FLOOD_BOUND = 300
+MEMO_CALLS = [
+    (
+        _schubert,
+        [(schubert, (item[1],)) for item in SAMPLE if item[0] == "schubert"],
+        [(schubert, (w,)) for w in permutations(range(1, 7))],
+    ),
+    (
+        _stanley,
+        [(stanley, item[1:]) for item in SAMPLE if item[0] == "stanley"],
+        [(stanley, (w, 4)) for w in permutations(range(1, 6))],
+    ),
+    (
+        poly._placements,
+        [
+            (slide_polynomial, ((0, 3, 1, 0, 1),)),
+            (slide_polynomial, ((1, 0, 2, 0, 0, 1),)),
+            (fundamental_quasisym, ((3, 1, 1), 4)),
+        ],
+        [(slide_polynomial, (a,)) for a in product(range(4), repeat=4)],
+    ),
+    (
+        words._reduced_words,
+        [(reduced_words, ((4, 2, 1, 5, 3),)), (reduced_words, ((3, 2, 1, 5, 4),))],
+        [(reduced_words, (w,)) for w in permutations(range(1, 6))],
+    ),
+]
+
+
 def test_results_do_not_depend_on_the_memo(monkeypatch):
-    assert sum(memo.bound for memo in MEMOS) == MEMO_MONOMIALS
-    clear()
-    cold = [list(build(item).terms.items()) for item in SAMPLE]
-    assert [list(build(item).terms.items()) for item in SAMPLE] == cold
+    for memo, sample, flood in MEMO_CALLS:
+        assert memo.bound == MEMO_BOUND
+        assert sorted(vars(memo.cache_info())) == ["currsize", "hits", "maxsize", "misses"]
+        memo.cache_clear()
+        cold = [repr(fn(*args)) for fn, args in sample]
+        assert [repr(fn(*args)) for fn, args in sample] == cold
 
-    largest = max(len(p.terms) for memo in MEMOS for p in memo.values())
-    put = _Memo.put
+        monkeypatch.setattr(memo, "bound", FLOOD_BOUND)
+        largest = max(map(items, memo.values()))
+        stored = []
+        put = memo.put
 
-    def checked_put(self, key, p):
-        nonlocal largest
-        put(self, key, p)
-        largest = max(largest, len(p.terms))
-        assert self.held <= self.bound + largest
+        def checked_put(key, value, memo=memo, put=put):
+            nonlocal largest
+            put(key, value)
+            stored.append(key)
+            largest = max(largest, items(value))
+            assert memo.held == sum(map(items, memo.values()))
+            assert memo.held <= memo.bound + largest
 
-    monkeypatch.setattr(_Memo, "put", checked_put)
-    misses = _schubert.cache_info().misses
-    for w in permutations(range(1, 8)):
-        schubert(w)
-    for w in permutations(range(1, 6)):
-        stanley(w, 4)
-    assert _schubert.cache_info().misses > misses
-    assert (1, 5, 3, 2, 6, 4) not in _schubert, "the sample was not evicted"
-    for memo in MEMOS:
-        assert memo.held == sum(len(p.terms) for p in memo.values())
-        assert memo.held <= memo.bound + largest
-
-    assert [list(build(item).terms.items()) for item in SAMPLE] == cold
+        monkeypatch.setattr(memo, "put", checked_put)
+        for fn, args in flood:
+            fn(*args)
+        assert any(key not in memo for key in stored), "nothing was evicted"
+        assert memo.cache_info().currsize == memo.held
+        assert [repr(fn(*args)) for fn, args in sample] == cold
 
 
 def test_cache_info_counts_hits_and_misses():
@@ -131,15 +167,19 @@ def test_cache_info_counts_hits_and_misses():
     schubert((4, 2, 1, 5, 3))
     assert _schubert.cache_info().hits == info.hits + 1
     assert _schubert.cache_info().misses == info.misses
-    # A warm stanley or schur reads one entry of its memo: one hit, no miss.
+    # A warm call reads one entry of one memo: one hit, no miss.
+    memos = [memo for memo, _, _ in MEMO_CALLS]
     for memo, call in (
         (_stanley, lambda: stanley((4, 2, 1, 5, 3), 2)),
         (_schubert, lambda: schur((2, 1), 2)),
+        (poly._placements, lambda: slide_polynomial((0, 2, 1))),
+        (poly._placements, lambda: fundamental_quasisym((2, 1), 3)),
+        (words._reduced_words, lambda: reduced_words((3, 1, 4, 2))),
     ):
         call()
-        before = [(m.hits, m.misses) for m in MEMOS]
+        before = [(m.hits, m.misses) for m in memos]
         call()
-        after = [(m.hits - (m is memo), m.misses) for m in MEMOS]
+        after = [(m.hits - (m is memo), m.misses) for m in memos]
         assert after == before
 
 
@@ -175,7 +215,7 @@ def test_budgets_are_monotone(item, n):
                 assert list(build(item).terms.items()) == want
 
 
-# The entry-bounded caches of slide placements and reduced-word lists.
+# The memos of slide placements and reduced-word lists.
 CACHES = (poly._placements, words._reduced_words)
 
 CACHED = [
@@ -221,29 +261,23 @@ def test_budgets_fail_alike_cold_and_warm(fn, args):
 
 
 def test_a_cold_miss_stops_past_the_budget(monkeypatch):
-    # Uncapped, these are about 49 million placements and 292864 words.
-    # Each step of the reduced-word walk strips the word it built once.
-    # With the cap at 7, a placement walk that ran past its budget of 5
-    # would stop at the cap with ValueError instead.
-    calls = {"step": 0}
+    # Unbudgeted, these are 12 870 placements and 768 words.  A cold miss
+    # under a budget of 5 stops at the sixth and charges 6, which raises.
+    charged = []
 
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
+    def recorded(n=1):
+        charged.append(n)
+        charge(n)
 
-        return wrapper
-
-    monkeypatch.setattr(poly, "SLIDE_TERM_CAP", 7)
-    monkeypatch.setattr(words, "_strip", counted("step", words._strip))
-    clear_caches()
-    with pytest.raises(TermBudgetExceeded):
-        with term_budget(5):
-            slide_polynomial((0,) * 30 + (8,))
-    with pytest.raises(TermBudgetExceeded):
-        with term_budget(5):
-            reduced_words((6, 5, 4, 3, 2, 1))
-    assert calls["step"] <= 100, calls
+    monkeypatch.setattr(poly, "charge", recorded)
+    monkeypatch.setattr(words, "charge", recorded)
+    for fn, args in ((slide_polynomial, ((0,) * 8 + (8,),)), (reduced_words, ((5, 4, 3, 2, 1),))):
+        clear_caches()
+        charged.clear()
+        with pytest.raises(TermBudgetExceeded):
+            with term_budget(5):
+                fn(*args)
+        assert charged == [6], fn
 
 
 def test_reduced_words_sorts_the_stream_on_s5():

@@ -87,6 +87,50 @@ def test_iter_reduced_words_streams_the_same_set():
         assert set(streamed) == set(reduced_words(w))
 
 
+def recursive_reduced_words(u, buf=()):
+    """iter_reduced_words by plain recursion: letters of each step ascending."""
+    if not u:
+        yield tuple(reversed(buf))
+        return
+    for i in range(1, len(u)):
+        a, b = u.index(i), u.index(i + 1)
+        if a > b:
+            v = list(u)
+            v[a], v[b] = i + 1, i
+            while v and v[-1] == len(v):
+                v.pop()
+            yield from recursive_reduced_words(tuple(v), buf + (i,))
+
+
+def recursive_compatible(word):
+    """compatible_sequences by plain recursion over positions, smallest entry first."""
+    caps = greedy_compatible(word)
+    if caps is VIRTUAL:
+        return ()
+    rev = tuple(reversed(word))
+    out = []
+
+    def place(seq):
+        j = len(seq)
+        if j == len(rev):
+            out.append(seq)
+            return
+        lo = 1 if j == 0 else seq[-1] + (rev[j - 1] < rev[j])
+        for v in range(lo, caps[j] + 1):
+            place(seq + (v,))
+
+    place(())
+    return tuple(out)
+
+
+def test_walks_keep_the_order_of_the_recursion_on_s5():
+    for w in S5:
+        words = list(iter_reduced_words(w))
+        assert words == list(recursive_reduced_words(w)), w
+        for rho in words:
+            assert compatible_sequences(rho) == recursive_compatible(rho), rho
+
+
 def test_word_count_is_shift_invariant_on_s4():
     for w in S4:
         n = len(reduced_words(w))
