@@ -18,6 +18,12 @@ descent until every term's last descent is at most k.  Each truncation
 replaces w by length-preserving chains w-hat (a_1, k)(a_2, k+1) ... and
 the chains concatenate into saturated transposition chains that witness
 the structure constants.
+
+Every truncation endpoint has a smaller last descent than its node, so
+the product drains the tree level by level, by last descent, and expands
+each node once.  The truncation kernel _paths and the chain walk of
+lr_chains run on explicit stacks, so their depth is bounded by memory,
+not by Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -320,43 +326,75 @@ def truncation_paths(w: Sequence[int]) -> tuple[tuple[Perm, tuple[int, ...]], ..
     (((3, 1, 2), (1, 1)),)
     """
     w = canonical(w)
-    return _paths(w, *_descent_data(w))
+    return tuple((e, cols) for e, cols, _, _ in _paths(w, *_descent_data(w)))
 
 
-def _paths(w: Perm, k: int, m: int) -> tuple[tuple[Perm, tuple[int, ...]], ...]:
-    """Kernel: truncation_paths of canonical w, whose _descent_data is (k, m)."""
+def _paths(w: Perm, k: int, m: int) -> list[tuple[Perm, tuple[int, ...], int, int]]:
+    """Kernel: truncation_paths of canonical w, whose _descent_data is (k, m).
+
+    Each endpoint e comes as (e, columns, ld, m') with (ld, m') the
+    _descent_data of e, read off the same scan that strips it.
+    """
     # One word, long enough for every column, swapped in place and
-    # restored on return.
+    # restored.  Column j works position b = k + j; cols[j] is the row
+    # it swapped, and the stack of the walk.  (a, b) is a covering
+    # exactly when lo < p_a < p_b, where lo is the largest value below
+    # p_b in positions a+1..b-1; after a swap is undone, lo is p_a and
+    # the next row to try is a - 1, so a column resumes from cols alone.
     p = _start_word(w, k, m)
-    out: list[tuple[Perm, tuple[int, ...]]] = []
-
-    def go(j: int, acc: tuple[int, ...]) -> None:
-        if j == m:
-            charge()
-            e = _strip(p)
-            ld = _last_descent(e)
-            if ld >= k:
-                raise RuntimeError(f"truncation endpoint {e} keeps a descent at {ld} >= {k}")
-            out.append((e, acc))
-            return
-        b = k + j
+    n = len(p)
+    out: list[tuple[Perm, tuple[int, ...], int, int]] = []
+    cols = [0] * m
+    j, b, a, lo = 0, k, k - 1, 0
+    while True:
         pb = p[b - 1]
-        # (a, b) is a covering exactly when lo < p_a < p_b, where lo is the
-        # largest value below p_b in positions a+1..b-1.
-        lo = 0
-        for c in range(k, b):
-            if lo < p[c - 1] < pb:
-                lo = p[c - 1]
-        for a in range(k - 1, 0, -1):
-            pa = p[a - 1]
-            if lo < pa < pb:
-                lo = pa
-                p[a - 1], p[b - 1] = pb, pa
-                go(j + 1, acc + (a,))
-                p[a - 1], p[b - 1] = pa, pb
-
-    go(0, ())
-    return tuple(out)
+        while a and not lo < p[a - 1] < pb:
+            a -= 1
+        if not a:
+            # Column exhausted: resume the one before it.
+            if not j:
+                return out
+            j -= 1
+            b -= 1
+            a = cols[j]
+            p[a - 1], p[b - 1] = p[b - 1], p[a - 1]
+            lo = p[a - 1]
+            a -= 1
+            continue
+        pa = p[a - 1]
+        p[a - 1], p[b - 1] = pb, pa
+        cols[j] = a
+        if j < m - 1:
+            j += 1
+            b += 1
+            pb = p[b - 1]
+            lo = 0
+            for c in range(k - 1, b - 1):
+                if lo < p[c] < pb:
+                    lo = p[c]
+            a = k - 1
+            continue
+        charge()
+        # Endpoint: strip the trailing fixed points, then walk the
+        # increasing run before them down to the last descent.  The
+        # endpoint has w's length, so it is not the identity.
+        i = n
+        while p[i - 1] == i:
+            i -= 1
+        ld = i - 1
+        while p[ld - 1] < p[ld]:
+            ld -= 1
+        e = tuple(p[:i])
+        if ld >= k:
+            raise RuntimeError(f"truncation endpoint {e} keeps a descent at {ld} >= {k}")
+        top = p[ld - 1]
+        t = ld
+        while t < i and p[t] < top:
+            t += 1
+        out.append((e, tuple(cols), ld, t - ld))
+        p[a - 1], p[b - 1] = pa, pb
+        lo = pa
+        a -= 1
 
 
 def truncate_last_descent(w: Sequence[int]) -> dict[Perm, int]:
@@ -368,7 +406,7 @@ def truncate_last_descent(w: Sequence[int]) -> dict[Perm, int]:
     """
     w = canonical(w)
     out: dict[Perm, int] = {}
-    for p, _ in _paths(w, *_descent_data(w)):
+    for p, _, _, _ in _paths(w, *_descent_data(w)):
         if p in out:
             raise RuntimeError(f"duplicate truncation endpoint {p}")
         out[p] = 1
@@ -398,6 +436,11 @@ def schubert_times_schur(
     most k rows; the expansion is then finite, positive, and supported on
     permutations with last descent at most k.
 
+    The truncation tree is drained by last descent, from the seed's down
+    to k + 1.  Every endpoint's last descent is below its node's, so a
+    level is complete when it is reached, and each node is expanded once
+    with the coefficient summed over all its parents.
+
     >>> schubert_times_schur((), (2, 1), 2)
     {(2, 4, 1, 3): 1}
     """
@@ -406,19 +449,23 @@ def schubert_times_schur(
     _product_preconditions(u, lam, k)
     if not lam:
         return {u: 1}
-    pending: dict[Perm, int] = {_product_seed(u, lam, k): 1}
+    seed = _product_seed(u, lam, k)
+    # No node is the identity: truncation keeps the seed's length.
+    top, m = _descent_data(seed)
+    if top <= k:
+        return {seed: 1}
+    # levels[ld] maps each node with last descent ld to [coefficient, m].
+    levels: list[dict[Perm, list[int]]] = [{} for _ in range(top + 1)]
+    levels[top][seed] = [1, m]
     done: dict[Perm, int] = {}
-    while pending:
-        w = max(pending)
-        c = pending.pop(w)
-        # No node is the identity: truncation keeps the seed's length.
-        kk, m = _descent_data(w)
-        if kk <= k:
-            done[w] = done.get(w, 0) + c
-            continue
-        charge()
-        for p, _ in _paths(w, kk, m):
-            pending[p] = pending.get(p, 0) + c
+    for kk in range(top, k, -1):
+        for w, (c, m) in levels[kk].items():
+            charge()
+            for p, _, ld, mp in _paths(w, kk, m):
+                if ld <= k:
+                    done[p] = done.get(p, 0) + c
+                else:
+                    levels[ld].setdefault(p, [0, mp])[0] += c
     return dict(sorted(done.items()))
 
 
@@ -559,8 +606,12 @@ def lr_chains(
     # in order; each node rewrites its own down-steps into the state it
     # inherits (the rewritten up-steps, and the seed lowered by the
     # surviving down-steps), so no leaf rewrites its path from the root.
-    def go(w: Perm, ups: list[Transposition], base: Perm) -> None:
-        kk, m = _descent_data(w)
+    # The tree is walked depth first on an explicit stack of
+    # (w, its descent data, its own ups list, base); a node's children
+    # are pushed in reverse, so they are visited in _paths order.
+    stack = [(w0, *_descent_data(w0), [], w0)]
+    while stack:
+        w, kk, m, ups, base = stack.pop()
         if kk <= k:
             if base != u:
                 raise RuntimeError(f"down-steps to {w} leave {base}, not u = {u}")
@@ -570,13 +621,11 @@ def lr_chains(
             if chain.endpoint != w:
                 raise RuntimeError(f"chain {chain} ends at {chain.endpoint}, not {w}")
             out.setdefault(w, []).append(chain)
-            return
-        # ups is this node's own list: the caller built it for this call.
+            continue
+        # ups is this node's own list: its parent built it for this node.
         for b in range(kk + m, kk, -1):
             if _push_down(ups, (kk, b)):
                 base = _swap(base, kk, b)
-        for p, cols in _paths(w, kk, m):
-            go(p, ups + [(a, kk + j) for j, a in enumerate(cols)], base)
-
-    go(w0, [], w0)
+        for p, cols, ld, mp in reversed(_paths(w, kk, m)):
+            stack.append((p, ld, mp, ups + [(a, kk + j) for j, a in enumerate(cols)], base))
     return {w: tuple(cs) for w, cs in sorted(out.items())}

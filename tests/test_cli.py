@@ -235,6 +235,17 @@ def test_slide_and_fqs_deeper_than_the_recursion_limit():
     assert out == " + ".join(f"x{i}" for i in range(1, 1101)) + "\n"
 
 
+def test_truncation_deeper_than_the_recursion_limit():
+    # 1 100 truncation columns, and a product whose chain walk passes
+    # about 1 100 tree levels, past Python's default recursion limit: the
+    # truncation kernel and lr_chains keep their own stacks.
+    top = ",".join(map(str, [1101, *range(1, 1101)]))
+    assert run("truncate", ",".join(map(str, [1, 1102, *range(2, 1102)]))) == (0, top + ": 1\n", "")
+    u = ",".join(map(str, [1100, *range(1, 1100)]))
+    assert run("multiply", u, "1", "1") == (0, top + ": 1\n", "")
+    assert run("multiply", u, "1", "1", "--chains") == (0, top + ": 1\n  (1,1101)\n", "")
+
+
 def test_exit_5_on_internal_error(monkeypatch, capsys):
     def broken(w):
         raise RuntimeError(f"duplicate truncation endpoint {w}")

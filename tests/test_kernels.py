@@ -3,7 +3,8 @@
 The kernels trust their input; each must agree with the public function
 that validates first, on canonical words and on words padded with fixed
 points.  The fused truncation tree is checked against a reference built
-from the public is_covering and apply_transposition only, and the
+from the public is_covering and apply_transposition only, the iterative
+truncation kernel against the recursive walk it replaced, and the
 Schubert expansion, whose pivots the kernels build, against divided
 differences.
 """
@@ -30,6 +31,7 @@ from schubcalc import (
 )
 from schubcalc._limits import remaining
 from schubcalc.perm import _covers, _from_code, _last_descent, _strip, _swap, pad
+from schubcalc.transition import _descent_data, _paths, _start_word
 from schubcalc.verify import all_perms
 from oracles import dd_schubert, strip
 
@@ -100,6 +102,55 @@ def test_truncation_paths_match_reference_on_s6():
 @settings(max_examples=300, deadline=None)
 def test_truncation_paths_match_reference(w):
     assert truncation_paths(w) == reference_truncation_paths(w)
+
+
+def recursive_paths(w, k, m):
+    """_paths as a recursion over columns, without the endpoints' descent data."""
+    p = _start_word(w, k, m)
+    out = []
+
+    def go(j, acc):
+        if j == m:
+            out.append((_strip(p), acc))
+            return
+        b = k + j
+        pb = p[b - 1]
+        lo = 0
+        for c in range(k, b):
+            if lo < p[c - 1] < pb:
+                lo = p[c - 1]
+        for a in range(k - 1, 0, -1):
+            pa = p[a - 1]
+            if lo < pa < pb:
+                lo = pa
+                p[a - 1], p[b - 1] = pb, pa
+                go(j + 1, acc + (a,))
+                p[a - 1], p[b - 1] = pa, pb
+
+    go(0, ())
+    return out
+
+
+def check_paths_kernel(w):
+    k, m = _descent_data(w)
+    got = _paths(w, k, m)
+    assert [(e, cols) for e, cols, _, _ in got] == recursive_paths(w, k, m), w
+    for e, _, ld, mp in got:
+        assert (ld, mp) == _descent_data(e), (w, e)
+
+
+def test_paths_kernel_equals_the_recursion_on_s6():
+    for p in permutations(range(1, 7)):
+        w = canonical(p)
+        if w:
+            check_paths_kernel(w)
+
+
+@given(st.integers(8, 9).flatmap(lambda n: st.permutations(range(1, n + 1))).map(canonical))
+@settings(max_examples=300, deadline=None)
+def test_paths_kernel_equals_the_recursion_on_s8_and_s9(w):
+    if w:
+        check_paths_kernel(w)
 
 
 def test_from_code_kernel_on_s6():
