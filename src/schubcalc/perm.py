@@ -198,6 +198,8 @@ def cross(u: Sequence[int], v: Sequence[int], m: int) -> Perm:
     >>> cross((4, 2, 1, 5, 3), (2, 4, 1, 3), 5)
     (4, 2, 1, 5, 3, 7, 9, 6, 8)
     """
+    if m < 0:
+        raise ValueError(f"m must be nonnegative, got {m}")
     u = canonical(u)
     v = canonical(v)
     if len(u) > m:
@@ -214,11 +216,6 @@ def check_partition(lam: Sequence[int]) -> tuple[int, ...]:
     return lam
 
 
-def _check_parts(lam: tuple[int, ...], k: int) -> None:
-    if len(lam) > k:
-        raise ValueError(f"partition {lam!r} has more parts than k={k}")
-
-
 def grassmannian(lam: Sequence[int], k: int) -> Perm:
     """The permutation with code lambda reversed into positions 1..k.
 
@@ -232,7 +229,8 @@ def grassmannian(lam: Sequence[int], k: int) -> Perm:
     lam = check_partition(lam)
     if k < 0:
         raise ValueError("k must be nonnegative")
-    _check_parts(lam, k)
+    if len(lam) > k:
+        raise ValueError(f"partition {lam!r} has more parts than k={k}")
     full = lam + (0,) * (k - len(lam))
     front = tuple(i + full[k - i] for i in range(1, k + 1))
     n = k + (lam[0] if lam else 0)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .perm import Perm, _from_code, canonical, grassmannian, shift
+from .perm import Perm, _from_code, canonical, check_partition, grassmannian, shift
 from .poly import NonExpandableError, Polynomial, _eliminate, slide_polynomial
 # _schubert and _stanley stay bound here: perfbench/tracer.py reads their cache_info().
 from .transition import _node, _schubert, _stanley  # noqa: F401
@@ -87,9 +87,16 @@ def stanley(w: Sequence[int], k: int) -> Polynomial:
 def schur(lam: Sequence[int], k: int) -> Polynomial:
     """Schur polynomial s_lam(x1..xk), via its grassmannian permutation.
 
+    It is 0 when lam has more than k parts: no tableau fits.
+
     >>> str(schur((1, 1), 2))
     'x1*x2'
+    >>> str(schur((1, 1), 1))
+    '0'
     """
+    lam = check_partition(lam)
+    if 0 <= k < len(lam):
+        return Polynomial()
     w = grassmannian(lam, k)
     return _node(w, len(w))
 

@@ -34,14 +34,12 @@ from ._limits import Memo, charge
 from .perm import (
     Perm,
     Transposition,
-    _check_parts,
     _check_transposition,
     _covers,
     _last_descent,
     _strip,
     _swap,
     canonical,
-    check_partition,
     cross,
     grassmannian,
     pad,
@@ -413,18 +411,22 @@ def truncate_last_descent(w: Sequence[int]) -> dict[Perm, int]:
     return out
 
 
-def _product_preconditions(u: Perm, lam: tuple[int, ...], k: int) -> None:
+def _product_seed(u: Sequence[int], v: Perm, k: int) -> tuple[Perm, Perm, int, int]:
+    """The one validated start of the product: canonical u, u x v, and its descent data.
+
+    By the paper's first theorem S_u F_v(x1..xk) is the truncation of
+    S_{u x v} to x1..xk, with v crossed above max(k, len(u)); a leaf of
+    the truncation tree has last descent at most k.  The descent data is
+    (0, 0) for the identity seed, which is already a leaf.
+    """
+    u = canonical(u)
     if k < 1:
         raise ValueError("k must be positive")
-    _check_parts(lam, k)
     ld = _last_descent(u)
     if ld > k:
         raise ValueError(f"last descent of u is {ld}, beyond k={k}")
-
-
-def _product_seed(u: Perm, lam: tuple[int, ...], k: int) -> Perm:
-    n = max(k, len(u))
-    return cross(u, grassmannian(lam, len(lam)), n)
+    seed = cross(u, v, max(k, len(u)))
+    return (u, seed, *(_descent_data(seed) if seed else (0, 0)))
 
 
 def schubert_times_schur(
@@ -432,9 +434,11 @@ def schubert_times_schur(
 ) -> dict[Perm, int]:
     """Schubert expansion of the product with s_lam(x1..xk).
 
-    Requires the last descent of u to be at most k and lam to have at
-    most k rows; the expansion is then finite, positive, and supported on
-    permutations with last descent at most k.
+    Requires the last descent of u to be at most k; the expansion is
+    then finite, positive, and supported on permutations with last
+    descent at most k.  s_lam(x1..xk) = F_{v_lam}(x1..xk), so the product
+    is the truncation of S_{u x v_lam}; a lam with more than k rows gives
+    a tree with no leaf, and the product 0.
 
     The truncation tree is drained by last descent, from the seed's down
     to k + 1.  Every endpoint's last descent is below its node's, so a
@@ -444,14 +448,8 @@ def schubert_times_schur(
     >>> schubert_times_schur((), (2, 1), 2)
     {(2, 4, 1, 3): 1}
     """
-    u = canonical(u)
-    lam = check_partition(lam)
-    _product_preconditions(u, lam, k)
-    if not lam:
-        return {u: 1}
-    seed = _product_seed(u, lam, k)
-    # No node is the identity: truncation keeps the seed's length.
-    top, m = _descent_data(seed)
+    _, seed, top, m = _product_seed(u, grassmannian(lam, len(lam)), k)
+    # No node below the seed is the identity: truncation keeps its length.
     if top <= k:
         return {seed: 1}
     # levels[ld] maps each node with last descent ld to [coefficient, m].
@@ -594,12 +592,7 @@ def lr_chains(
     >>> {w: [str(c) for c in cs] for w, cs in lr_chains((), (2, 1), 2).items()}
     {(2, 4, 1, 3): ['(2,3)(1,3)(2,4)']}
     """
-    u = canonical(u)
-    lam = check_partition(lam)
-    _product_preconditions(u, lam, k)
-    if not lam:
-        return {u: (Chain._trusted(u, (), ()),)}
-    w0 = _product_seed(u, lam, k)
+    u, w0, kk, m = _product_seed(u, grassmannian(lam, len(lam)), k)
     out: dict[Perm, list[Chain]] = {}
 
     # The raw word of a leaf is its path's down-steps and lifted up-steps
@@ -609,7 +602,7 @@ def lr_chains(
     # The tree is walked depth first on an explicit stack of
     # (w, its descent data, its own ups list, base); a node's children
     # are pushed in reverse, so they are visited in _paths order.
-    stack = [(w0, *_descent_data(w0), [], w0)]
+    stack = [(w0, kk, m, [], w0)]
     while stack:
         w, kk, m, ups, base = stack.pop()
         if kk <= k:

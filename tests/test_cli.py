@@ -201,13 +201,24 @@ def test_exit_2_on_malformed_input():
 
 
 def test_exit_3_on_precondition_violation():
-    code, _, err = run("schur", "2,1", "1")
-    assert code == 3 and err.startswith("error:")
+    assert run("monk", "21", "0") == (3, "", "error: k must be positive\n")
     assert run("schur", "1", "-1") == (3, "", "error: k must be nonnegative\n")
     code, _, err = run("multiply", "42153", "2,1", "2")
     assert code == 3 and err.startswith("error:")
     code, out, err = run("verify", "--suite", "slides", "--nmax", "-1")
     assert (code, out) == (3, "") and err.startswith("error:")
+
+
+def test_more_parts_than_variables_is_zero():
+    # schur, stanley, fqs, multiply, --chains and coeff agree: 0, exit 0.
+    assert run("schur", "2,1", "1") == (0, "0\n", "")
+    assert run("schur", "2,1", "0") == (0, "0\n", "")
+    assert run("stanley", "321", "1") == (0, "0\n", "")
+    assert run("fqs", "3,1", "0") == (0, "0\n", "")
+    assert run("multiply", "21", "2,1", "1") == (0, "0\n", "")
+    assert run("multiply", "21", "2,1", "1", "--format", "json") == (0, '{"terms": []}\n', "")
+    assert run("multiply", "21", "2,1", "1", "--chains") == (0, "0\n", "")
+    assert run("coeff", "21", "2,1", "1", "312") == (0, "0\n", "")
 
 
 def test_exit_4_on_term_budget():

@@ -1,0 +1,90 @@
+"""What perfbench/ needs from the library, checked without changing perfbench/.
+
+The benchmark's tracer reads the memos through cache_info(), counts work
+by rebinding each producer module's charge, and the cli workload sizes
+its --timeout-terms budgets from the traced count of a cold command.  A
+rename or a moved charge() keeps the library's own tests green but
+breaks those budgets, so the contract is pinned here.  Every check runs
+in a fresh process, with cold memos as in the benchmark.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import schubcalc
+
+SRC = os.path.dirname(os.path.dirname(schubcalc.__file__))
+ROOT = os.path.dirname(SRC)
+PERFBENCH = os.path.join(ROOT, "perfbench")
+ENV = {**os.environ, "PYTHONPATH": SRC}
+TIMEOUT = 120
+
+
+def python(*args):
+    proc = subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=ENV, cwd=ROOT, timeout=TIMEOUT
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+TABLES = f"""
+import importlib, json, sys
+sys.path.insert(0, {PERFBENCH!r})
+import tracer
+from schubcalc import _limits
+report = {{"caches": [], "charges": []}}
+for metric, module, name in tracer.CACHES:
+    info = getattr(importlib.import_module("schubcalc." + module), name).cache_info()
+    report["caches"].append([metric, module, name, info.hits, info.misses])
+for module in tracer.CHARGE_LABELS:
+    bound = importlib.import_module("schubcalc." + module).charge is _limits.charge
+    report["charges"].append([module, bound])
+print(json.dumps(report))
+"""
+
+
+def test_tracer_tables_name_live_caches_and_charges():
+    code, out, err = python("-c", TABLES)
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["caches"] and report["charges"]
+    for metric, module, name, hits, misses in report["caches"]:
+        assert isinstance(hits, int) and isinstance(misses, int), (metric, module, name)
+    for module, bound in report["charges"]:
+        assert bound, f"schubcalc.{module}.charge is not _limits.charge"
+
+
+def traced_charge(argv):
+    """limits.charged of one cold traced command, as the cli workload measures it."""
+    code, out, err = python(
+        "-S",
+        os.path.join(PERFBENCH, "worker.py"),
+        "--mode", "cli-one", "--workload", "cli", "--argv", json.dumps(argv),
+    )
+    assert code == 0, err
+    rec = json.loads(out.splitlines()[-1])
+    assert rec["code"] == 0, rec
+    return rec["counts"].get("limits.charged", 0), rec["stdout"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["multiply", "42153", "2,1", "5"],
+        ["multiply", "42153", "2,1", "5", "--chains"],
+        ["schubert", "42153"],
+        ["multiply", "21", "2,1", "1"],
+    ],
+    ids=" ".join,
+)
+def test_traced_charge_is_the_exact_budget(argv):
+    charged, stdout = traced_charge(argv)
+    assert charged > 0
+    code, out, err = python("-m", "schubcalc", *argv, "--timeout-terms", str(charged))
+    assert (code, out, err) == (0, stdout, "")
+    code, out, err = python("-m", "schubcalc", *argv, "--timeout-terms", str(charged - 1))
+    assert (code, out) == (4, ""), err

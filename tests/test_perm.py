@@ -142,6 +142,15 @@ def test_cross_examples():
         cross((2, 1, 4, 3), (2, 1), 2)
 
 
+def test_cross_rejects_a_negative_m():
+    # The width is checked before u, which moves nothing here.
+    with pytest.raises(ValueError, match=r"^m must be nonnegative, got -1$"):
+        cross((), (2, 1), -1)
+    with pytest.raises(ValueError, match=r"^m must be nonnegative, got -2$"):
+        cross((2, 1), (), -2)
+    assert cross((), (2, 1), 0) == (2, 1)
+
+
 def test_cross_length_and_descents_on_s3_pairs():
     s3 = [canonical(p) for p in permutations(range(1, 4))]
     for u in s3:

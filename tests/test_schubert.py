@@ -230,15 +230,18 @@ def test_schur_examples():
     p = schur((2, 1), 3)
     assert len(p.terms) == 7 and sum(p.terms.values()) == 8
     assert schur((), 2) == Polynomial({(): 1})
-    with pytest.raises(ValueError):
-        schur((2, 1), 1)
+    # More parts than variables: no tableau fits, so the polynomial is 0.
+    assert schur((2, 1), 1) == Polynomial()
+    with pytest.raises(ValueError, match="not a partition"):
+        schur((1, 2), 1)
+    with pytest.raises(ValueError, match="k must be nonnegative"):
+        schur((2, 1), -1)
 
 
 def test_schur_matches_tableau_oracle():
+    # k < len(lam) included: both sides are 0 there.
     for lam in all_partitions(6):
-        for k in range(len(lam), 5):
-            if k == 0:
-                continue
+        for k in range(5):
             assert dict(schur(lam, k).terms) == ssyt_schur(lam, k), (lam, k)
 
 

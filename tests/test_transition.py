@@ -19,6 +19,7 @@ from schubcalc import (
     canonical,
     cross_identity_check,
     format_chain,
+    grassmannian,
     length,
     lr_chains,
     lr_coefficient,
@@ -36,7 +37,7 @@ from schubcalc import (
 )
 from schubcalc.transition import _product_seed, _push_downs_left
 from schubcalc.verify import all_partitions, all_perms, basis_vector
-from oracles import alternating_chains, chain_end, last_descent
+from oracles import alternating_chains, chain_end, last_descent, ssyt_schur
 
 PRODUCT_42153_21 = {
     (4, 2, 3, 5, 7, 1, 6): 1,
@@ -183,8 +184,8 @@ def test_product_identity_and_monk_cases():
 def test_product_preconditions():
     with pytest.raises(ValueError):
         schubert_times_schur((1, 3, 2), (1,), 1)  # last descent 2 > k
-    with pytest.raises(ValueError):
-        schubert_times_schur((2, 1), (1, 1), 1)  # two rows, k = 1
+    # Two rows, k = 1: s_(1,1)(x1) = 0, so the product is 0, not an error.
+    assert schubert_times_schur((2, 1), (1, 1), 1) == {}
     with pytest.raises(ValueError):
         schubert_times_schur((2, 1), (1,), 0)
     with pytest.raises(ValueError):
@@ -192,12 +193,33 @@ def test_product_preconditions():
 
 
 def test_too_many_parts_has_one_message():
+    # Only grassmannian still rejects more parts than k; the polynomial
+    # and the product built from it are 0 there.
     with pytest.raises(ValueError, match=r"^partition \(2, 1\) has more parts than k=1$"):
-        schur((2, 1), 1)
-    with pytest.raises(ValueError, match=r"^partition \(2, 1\) has more parts than k=1$"):
-        schubert_times_schur((2, 1), (2, 1), 1)
+        grassmannian((2, 1), 1)
     with pytest.raises(ValueError, match=r"^partition \(1,\) has more parts than k=0$"):
-        schur((1,), 0)
+        grassmannian((1,), 0)
+    assert schur((2, 1), 1) == Polynomial() == schur((1,), 0)
+    assert schubert_times_schur((2, 1), (2, 1), 1) == {}
+
+
+def test_more_parts_than_variables_is_zero_on_s4():
+    # s_lam(x1..xk) = 0 when lam has more than k parts, and the truncation
+    # tree seeded with u x v_lam then has no leaf.  The oracle multiplies
+    # by the tableau generating function, which does not go through schur.
+    cases = 0
+    for u in all_perms(4):
+        for lam in all_partitions(4):
+            for k in range(max(1, last_descent(u) or 0), len(lam)):
+                cases += 1
+                want = schubert_expand(schubert(u) * Polynomial(ssyt_schur(lam, k)))
+                assert want == {}
+                assert schubert_times_schur(u, lam, k) == want, (u, lam, k)
+                assert lr_chains(u, lam, k) == {}, (u, lam, k)
+                for w in all_perms(5):
+                    if length(w) == length(u) + sum(lam):
+                        assert lr_coefficient(u, lam, k, w) == 0, (u, lam, k, w)
+    assert cases == 88
 
 
 def test_product_matches_oracle_on_s4():
@@ -287,10 +309,7 @@ def lr_chains_rewriting_each_leaf(u, lam, k):
     node on its path, each followed by the up-steps of the chosen
     truncation columns; one _push_downs_left per leaf sorts it.
     """
-    u = canonical(u)
-    if not lam:
-        return {u: (Chain(u, (), ()),)}
-    w0 = _product_seed(u, tuple(lam), k)
+    u, w0, _, _ = _product_seed(u, grassmannian(lam, len(lam)), k)
     out = {}
 
     def go(w, raw):
