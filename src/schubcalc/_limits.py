@@ -8,7 +8,11 @@ the only limit on work; without a budget an enumeration runs to the end.
 
 Their results are kept in memos, each bounded by the items its values
 hold (monomials for a polynomial, words for a word list), MEMO_BOUND
-items per memo.
+items per memo.  A memo stores a new entry at its cold end and moves an
+entry to its hot end when it is read (the LRU insertion policy of
+Qureshi et al., ISCA 2007): an entry that is stored and never read
+again, such as the result of a one-off construction, is evicted before
+the entries that lookups read.
 """
 
 from __future__ import annotations
@@ -67,10 +71,12 @@ class Memo(OrderedDict):
     """Values by key, bounded by the items they hold.
 
     size(value) is the number of items a value holds.  Each memo has one
-    reader: it calls get() and counts a hit itself.  put() counts a miss
-    and evicts entries in the order they were stored (a hit does not
-    refresh one) until the new one fits.  An entry larger than the bound
-    is still stored, alone.
+    reader: it calls find() and, on a miss, put().  put() counts a miss,
+    evicts from the cold end until the new entry fits, and stores the new
+    entry at the cold end.  find() counts a hit and moves the entry to
+    the hot end.  So an entry that was never read is evicted first,
+    newest first, and one that was read ages in least-recently-read
+    order.  An entry larger than the bound is still stored, alone.
     """
 
     def __init__(self, size):
@@ -79,12 +85,21 @@ class Memo(OrderedDict):
         self.bound = MEMO_BOUND
         self.held = self.hits = self.misses = 0
 
+    def find(self, key):
+        """The value stored under key, or None; a hit moves it to the hot end."""
+        value = self.get(key)
+        if value is not None:
+            self.hits += 1
+            self.move_to_end(key)
+        return value
+
     def put(self, key, value) -> None:
         self.misses += 1
         n = self.size(value)
         while self and self.held + n > self.bound:
             self.held -= self.size(self.popitem(last=False)[1])
         self[key] = value
+        self.move_to_end(key, last=False)
         self.held += n
 
     def cache_info(self) -> SimpleNamespace:

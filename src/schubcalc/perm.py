@@ -8,8 +8,8 @@ Positions and values are 1-based throughout.
 The module has two layers.  Public functions accept any one-line
 notation, validate it once through canonical(), and return canonical
 output; those that build a word (shift, cross, grassmannian) end with
-_strip.  The private kernels (_strip, _last_descent, _swap, _covers)
-trust their input, a permutation word, canonical or padded with
+_strip.  The private kernels (_strip, _last_descent, _swap, _covers,
+_cross) trust their input, a permutation word, canonical or padded with
 trailing fixed points, and check nothing; _from_code likewise trusts a
 code to be nonnegative.  Loops that call many kernels validate once at
 their entry.
@@ -204,6 +204,11 @@ def cross(u: Sequence[int], v: Sequence[int], m: int) -> Perm:
     v = canonical(v)
     if len(u) > m:
         raise ValueError(f"u moves position {len(u)} beyond m={m}")
+    return _cross(u, v, m)
+
+
+def _cross(u: Perm, v: Perm, m: int) -> Perm:
+    """Kernel: cross for canonical u and v with len(u) <= m."""
     return _strip(pad(u, m) + tuple(x + m for x in v))
 
 

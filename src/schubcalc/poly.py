@@ -295,12 +295,10 @@ _placements = Memo(_monomials)
 def _placed(parts: tuple[int, ...], npos: int, floor: tuple[int, ...] | None) -> Polynomial:
     """_place through the _placements memo, charged one unit per monomial, hit or miss."""
     key = (parts, npos, floor)
-    p = _placements.get(key)
+    p = _placements.find(key)
     if p is None:
         p = _place(parts, npos, floor)
         _placements.put(key, p)
-    else:
-        _placements.hits += 1
     charge(len(p._keys))
     return p
 

@@ -36,11 +36,11 @@ from .perm import (
     Transposition,
     _check_transposition,
     _covers,
+    _cross,
     _last_descent,
     _strip,
     _swap,
     canonical,
-    cross,
     grassmannian,
     pad,
 )
@@ -62,7 +62,11 @@ def _node(w: Perm, k: int) -> Polynomial:
     (the length of w for the longest element) is bounded by memory, not
     by Python's recursion limit.  A node asks for its children one at a
     time and each is looked up only when the one before it is complete,
-    so memo hits, misses and evictions come in depth-first order.
+    so memo hits, misses and evictions come in depth-first order.  A
+    child computed here goes to its parent directly, not through find(),
+    so it stays at the memo's cold end, first to be evicted, until a
+    later lookup reads it; the shared nodes that lookups do read are
+    kept.
     """
     stack: list[Generator[Perm, Polynomial, Polynomial]] = []
     while True:
@@ -76,13 +80,11 @@ def _node(w: Perm, k: int) -> Polynomial:
                 memo, key = _schubert, w
             else:
                 memo, key = _stanley, (w, k)
-            p = memo.get(key)
+            p = memo.find(key)
             if p is None:
                 # One unit of budget per computed node, before its children.
                 charge()
                 stack.append(_transition(w, k, r, memo, key))
-            else:
-                memo.hits += 1
         # Hand p to the node that asked for it (None starts a new node),
         # finishing nodes until one asks for another child.
         while stack:
@@ -414,6 +416,9 @@ def truncate_last_descent(w: Sequence[int]) -> dict[Perm, int]:
 def _product_seed(u: Sequence[int], v: Perm, k: int) -> tuple[Perm, Perm, int, int]:
     """The one validated start of the product: canonical u, u x v, and its descent data.
 
+    v must be canonical, as grassmannian returns it; u is validated here,
+    once, and crossed with the trusted kernel.
+
     By the paper's first theorem S_u F_v(x1..xk) is the truncation of
     S_{u x v} to x1..xk, with v crossed above max(k, len(u)); a leaf of
     the truncation tree has last descent at most k.  The descent data is
@@ -425,7 +430,7 @@ def _product_seed(u: Sequence[int], v: Perm, k: int) -> tuple[Perm, Perm, int, i
     ld = _last_descent(u)
     if ld > k:
         raise ValueError(f"last descent of u is {ld}, beyond k={k}")
-    seed = cross(u, v, max(k, len(u)))
+    seed = _cross(u, v, max(k, len(u)))
     return (u, seed, *(_descent_data(seed) if seed else (0, 0)))
 
 

@@ -99,12 +99,10 @@ def reduced_words(w: Sequence[int]) -> tuple[Word, ...]:
     ((1, 3), (3, 1))
     """
     w = canonical(w)
-    out = _reduced_words.get(w)
+    out = _reduced_words.find(w)
     if out is None:
         out = _sorted_walk(w)
         _reduced_words.put(w, out)
-    else:
-        _reduced_words.hits += 1
     charge(len(out))
     return out
 

@@ -19,6 +19,7 @@ from schubcalc import (
     apply_transposition,
     canonical,
     code,
+    cross,
     from_code,
     is_covering,
     last_descent,
@@ -30,7 +31,7 @@ from schubcalc import (
     truncation_paths,
 )
 from schubcalc._limits import remaining
-from schubcalc.perm import _covers, _from_code, _last_descent, _strip, _swap, pad
+from schubcalc.perm import _covers, _cross, _from_code, _last_descent, _strip, _swap, pad
 from schubcalc.transition import _descent_data, _paths, _start_word
 from schubcalc.verify import all_perms
 from oracles import dd_schubert, strip
@@ -56,6 +57,8 @@ def test_kernels_equal_public_functions(case):
     assert _swap(c, a, b) == _swap(padded, a, b) == apply_transposition(w, (a, b))
     assert _covers(pad(c, b), a, b) == _covers(pad(padded, b), a, b) == is_covering(w, (a, b))
     assert _last_descent(c) == _last_descent(padded) == (last_descent(w) or 0)
+    m = len(w) + extra
+    assert _cross(c, c, m) == cross(padded, w, m)
 
 
 @given(perm_and_transposition())

@@ -24,7 +24,7 @@ from schubcalc import (
     stanley,
     term_budget,
 )
-from schubcalc._limits import MEMO_BOUND, charge
+from schubcalc._limits import MEMO_BOUND, Memo, charge
 from schubcalc.perm import _last_descent
 from schubcalc.transition import _schubert, _stanley
 
@@ -66,9 +66,8 @@ def recursive_node(w, k):
         return T._ONE
     r = _last_descent(w)
     memo, key = (_schubert, w) if r <= k else (_stanley, (w, k))
-    p = memo.get(key)
+    p = memo.find(key)
     if p is not None:
-        memo.hits += 1
         return p
     charge()
     step = T._transition(w, k, r, memo, key)
@@ -92,6 +91,89 @@ def test_the_stack_keeps_the_memo_traffic_of_the_recursion(monkeypatch):
         monkeypatch.setattr(memo, "bound", 300)
     items = [(w, k) for w in permutations(range(1, 7)) for k in (2, 6)]
     assert memo_traffic(T._node, items) == memo_traffic(recursive_node, items)
+
+
+# The eviction policy on bare memos, whose values are strings of their size.
+
+
+def bare(bound, *keys):
+    """A Memo(len) of the given bound, with each key put unread, in order."""
+    memo = Memo(len)
+    memo.bound = bound
+    for key in keys:
+        memo.put(key, key)
+    return memo
+
+
+def test_the_newest_unread_entry_is_evicted_first():
+    memo = bare(3, "a", "b", "c")
+    # Iteration runs from the cold end: new entries are stored there.
+    assert list(memo) == ["c", "b", "a"]
+    memo.put("d", "d")
+    assert list(memo) == ["d", "b", "a"]
+
+
+def test_an_entry_read_once_outlives_a_flood_of_puts():
+    memo = bare(3, "a", "b")
+    assert memo.find("a") == "a"
+    for i in range(100):
+        memo.put(i, "x")
+    # Each new put evicts the one before it: unread entries go newest first.
+    assert list(memo) == [99, "b", "a"] and memo.held == 3
+
+
+def test_an_entry_larger_than_the_bound_is_kept_alone():
+    memo = bare(3, "a", "b")
+    memo.find("a")
+    # Read entries sit at the hot end, unread ones at the cold end.
+    assert list(memo) == ["b", "a"]
+    memo.put("big", "xxxxx")
+    assert list(memo) == ["big"] and memo.held == 5
+    memo.put("c", "c")
+    assert list(memo) == ["c"] and memo.held == 1
+
+
+# Sizes by key for the list model; key 6 is larger than the bound of 5.
+SIZES = {key: 1 + key % 3 for key in range(6)} | {6: 7}
+
+
+@given(st.lists(st.integers(min_value=0, max_value=6), max_size=60))
+@settings(max_examples=200, deadline=None)
+def test_the_memo_matches_a_list_model(keys):
+    memo = Memo(len)
+    memo.bound = 5
+    model = []  # [key, size] pairs, cold end first
+    hits = misses = 0
+    for key in keys:
+        size = SIZES[key]
+        if memo.find(key) is None:
+            memo.put(key, "x" * size)
+        if [key, size] in model:
+            hits += 1
+            model.remove([key, size])
+            model.append([key, size])
+        else:
+            misses += 1
+            while model and sum(s for _, s in model) + size > 5:
+                model.pop(0)
+            model.insert(0, [key, size])
+        assert list(memo) == [k for k, _ in model]
+        assert memo.held == sum(s for _, s in model)
+        assert (memo.hits, memo.misses) == (hits, misses)
+    assert memo.find(-1) is None and memo.hits == hits
+
+
+def test_a_cold_scan_of_s6_misses_a_pinned_count(monkeypatch):
+    # With FIFO eviction this scan makes 1 551 hits and 1 200 misses: in
+    # lexicographic order the next permutation reuses the nodes just built,
+    # and a node handed to its parent is stored unread, at the cold end.
+    # The construct benchmark draws distinct inputs instead, where the
+    # policy cuts the misses by 44 %.
+    monkeypatch.setattr(_schubert, "bound", 300)
+    clear()
+    for w in permutations(range(1, 7)):
+        schubert(w)
+    assert (_schubert.hits, _schubert.misses) == (1903, 1920)
 
 
 def items(value):
