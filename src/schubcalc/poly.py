@@ -17,6 +17,13 @@ Public functions validate their input once.  The private kernel _slide
 builds a slide polynomial from a composition that is already stripped
 and nonnegative, such as a key of a Polynomial, and checks nothing;
 slide_expand builds its pivots with it.
+
+Basis expansion (_eliminate) clears the largest packed key at each step.
+It hands its pivot that key and the slot width, and takes back the
+basis element's keys at that width, so a pivot can answer from a memo
+keyed by the packed int, with no unpacking: schubert_expand's pivots
+do.  slide_expand's do not, since each of its pivots charges its
+monomials, hit or miss.
 """
 
 from __future__ import annotations
@@ -345,12 +352,15 @@ def fundamental_quasisym(alpha: Sequence[int], k: int) -> Polynomial:
     return _placed(al, k, None)
 
 
-def _eliminate(p: Polynomial, pivot: Callable[[tuple[int, ...]], tuple[object, Polynomial]]) -> dict:
-    # Clear the largest key m with pivot(m) = (key, basis element), whose
-    # largest key must be m, so the maximum strictly decreases.  pivot
-    # receives m as an exponent tuple, and its basis element has degree
-    # at most that of m, so p's slots hold it.  The result is ordered by
-    # those tuples, ascending.
+def _eliminate(
+    p: Polynomial, pivot: Callable[[int, int], tuple[tuple[int, ...], object, Mapping[int, int]]]
+) -> dict:
+    # Clear the largest key m with pivot(m, bits) = (e, key, keys): e is
+    # the exponent tuple of m, key the basis label and keys the basis
+    # element's monomials packed with slots of bits bits (p's width).  Its
+    # largest key must be m, so the maximum strictly decreases; its degree
+    # is at most that of m, so p's slots hold it.  The result is ordered
+    # by the tuples e, ascending.
     bits = p._bits
     work = dict(p._keys)
     found = []
@@ -359,11 +369,10 @@ def _eliminate(p: Polynomial, pivot: Callable[[tuple[int, ...]], tuple[object, P
         m = max(work)
         if last is not None and m >= last:
             raise NonExpandableError(f"pivot {_unpack(last, bits)} did not clear the maximum")
-        e = _unpack(m, bits)
-        key, basis = pivot(e)
+        e, key, keys = pivot(m, bits)
         c = work[m]
         found.append((e, key, c))
-        for b, cb in _lift(basis, bits).items():
+        for b, cb in keys.items():
             c2 = work.get(b, 0) - c * cb
             if c2:
                 work[b] = c2
@@ -384,4 +393,11 @@ def slide_expand(p: Polynomial) -> dict[Composition, int]:
     >>> slide_expand(Polynomial({(1, 1): 1, (2,): -1}))
     {(1, 1): 1, (2,): -1}
     """
-    return _eliminate(p, lambda m: (m, _slide(m)))
+
+    def pivot(m: int, bits: int) -> tuple[Composition, Composition, dict[int, int]]:
+        # Built through _placed on every pivot, so each charges its
+        # monomials, hit or miss.
+        e = _unpack(m, bits)
+        return e, e, _lift(_slide(e), bits)
+
+    return _eliminate(p, pivot)

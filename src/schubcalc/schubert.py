@@ -8,14 +8,22 @@ stability: F_v(x1..xk) = S_{1^k x v}(x1..xk, 0, ...).  The reduced-word
 constructors schubert_via_slides (slide polynomials of weak descent
 compositions) and schubert_via_compatible (compatible sequences) are
 independent oracles and are not used by the others.
+
+schubert_expand resolves each pivot by its packed monomial through the
+_pivots memo: one read gives the exponent tuple, the permutation and
+its Schubert polynomial's keys, where a miss unpacks the monomial,
+builds the permutation from its code and looks the polynomial up with
+_node.  A pivot is checked on its miss, before it is stored, so the
+memo holds only pivots that clear their monomial.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
+from ._limits import Memo
 from .perm import Perm, _from_code, canonical, check_partition, grassmannian, shift
-from .poly import NonExpandableError, Polynomial, _eliminate, slide_polynomial
+from .poly import NonExpandableError, Polynomial, _eliminate, _lift, _unpack, slide_polynomial
 # _schubert and _stanley stay bound here: perfbench/tracer.py reads their cache_info().
 from .transition import _node, _schubert, _stanley  # noqa: F401
 from .words import (
@@ -101,6 +109,19 @@ def schur(lam: Sequence[int], k: int) -> Polynomial:
     return _node(w, len(w))
 
 
+def _pivot_size(entry: tuple[tuple[int, ...], Perm, dict[int, int]]) -> int:
+    """The size of a pivot in a memo: the monomials of its Schubert polynomial."""
+    return len(entry[2])
+
+
+# The pivots of schubert_expand by (packed monomial, slot width): the same
+# int is another monomial at another width.  An entry is (exponent tuple,
+# permutation, keys of its Schubert polynomial at that width); at the
+# width of a transition memo entry the keys are that entry's own dict.
+# schubert_expand is the only reader.
+_pivots = Memo(_pivot_size)
+
+
 def schubert_expand(
     p: Polynomial, *, degree: int | None = None, ambient: int | None = None
 ) -> dict[Perm, int]:
@@ -110,8 +131,12 @@ def schubert_expand(
     last variable back; it is the code of exactly one permutation and
     the largest monomial of that permutation's Schubert polynomial in the
     same order.  With ambient=N, any permutation moving a value
-    beyond position N raises NoSolutionError; degree, when given, is
-    checked against the polynomial.
+    beyond position N raises NoSolutionError, whether or not the pivot
+    is in the memo; degree, when given, is checked against the
+    polynomial.  Pivots come from the _pivots memo, keyed by packed
+    monomial and slot width; a pivot whose Schubert polynomial does not
+    have it as its largest monomial raises NonExpandableError before it
+    is stored.
 
     >>> schubert_expand(Polynomial({(1,): 1, (0, 1): 1}))
     {(1, 3, 2): 1}
@@ -122,13 +147,28 @@ def schubert_expand(
     if degree is not None and degs and degs != {degree}:
         raise ValueError(f"polynomial has degree {degs.pop()}, expected {degree}")
 
-    def pivot(m: tuple[int, ...]) -> tuple[Perm, Polynomial]:
-        # Keys of a Polynomial are nonnegative, so m is a valid code.
-        w = _from_code(m)
+    def pivot(m: int, bits: int) -> tuple[tuple[int, ...], Perm, dict[int, int]]:
+        entry = _pivots.find((m, bits))
+        if entry is None:
+            e = _unpack(m, bits)
+            # Keys of a Polynomial are nonnegative, so e is a valid code.
+            w = _from_code(e)
+        else:
+            e, w, _ = entry
         if ambient is not None and len(w) > ambient:
             raise NoSolutionError(
-                f"pivot {m} needs a permutation of {len(w)} values, ambient is {ambient}"
+                f"pivot {e} needs a permutation of {len(w)} values, ambient is {ambient}"
             )
-        return w, _node(w, len(w))
+        if entry is None:
+            keys = _lift(_node(w, len(w)), bits)
+            # Checked before the put, so a wrong entry is never stored.
+            if max(keys, default=-1) != m:
+                raise NonExpandableError(
+                    f"pivot {e} is not the largest monomial of the Schubert polynomial of {w}"
+                )
+            entry = (e, w, keys)
+            _pivots.put((m, bits), entry)
+        return entry
 
     return _eliminate(p, pivot)
+

@@ -1,6 +1,7 @@
-"""The four memos: invisible in results, budgeted alike cold and warm,
+"""The five memos: invisible in results, budgeted alike cold and warm,
 and bounded by the items they hold."""
 
+import importlib
 from itertools import permutations, product
 
 import pytest
@@ -19,14 +20,18 @@ from schubcalc import (
     iter_reduced_words,
     reduced_words,
     schubert,
+    schubert_expand,
     schur,
     slide_polynomial,
     stanley,
     term_budget,
 )
-from schubcalc._limits import MEMO_BOUND, Memo, charge
+from schubcalc._limits import MEMO_BOUND, Memo, charge, remaining
 from schubcalc.perm import _last_descent
 from schubcalc.transition import _schubert, _stanley
+
+# schubcalc.schubert as an attribute is the function, not the module.
+_pivots = importlib.import_module("schubcalc.schubert")._pivots
 
 # The transition memos, read by _node.
 MEMOS = (_schubert, _stanley)
@@ -176,9 +181,13 @@ def test_a_cold_scan_of_s6_misses_a_pinned_count(monkeypatch):
     assert (_schubert.hits, _schubert.misses) == (1903, 1920)
 
 
-def items(value):
-    """What a memo entry holds: monomials of a polynomial, words of a list."""
-    return len(value) if isinstance(value, tuple) else len(value.terms)
+def items(memo):
+    """The items each entry of a memo holds, as the memo itself sizes them."""
+    return [memo.size(value) for value in memo.values()]
+
+
+def expand_product(u, v):
+    return schubert_expand(schubert(u) * schubert(v))
 
 
 # Each memo with calls that read it: a sample, and a flood that overfills
@@ -209,6 +218,15 @@ MEMO_CALLS = [
         [(reduced_words, ((4, 2, 1, 5, 3),)), (reduced_words, ((3, 2, 1, 5, 4),))],
         [(reduced_words, (w,)) for w in permutations(range(1, 6))],
     ),
+    (
+        _pivots,
+        [
+            (expand_product, ((4, 2, 1, 5, 3), (2, 1, 4, 3))),
+            (expand_product, ((1, 3, 2), (1, 3, 2))),
+            (expand_product, ((3, 1, 2), (2, 3, 1))),
+        ],
+        [(expand_product, uv) for uv in product(permutations(range(1, 5)), repeat=2)],
+    ),
 ]
 
 
@@ -221,7 +239,7 @@ def test_results_do_not_depend_on_the_memo(monkeypatch):
         assert [repr(fn(*args)) for fn, args in sample] == cold
 
         monkeypatch.setattr(memo, "bound", FLOOD_BOUND)
-        largest = max(map(items, memo.values()))
+        largest = max(items(memo))
         stored = []
         put = memo.put
 
@@ -229,8 +247,8 @@ def test_results_do_not_depend_on_the_memo(monkeypatch):
             nonlocal largest
             put(key, value)
             stored.append(key)
-            largest = max(largest, items(value))
-            assert memo.held == sum(map(items, memo.values()))
+            largest = max(largest, memo.size(value))
+            assert memo.held == sum(items(memo))
             assert memo.held <= memo.bound + largest
 
         monkeypatch.setattr(memo, "put", checked_put)
@@ -257,6 +275,7 @@ def test_cache_info_counts_hits_and_misses():
         (poly._placements, lambda: slide_polynomial((0, 2, 1))),
         (poly._placements, lambda: fundamental_quasisym((2, 1), 3)),
         (words._reduced_words, lambda: reduced_words((3, 1, 4, 2))),
+        (_pivots, lambda p=schubert((4, 2, 1, 5, 3)): schubert_expand(p)),
     ):
         call()
         before = [(m.hits, m.misses) for m in memos]
@@ -270,6 +289,21 @@ def test_budget_stops_a_cold_construction():
     with pytest.raises(TermBudgetExceeded):
         with term_budget(3):
             schubert((5, 8, 2, 7, 1, 6, 4, 3))
+
+
+def test_schubert_expand_charges_its_cold_pivots_only():
+    # A cold expansion charges the transition nodes of its pivots; a warm
+    # one reads every pivot from _pivots and charges nothing.
+    p = schubert((4, 2, 1, 5, 3)) * schubert((2, 1, 4, 3))
+    for memo, _, _ in MEMO_CALLS:
+        memo.cache_clear()
+    charged = []
+    for _ in range(2):
+        with term_budget(10**6):
+            got = schubert_expand(p)
+            charged.append(10**6 - remaining())
+        assert len(got) == 5
+    assert charged == [17, 0]
 
 
 def nodes(item):

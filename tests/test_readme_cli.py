@@ -184,3 +184,22 @@ def test_readme_commands_under_dash_S_dash_O():
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert json.loads(proc.stdout) == want
+
+
+def test_readme_commands_do_not_depend_on_the_hash_seed():
+    # str hashes, and so the order of a set or a str-keyed dict, change with
+    # PYTHONHASHSEED; stdout and exit codes must not.  Each seed runs in a
+    # fresh process.
+    want = [list(case) for case in cases()]
+    argvs = json.dumps([argv for argv, *_ in want])
+    runs = []
+    for seed in ("0", "999"):
+        proc = subprocess.run(
+            [sys.executable, "-c", SCRIPT, argvs],
+            capture_output=True,
+            text=True,
+            env={**ENV, "PYTHONHASHSEED": seed},
+        )
+        assert (proc.returncode, proc.stderr) == (0, ""), seed
+        runs.append([(argv, code, out) for argv, code, out, _ in json.loads(proc.stdout)])
+    assert runs[0] == runs[1] == [(argv, code, out) for argv, code, out, _ in want]

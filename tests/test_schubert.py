@@ -291,14 +291,36 @@ def test_schubert_expand_rejects_a_wrong_pivot_polynomial(monkeypatch):
     module = importlib.import_module("schubcalc.schubert")
     p = Polynomial({(1,): 1, (0, 1): 1})
     # A pivot polynomial without its pivot monomial leaves the pivot behind;
-    # one with a smaller monomial moves the minimum backwards.  Pivots are
-    # looked up through transition._node.
-    monkeypatch.setattr(module, "_node", lambda w, k: Polynomial({(9,): 1}))
-    with pytest.raises(NonExpandableError):
-        schubert_expand(p)
-    monkeypatch.setattr(module, "_node", lambda w, k: Polynomial({(0, 1): 1, (0, 0, 1): 1}))
-    with pytest.raises(NonExpandableError):
-        schubert_expand(p)
+    # one with a larger monomial does not have the pivot as its maximum.
+    # Pivots are looked up through transition._node on a _pivots miss, so
+    # the memo starts cold.  A rejected pivot is never stored, and the
+    # same memo then gives the right expansion.
+    pivots = module._pivots
+    pivots.cache_clear()
+    for wrong in (Polynomial({(9,): 1}), Polynomial({(0, 1): 1, (0, 0, 1): 1})):
+        monkeypatch.setattr(module, "_node", lambda w, k, wrong=wrong: wrong)
+        with pytest.raises(NonExpandableError):
+            schubert_expand(p)
+        assert not pivots and (pivots.held, pivots.misses) == (0, 0)
+    monkeypatch.undo()
+    assert schubert_expand(p) == {(1, 3, 2): 1}
+    assert (pivots.held, pivots.misses) == (2, 1)
+
+
+def test_schubert_expand_checks_ambient_on_a_hit_and_on_a_miss():
+    module = importlib.import_module("schubcalc.schubert")
+    p = Polynomial({(1,): 1, (0, 1): 1})
+    module._pivots.cache_clear()
+    with pytest.raises(NoSolutionError) as cold:
+        schubert_expand(p, ambient=2)
+    assert not module._pivots
+    assert schubert_expand(p) == {(1, 3, 2): 1}
+    assert module._pivots.cache_info().currsize == 2
+    with pytest.raises(NoSolutionError) as warm:
+        schubert_expand(p, ambient=2)
+    assert str(warm.value) == str(cold.value) == (
+        "pivot (0, 1) needs a permutation of 3 values, ambient is 2"
+    )
 
 
 def test_schubert_expand_guard_holds_under_optimization():
