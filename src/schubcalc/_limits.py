@@ -8,11 +8,14 @@ the only limit on work; without a budget an enumeration runs to the end.
 
 Their results are kept in memos, each bounded by the items its values
 hold (monomials for a polynomial, words for a word list), MEMO_BOUND
-items per memo.  A memo stores a new entry at its cold end and moves an
-entry to its hot end when it is read (the LRU insertion policy of
-Qureshi et al., ISCA 2007): an entry that is stored and never read
-again, such as the result of a one-off construction, is evicted before
-the entries that lookups read.
+items per memo.  A memo stores a new entry at its cold end, where it
+also evicts (the insertion order of the LRU insertion policy, Qureshi
+et al., ISCA 2007), and a read only sets the entry's reference bit: an
+entry whose bit is set when eviction reaches it has the bit cleared and
+goes to the hot end instead (second chance, as in CLOCK, Corbató 1968).
+So an entry that is stored and never read again, such as the result of
+a one-off construction, is evicted before the entries that lookups
+read, and a hit costs one dict read and a flag store.
 """
 
 from __future__ import annotations
@@ -70,13 +73,16 @@ def term_budget(limit: int | None):
 class Memo(OrderedDict):
     """Values by key, bounded by the items they hold.
 
-    size(value) is the number of items a value holds.  Each memo has one
-    reader: it calls find() and, on a miss, put().  put() counts a miss,
-    evicts from the cold end until the new entry fits, and stores the new
-    entry at the cold end.  find() counts a hit and moves the entry to
-    the hot end.  So an entry that was never read is evicted first,
-    newest first, and one that was read ages in least-recently-read
-    order.  An entry larger than the bound is still stored, alone.
+    size(value) is the number of items a value holds.  Each key maps to
+    an entry [value, bit], where bit records a read since the entry was
+    stored or last passed over.  A reader calls find() and, on a miss,
+    put().  find() counts a hit and sets the bit; it never reorders.
+    put() counts a miss and evicts from the cold end until the new entry
+    fits: an entry whose bit is set has it cleared and goes to the hot
+    end, any other is dropped.  Then it stores the new entry at the cold
+    end.  So an entry that was never read is evicted first, newest
+    first, and one that was read outlives the next eviction pass.  An
+    entry larger than the bound is still stored, alone.
     """
 
     def __init__(self, size):
@@ -86,19 +92,26 @@ class Memo(OrderedDict):
         self.held = self.hits = self.misses = 0
 
     def find(self, key):
-        """The value stored under key, or None; a hit moves it to the hot end."""
-        value = self.get(key)
-        if value is not None:
-            self.hits += 1
-            self.move_to_end(key)
-        return value
+        """The value stored under key, or None; a hit sets the entry's bit."""
+        entry = self.get(key)
+        if entry is None:
+            return None
+        self.hits += 1
+        entry[1] = True
+        return entry[0]
 
     def put(self, key, value) -> None:
         self.misses += 1
         n = self.size(value)
         while self and self.held + n > self.bound:
-            self.held -= self.size(self.popitem(last=False)[1])
-        self[key] = value
+            old, entry = self.popitem(last=False)
+            if entry[1]:
+                # Read since it was stored or last passed over: a second chance.
+                entry[1] = False
+                self[old] = entry
+            else:
+                self.held -= self.size(entry[0])
+        self[key] = [value, False]
         self.move_to_end(key, last=False)
         self.held += n
 

@@ -11,8 +11,8 @@ output; those that build a word (shift, cross, grassmannian) end with
 _strip.  The private kernels (_strip, _last_descent, _swap, _covers,
 _cross) trust their input, a permutation word, canonical or padded with
 trailing fixed points, and check nothing; _from_code likewise trusts a
-code to be nonnegative.  Loops that call many kernels validate once at
-their entry.
+code to be nonnegative, and _grassmannian a partition to have at most k
+parts.  Loops that call many kernels validate once at their entry.
 """
 
 from __future__ import annotations
@@ -34,7 +34,9 @@ def canonical(values: Sequence[int]) -> Perm:
     ()
     """
     w = tuple(values)
-    if sorted(w) != list(range(1, len(w) + 1)):
+    # The sum of ints is an int; a float, Fraction or Decimal entry that
+    # equals an int would pass the sort but not this.
+    if sorted(w) != list(range(1, len(w) + 1)) or type(sum(w)) is not int:
         raise ValueError(f"not a permutation of 1..{len(w)}: {w!r}")
     return _strip(w)
 
@@ -236,11 +238,18 @@ def grassmannian(lam: Sequence[int], k: int) -> Perm:
         raise ValueError("k must be nonnegative")
     if len(lam) > k:
         raise ValueError(f"partition {lam!r} has more parts than k={k}")
-    full = lam + (0,) * (k - len(lam))
-    front = tuple(i + full[k - i] for i in range(1, k + 1))
-    n = k + (lam[0] if lam else 0)
-    rest = sorted(set(range(1, n + 1)) - set(front))
-    return _strip(front + tuple(rest))
+    return _grassmannian(lam, k)
+
+
+def _grassmannian(lam: tuple[int, ...], k: int) -> Perm:
+    """Kernel: grassmannian for a partition lam with at most k parts."""
+    # Position i <= k holds i + lam_{k-i+1}, increasing in i; the values
+    # left over follow in increasing order.
+    front = [*range(1, k - len(lam) + 1)]
+    front += [k + 1 - j + x for j, x in enumerate(lam, 1)][::-1]
+    n = k + lam[0] if lam else k
+    taken = set(front)
+    return _strip(front + [x for x in range(1, n + 1) if x not in taken])
 
 
 def to_partition(v: Sequence[int], k: int) -> tuple[int, ...]:

@@ -177,7 +177,9 @@ class Polynomial:
         # No degree of the product exceeds the sum of the bounds; widen the
         # slots first if that sum would not fit, so no sum carries.
         bound = self._bound + other._bound
-        bits = max(self._bits, other._bits, _width(bound))
+        bits = max(self._bits, other._bits)
+        if bound >> bits:
+            bits = _width(bound)
         right = list(_lift(other, bits).items())
         out: dict[int, int] = {}
         for e1, c1 in _lift(self, bits).items():
@@ -247,7 +249,7 @@ def flatten(comp: Sequence[int]) -> Composition:
     >>> flatten((0, 3, 1, 0, 1))
     (3, 1, 1)
     """
-    return tuple(x for x in comp if x)
+    return tuple(filter(None, comp))
 
 
 def _monomials(p: Polynomial) -> int:
@@ -363,6 +365,7 @@ def _eliminate(
     # by the tuples e, ascending.
     bits = p._bits
     work = dict(p._keys)
+    get = work.get
     found = []
     last = None
     while work:
@@ -373,11 +376,12 @@ def _eliminate(
         c = work[m]
         found.append((e, key, c))
         for b, cb in keys.items():
-            c2 = work.get(b, 0) - c * cb
+            c2 = get(b, 0) - c * cb
             if c2:
                 work[b] = c2
             else:
-                work.pop(b, None)
+                # c and cb are nonzero, so b was in work.
+                del work[b]
         last = m
     # The exponent tuples are distinct, so the sort never compares keys.
     return {key: c for _, key, c in sorted(found)}

@@ -1,10 +1,13 @@
 """Schubert, Stanley and Schur polynomials, and Schubert-basis expansion.
 
 schubert, stanley and schur compute by Lascoux–Schützenberger transition
-(see the transition module): each validates its input once and calls
-transition._node, the only reader of the two memos, which are bounded
-by the monomials they hold.  A Stanley symmetric polynomial comes from
-stability: F_v(x1..xk) = S_{1^k x v}(x1..xk, 0, ...).  The reduced-word
+(see the transition module), through two memos bounded by the monomials
+they hold.  Each validates its input once.  schubert and schur then read
+the _schubert memo themselves, so a hit is one find(), and on a miss
+call transition._build, which computes the node without looking it up
+again; stanley calls transition._node, which picks the memo by the last
+descent.  A Stanley symmetric polynomial comes from stability:
+F_v(x1..xk) = S_{1^k x v}(x1..xk, 0, ...).  The reduced-word
 constructors schubert_via_slides (slide polynomials of weak descent
 compositions) and schubert_via_compatible (compatible sequences) are
 independent oracles and are not used by the others.
@@ -22,10 +25,10 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from ._limits import Memo
-from .perm import Perm, _from_code, canonical, check_partition, grassmannian, shift
+from .perm import Perm, _from_code, _grassmannian, canonical, check_partition, shift
 from .poly import NonExpandableError, Polynomial, _eliminate, _lift, _unpack, slide_polynomial
-# _schubert and _stanley stay bound here: perfbench/tracer.py reads their cache_info().
-from .transition import _node, _schubert, _stanley  # noqa: F401
+# _stanley stays bound here: perfbench/tracer.py reads its cache_info().
+from .transition import _build, _node, _schubert, _stanley  # noqa: F401
 from .words import (
     VIRTUAL,
     compatible_sequences,
@@ -46,7 +49,8 @@ def schubert(w: Sequence[int]) -> Polynomial:
     'x1^3*x2^2 + x1^3*x2*x3 + x1^3*x2*x4'
     """
     w = canonical(w)
-    return _node(w, len(w))
+    p = _schubert.find(w)
+    return _build(w, len(w), _schubert, w) if p is None else p
 
 
 def schubert_via_slides(w: Sequence[int]) -> Polynomial:
@@ -103,10 +107,13 @@ def schur(lam: Sequence[int], k: int) -> Polynomial:
     '0'
     """
     lam = check_partition(lam)
-    if 0 <= k < len(lam):
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    if k < len(lam):
         return Polynomial()
-    w = grassmannian(lam, k)
-    return _node(w, len(w))
+    w = _grassmannian(lam, k)
+    p = _schubert.find(w)
+    return _build(w, len(w), _schubert, w) if p is None else p
 
 
 def _pivot_size(entry: tuple[tuple[int, ...], Perm, dict[int, int]]) -> int:

@@ -48,43 +48,46 @@ from .poly import Polynomial, _lift, _monomials, _width
 
 # _schubert holds S_w by w; _stanley holds S_w(x1..xk, 0, ...) by (w, k)
 # for the w whose last descent is beyond k, where truncation matters.
-# _node is their only reader.
+# _node and _build read them, and so do schubert and schur, which look
+# S_w up in _schubert themselves and call _build on a miss.
 _schubert = Memo(_monomials)
 _stanley = Memo(_monomials)
 _ONE = Polynomial._raw({0: 1}, 8, 0)
 
 
 def _node(w: Perm, k: int) -> Polynomial:
-    """S_w(x1..xk, 0, ...) for canonical w, through the memos.
+    """S_w(x1..xk, 0, ...) for canonical w, through the memos."""
+    if _last_descent(w) <= k:
+        memo, key = _schubert, w
+    else:
+        memo, key = _stanley, (w, k)
+    p = memo.find(key)
+    return _build(w, k, memo, key) if p is None else p
 
-    The transition tree is walked depth first on an explicit stack that
-    holds one _transition generator per node being computed, so its depth
-    (the length of w for the longest element) is bounded by memory, not
-    by Python's recursion limit.  A node asks for its children one at a
+
+def _build(w: Perm, k: int, memo: Memo, key: Perm | tuple[Perm, int]) -> Polynomial:
+    """S_w(x1..xk, 0, ...) for canonical w, which memo does not hold under key.
+
+    memo and key are those _node would pick for w and k.  The transition
+    tree is walked depth first on an explicit stack that holds one
+    _transition generator per node being computed, so its depth (the
+    length of w for the longest element) is bounded by memory, not by
+    Python's recursion limit.  A node asks for its children one at a
     time and each is looked up only when the one before it is complete,
     so memo hits, misses and evictions come in depth-first order.  A
     child computed here goes to its parent directly, not through find(),
-    so it stays at the memo's cold end, first to be evicted, until a
-    later lookup reads it; the shared nodes that lookups do read are
-    kept.
+    so it is stored unread at the memo's cold end, first to be evicted,
+    until a later lookup reads it; the shared nodes that lookups do read
+    are kept.
     """
-    stack: list[Generator[Perm, Polynomial, Polynomial]] = []
+    if not w:
+        return _ONE
+    r = _last_descent(w)
+    # One unit of budget per computed node, before its children.
+    charge()
+    stack: list[Generator[Perm, Polynomial, Polynomial]] = [_transition(w, k, r, memo, key)]
+    p = None
     while True:
-        if not w:
-            p = _ONE
-        else:
-            r = len(w) - 1
-            while w[r - 1] < w[r]:
-                r -= 1
-            if r <= k:
-                memo, key = _schubert, w
-            else:
-                memo, key = _stanley, (w, k)
-            p = memo.find(key)
-            if p is None:
-                # One unit of budget per computed node, before its children.
-                charge()
-                stack.append(_transition(w, k, r, memo, key))
         # Hand p to the node that asked for it (None starts a new node),
         # finishing nodes until one asks for another child.
         while stack:
@@ -96,12 +99,26 @@ def _node(w: Perm, k: int) -> Polynomial:
                 p = done.value
         else:
             return p
+        if not w:
+            p = _ONE
+            continue
+        r = len(w) - 1
+        while w[r - 1] < w[r]:
+            r -= 1
+        if r <= k:
+            memo, key = _schubert, w
+        else:
+            memo, key = _stanley, (w, k)
+        p = memo.find(key)
+        if p is None:
+            charge()
+            stack.append(_transition(w, k, r, memo, key))
 
 
 def _transition(
     w: Perm, k: int, r: int, memo: Memo, key: Perm | tuple[Perm, int]
 ) -> Generator[Perm, Polynomial, Polynomial]:
-    """One transition step of _node: yields each child word, receives its polynomial.
+    """One transition step of _build: yields each child word, receives its polynomial.
 
     Stores S_w(x1..xk, 0, ...) in memo under key and returns it; r is the
     last descent of w.

@@ -228,6 +228,25 @@ def brute_fqs(alpha, k):
     }
 
 
+def partitions(total, largest=None):
+    """Every partition of total with no part above largest, in decreasing order."""
+    if total == 0:
+        yield ()
+        return
+    for first in range(min(total, total if largest is None else largest), 0, -1):
+        for rest in partitions(total - first, first):
+            yield (first,) + rest
+
+
+def grassmannian(lam, k):
+    """The permutation with i + lam_{k-i+1} at each i <= k, the other values after it in order."""
+    full = tuple(lam) + (0,) * (k - len(lam))
+    front = tuple(i + full[k - i] for i in range(1, k + 1))
+    n = k + (lam[0] if lam else 0)
+    rest = sorted(set(range(1, n + 1)) - set(front))
+    return drop_fixed(front + tuple(rest))
+
+
 def last_descent(w):
     w = drop_fixed(w)
     return max((i for i in range(1, len(w)) if w[i - 1] > w[i]), default=None)

@@ -186,9 +186,9 @@ def test_reading_terms_leaves_the_memos_alone():
     built = [schubert((1, 5, 3, 2, 6, 4)), stanley((3, 1, 6, 5, 2, 4), 4), slide_polynomial((0, 3, 1))]
     held = (T._schubert.held, T._stanley.held)
     assert held[0] > 0 and held[1] > 0
-    for p in built + [q for memo in (T._schubert, T._stanley) for q in memo.values()]:
+    for p in built + [q for memo in (T._schubert, T._stanley) for q, _ in memo.values()]:
         p.terms
         p.sorted_terms()
         str(p)
     assert (T._schubert.held, T._stanley.held) == held
-    assert T._schubert.held == sum(len(p.terms) for p in T._schubert.values())
+    assert T._schubert.held == sum(len(p.terms) for p, _ in T._schubert.values())

@@ -1,3 +1,5 @@
+from decimal import Decimal
+from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
@@ -17,9 +19,12 @@ from schubcalc import (
     length,
     parse_perm,
     shift,
+    schur,
     to_partition,
 )
-from oracles import inversions
+from schubcalc.perm import _grassmannian
+from oracles import grassmannian as oracle_grassmannian
+from oracles import inversions, partitions
 
 S5 = [canonical(p) for p in permutations(range(1, 6))]
 
@@ -37,6 +42,17 @@ def test_canonical_rejects_non_permutations():
         canonical([0, 1])
     with pytest.raises(ValueError):
         canonical([2, 4, 3])
+
+
+@pytest.mark.parametrize(
+    "w", [(2.0, 1.0), (2, 1.0), (1.0,), (3, 1, 2.0), (2, Fraction(1)), (Decimal(2), 1)]
+)
+def test_canonical_rejects_entries_that_are_not_ints(w):
+    # Each entry equals an int, so the sort alone would let it through.
+    with pytest.raises(ValueError, match=rf"^not a permutation of 1\.\.{len(w)}: "):
+        canonical(w)
+    with pytest.raises(ValueError, match=r"^not a permutation"):
+        format_perm(w)
 
 
 def test_length_examples():
@@ -175,17 +191,32 @@ def test_grassmannian_examples():
             grassmannian(lam, -1)
 
 
-def test_grassmannian_length_and_round_trip():
-    def partitions(total, largest):
-        if total == 0:
-            yield ()
-            return
-        for first in range(min(total, largest), 0, -1):
-            for rest in partitions(total - first, first):
-                yield (first,) + rest
+def test_grassmannian_matches_the_oracle():
+    cases = 0
+    for weight in range(12):
+        for lam in partitions(weight):
+            for k in range(len(lam), 9):
+                want = oracle_grassmannian(lam, k)
+                assert _grassmannian(lam, k) == grassmannian(lam, k) == want, (lam, k)
+                cases += 1
+    assert cases == 947
 
+
+def test_grassmannian_and_schur_messages():
+    for call in (grassmannian, schur):
+        with pytest.raises(ValueError, match=r"^k must be nonnegative$"):
+            call((2, 1), -1)
+        with pytest.raises(ValueError, match=r"^not a partition: \(1, 2\)$"):
+            call((1, 2), 3)
+    # More parts than k: no permutation, but the zero polynomial.
+    with pytest.raises(ValueError, match=r"^partition \(2, 1, 1\) has more parts than k=2$"):
+        grassmannian((2, 1, 1), 2)
+    assert str(schur((2, 1, 1), 2)) == "0"
+
+
+def test_grassmannian_length_and_round_trip():
     for weight in range(0, 7):
-        for lam in partitions(weight, weight if weight else 1):
+        for lam in partitions(weight):
             for k in range(max(len(lam), 1), 5):
                 v = grassmannian(lam, k)
                 assert length(v) == sum(lam)

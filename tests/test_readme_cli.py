@@ -5,9 +5,11 @@ tests/oracles.py elsewhere.  Each command runs as written and with
 --format json, in-process and then in one `python -S -O` process.
 """
 
+import glob
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -203,3 +205,43 @@ def test_readme_commands_do_not_depend_on_the_hash_seed():
         assert (proc.returncode, proc.stderr) == (0, ""), seed
         runs.append([(argv, code, out) for argv, code, out, _ in json.loads(proc.stdout)])
     assert runs[0] == runs[1] == [(argv, code, out) for argv, code, out, _ in want]
+
+
+def interpreter(name):
+    """A python3.x called name that starts, or None.
+
+    It is looked for on PATH, then beside the running interpreter in a
+    pyenv layout (<versions>/*/bin/name).  A candidate counts only if it
+    starts and reports the version its name gives: a pyenv shim for a
+    version that is installed but not selected exits with an error.
+    """
+    version = name.removeprefix("python")
+    versions = os.path.dirname(sys.prefix)
+    found = [shutil.which(name), *sorted(glob.glob(os.path.join(versions, "*", "bin", name)))]
+    probe = "import sys; print('%d.%d' % sys.version_info[:2])"
+    for exe in filter(None, found):
+        try:
+            proc = subprocess.run(
+                [exe, "-S", "-c", probe], capture_output=True, text=True, timeout=60
+            )
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        if proc.returncode == 0 and proc.stdout.strip() == version:
+            return exe
+    return None
+
+
+@pytest.mark.parametrize("name", ["python3.10", "python3.12", "python3.13"])
+def test_readme_commands_on_other_interpreters(name):
+    # The block needs only the stdlib, so it runs under -S on any supported
+    # interpreter, without pytest; stdout and exit codes must be the
+    # goldens.  argparse's own stderr text differs between versions.
+    exe = interpreter(name)
+    if exe is None:
+        pytest.skip(f"no {name} that starts")
+    want = [list(case) for case in cases()]
+    argvs = json.dumps([argv for argv, *_ in want])
+    proc = subprocess.run([exe, "-S", "-c", SCRIPT, argvs], capture_output=True, text=True, env=ENV)
+    assert (proc.returncode, proc.stderr) == (0, ""), exe
+    got = [(argv, code, out) for argv, code, out, _ in json.loads(proc.stdout)]
+    assert got == [(argv, code, out) for argv, code, out, _ in want], exe

@@ -238,6 +238,15 @@ def test_schur_examples():
         schur((2, 1), -1)
 
 
+def test_a_float_permutation_is_not_read_from_the_memo():
+    # (2.0, 1.0) equals (2, 1) and hashes alike, so a memo read before the
+    # check would answer it with S_21.
+    assert str(schubert((2, 1))) == "x1"
+    for w in ((2.0, 1.0), (2, 1.0)):
+        with pytest.raises(ValueError, match=r"^not a permutation of 1\.\.2: "):
+            schubert(w)
+
+
 def test_schur_matches_tableau_oracle():
     # k < len(lam) included: both sides are 0 there.
     for lam in all_partitions(6):

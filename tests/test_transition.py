@@ -88,6 +88,8 @@ def test_chain_rejects_bad_steps():
         Chain((3, 2, 1), ((1, 3),), (-1,))  # drops length by 3
     with pytest.raises(ValueError):
         Chain((2, 1), ((1, 2), (1, 2)), (-1,))
+    with pytest.raises(ValueError, match=r"^not a permutation of 1\.\.3: "):
+        Chain((1, 3, 2.0), ((1, 2),), (1,))  # a float entry
 
 
 def test_chain_is_an_immutable_value():
