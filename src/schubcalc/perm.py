@@ -35,8 +35,13 @@ def canonical(values: Sequence[int]) -> Perm:
     """
     w = tuple(values)
     # The sum of ints is an int; a float, Fraction or Decimal entry that
-    # equals an int would pass the sort but not this.
-    if sorted(w) != list(range(1, len(w) + 1)) or type(sum(w)) is not int:
+    # equals an int would pass the sort but not this.  Bools sum to an
+    # int too, but False sorts as 0, so only True can pass, as the 1.
+    if (
+        sorted(w) != list(range(1, len(w) + 1))
+        or type(sum(w)) is not int
+        or w and w[w.index(1)] is True
+    ):
         raise ValueError(f"not a permutation of 1..{len(w)}: {w!r}")
     return _strip(w)
 
@@ -139,7 +144,7 @@ def inverse(w: Sequence[int]) -> Perm:
 
 def _check_transposition(t: Sequence[int]) -> Transposition:
     a, b = t
-    if not (1 <= a < b):
+    if type(a) is not int or type(b) is not int or not 1 <= a < b:
         raise ValueError(f"transposition needs 1 <= a < b, got {tuple(t)!r}")
     return (a, b)
 

@@ -20,14 +20,16 @@ the chains concatenate into saturated transposition chains that witness
 the structure constants.
 
 Every truncation endpoint has a smaller last descent than its node, so
-the product drains the tree level by level, by last descent, and expands
-each node once.  The truncation kernel _paths and the chain walk of
-lr_chains run on explicit stacks, so their depth is bounded by memory,
-not by Python's recursion limit.
+one drain, _drain, empties the tree level by level, by last descent, and
+expands each node once; it serves the product and the one-level
+truncate_last_descent alike.  The truncation kernel _paths and the chain
+walk of lr_chains run on explicit stacks, so their depth is bounded by
+memory, not by Python's recursion limit.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import Generator, Sequence
 
 from ._limits import Memo, charge
@@ -197,26 +199,30 @@ class Chain:
         steps: Sequence[Sequence[int]],
         directions: Sequence[int],
     ):
-        self._init(canonical(base), steps, directions)
+        base = canonical(base)
+        directions = tuple(directions)
+        if not {*directions} <= {-1, 1} or not {*map(type, directions)} <= {int}:
+            raise ValueError("directions must be +1 or -1")
+        self._init(base, steps, directions)
 
     @classmethod
     def _trusted(
-        cls, base: Perm, steps: Sequence[Sequence[int]], directions: Sequence[int]
+        cls, base: Perm, steps: Sequence[Sequence[int]], directions: tuple[int, ...]
     ) -> Chain:
-        """Kernel: a Chain from a canonical base; every step is still checked."""
+        """Kernel: a Chain from a canonical base and int directions of +1 or -1.
+
+        Every step is still checked.
+        """
         chain = cls.__new__(cls)
         chain._init(base, steps, directions)
         return chain
 
     def _init(
-        self, base: Perm, steps: Sequence[Sequence[int]], directions: Sequence[int]
+        self, base: Perm, steps: Sequence[Sequence[int]], directions: tuple[int, ...]
     ) -> None:
         steps = tuple(map(_check_transposition, steps))
-        directions = tuple(directions)
         if len(steps) != len(directions):
             raise ValueError("steps and directions must pair up")
-        if not {*directions} <= {-1, 1}:
-            raise ValueError("directions must be +1 or -1")
         p = list(pad(base, max([b for _, b in steps], default=0)))
         for (a, b), d in zip(steps, directions):
             # A transposition can shift length by any odd amount; covering
@@ -414,19 +420,52 @@ def _paths(w: Perm, k: int, m: int) -> list[tuple[Perm, tuple[int, ...], int, in
         a -= 1
 
 
+def _drain(seed: Perm, top: int, m: int, k: int) -> dict[Perm, int]:
+    """Kernel: Schubert expansion of S_seed(x1..xk, 0, ...), sorted, for k >= 0.
+
+    seed is canonical with _descent_data (top, m), or the identity with
+    (0, 0).  Truncation is drained by last descent, from top down to
+    k + 1: every endpoint's last descent is below its node's, so a level
+    is complete when it is reached, and each node is expanded once with
+    its coefficient summed over all its parents.  The leaves, the nodes
+    with last descent at most k, are the expansion; coefficients are
+    positive.  One unit of budget is charged per expanded node, and _paths
+    charges one per endpoint.
+    """
+    if top <= k:
+        return {seed: 1}
+    # levels[ld] maps each node with last descent ld to [coefficient, m].
+    levels: defaultdict[int, dict[Perm, list[int]]] = defaultdict(dict)
+    levels[top][seed] = [1, m]
+    done: dict[Perm, int] = {}
+    for kk in range(top, k, -1):
+        for w, (c, m) in levels.pop(kk, {}).items():
+            charge()
+            for p, _, ld, mp in _paths(w, kk, m):
+                if ld <= k:
+                    done[p] = done.get(p, 0) + c
+                else:
+                    levels[ld].setdefault(p, [0, mp])[0] += c
+    return dict(sorted(done.items()))
+
+
 def truncate_last_descent(w: Sequence[int]) -> dict[Perm, int]:
     """Schubert expansion of w's polynomial with its last variable killed.
 
     Setting x_k = 0 in the polynomial of w, where k is w's last descent,
     leaves a sum of Schubert polynomials indexed by the endpoints of
-    truncation_paths, each appearing exactly once.
+    truncation_paths, each appearing exactly once; the expansion is
+    sorted, as the product's is.  It is one level of the product's drain.
+
+    >>> truncate_last_descent((1, 3, 2))
+    {(2, 1): 1}
     """
     w = canonical(w)
-    out: dict[Perm, int] = {}
-    for p, _, _, _ in _paths(w, *_descent_data(w)):
-        if p in out:
+    top, m = _descent_data(w)
+    out = _drain(w, top, m, top - 1)
+    for p, c in out.items():
+        if c != 1:
             raise RuntimeError(f"duplicate truncation endpoint {p}")
-        out[p] = 1
     return out
 
 
@@ -459,34 +498,14 @@ def schubert_times_schur(
     Requires the last descent of u to be at most k; the expansion is
     then finite, positive, and supported on permutations with last
     descent at most k.  s_lam(x1..xk) = F_{v_lam}(x1..xk), so the product
-    is the truncation of S_{u x v_lam}; a lam with more than k rows gives
-    a tree with no leaf, and the product 0.
-
-    The truncation tree is drained by last descent, from the seed's down
-    to k + 1.  Every endpoint's last descent is below its node's, so a
-    level is complete when it is reached, and each node is expanded once
-    with the coefficient summed over all its parents.
+    is the truncation of S_{u x v_lam}, drained to k variables; a lam
+    with more than k rows gives a tree with no leaf, and the product 0.
 
     >>> schubert_times_schur((), (2, 1), 2)
     {(2, 4, 1, 3): 1}
     """
     _, seed, top, m = _product_seed(u, grassmannian(lam, len(lam)), k)
-    # No node below the seed is the identity: truncation keeps its length.
-    if top <= k:
-        return {seed: 1}
-    # levels[ld] maps each node with last descent ld to [coefficient, m].
-    levels: list[dict[Perm, list[int]]] = [{} for _ in range(top + 1)]
-    levels[top][seed] = [1, m]
-    done: dict[Perm, int] = {}
-    for kk in range(top, k, -1):
-        for w, (c, m) in levels[kk].items():
-            charge()
-            for p, _, ld, mp in _paths(w, kk, m):
-                if ld <= k:
-                    done[p] = done.get(p, 0) + c
-                else:
-                    levels[ld].setdefault(p, [0, mp])[0] += c
-    return dict(sorted(done.items()))
+    return _drain(seed, top, m, k)
 
 
 def lr_coefficient(
@@ -521,86 +540,6 @@ def _push_down(ups: list[Transposition], t: Transposition) -> bool:
             return False
         ups[i] = _conj(t, s)
     return True
-
-
-def _push_downs_left(
-    items: Sequence[tuple[Transposition, bool]]
-) -> tuple[list[Transposition], list[Transposition]]:
-    """Rewrite a mixed word so all down-steps precede all up-steps, by _push_down."""
-    downs: list[Transposition] = []
-    ups: list[Transposition] = []
-    for t, is_down in items:
-        if not is_down:
-            ups.append(t)
-        elif _push_down(ups, t):
-            downs.append(t)
-    return downs, ups
-
-
-def _reverse_ups(ups: Sequence[Transposition]) -> list[Transposition]:
-    """Reverse a transposition word by sinking heads: t R = (t R t) t."""
-    rest = list(ups)
-    out: list[Transposition] = []
-    while rest:
-        head = rest.pop(0)
-        rest = [_conj(head, t) for t in rest]
-        out.insert(0, head)
-    return out
-
-
-def normalize_chain(chain: Chain) -> Chain:
-    """Rewrite an alternating down/up chain into staircase form.
-
-    The input steps alternate (k, b_1)(a_1, k)(k, b_2)(a_2, k)... from a
-    base w whose last descent is k, with b_1 > b_2 > ... and b_1 maximal
-    such that w_k > w_{b_1}.  The output chain from the same base does
-    all m = b_1 - k down-steps (k, k+m)...(k, k+1) first, then m up-steps
-    in column order (a'_1, k)(a'_2, k+1)..., and reaches the same
-    endpoint.  Padding pairs (k,j)(k,j) are inserted at the skipped
-    columns, then down-steps commute left past up-steps by conjugation.
-
-    >>> c = Chain((1, 4, 2, 3), ((2, 4), (1, 2)), (-1, 1))
-    >>> str(normalize_chain(c))
-    '(2,4)(2,3)(1,2)(1,3)'
-    """
-    w = chain.base
-    steps = list(chain.steps)
-    if not steps:
-        return chain
-    if len(steps) % 2 or chain.directions != (-1, 1) * (len(steps) // 2):
-        raise ValueError("chain must alternate down,up pairs")
-    k, m = _descent_data(w)
-    pairs = list(zip(steps[0::2], steps[1::2]))
-    bs = []
-    for down, up in pairs:
-        if down[0] != k or down[1] <= k:
-            raise ValueError(f"down-step {down} does not lower column {k}")
-        if up[1] != k or not 1 <= up[0] < k:
-            raise ValueError(f"up-step {up} does not raise column {k}")
-        bs.append(down[1])
-    if bs[0] != k + m:
-        raise ValueError(f"first down-step must reach {k + m}, got {bs[0]}")
-    if any(x <= y for x, y in zip(bs, bs[1:])):
-        raise ValueError(f"down-steps must strictly descend, got {bs}")
-
-    items: list[tuple[Transposition, bool]] = []
-    for i, (down, up) in enumerate(pairs):
-        items.append((down, True))
-        items.append((up, False))
-        stop = bs[i + 1] if i + 1 < len(pairs) else k
-        for j in range(bs[i] - 1, stop, -1):
-            items.append(((k, j), True))
-            items.append(((k, j), False))
-    downs, ups = _push_downs_left(items)
-    if downs != [(k, k + m - i) for i in range(m)]:
-        raise RuntimeError(f"down-steps {downs} of {chain!r} are not the staircase")
-    ups = _reverse_ups(ups)
-    if [b for _, b in ups] != list(range(k, k + m)) or any(a >= k for a, _ in ups):
-        raise RuntimeError(f"up-steps {ups} of {chain!r} are not in column order below {k}")
-    out = Chain(w, tuple(downs + ups), (-1,) * m + (1,) * m)
-    if out.endpoint != chain.endpoint:
-        raise RuntimeError(f"normal form of {chain!r} ends at {out.endpoint}")
-    return out
 
 
 def lr_chains(

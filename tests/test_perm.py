@@ -45,10 +45,15 @@ def test_canonical_rejects_non_permutations():
 
 
 @pytest.mark.parametrize(
-    "w", [(2.0, 1.0), (2, 1.0), (1.0,), (3, 1, 2.0), (2, Fraction(1)), (Decimal(2), 1)]
+    "w",
+    [
+        (2.0, 1.0), (2, 1.0), (1.0,), (3, 1, 2.0), (2, Fraction(1)), (Decimal(2), 1),
+        (2, True), (True,), (3, True, 2),
+    ],
 )
 def test_canonical_rejects_entries_that_are_not_ints(w):
-    # Each entry equals an int, so the sort alone would let it through.
+    # Each entry equals an int, so the sort alone would let it through;
+    # bools also sum to an int.
     with pytest.raises(ValueError, match=rf"^not a permutation of 1\.\.{len(w)}: "):
         canonical(w)
     with pytest.raises(ValueError, match=r"^not a permutation"):
@@ -96,6 +101,14 @@ def test_apply_transposition_examples():
     assert apply_transposition((4, 2, 1, 5, 3), (4, 5)) == (4, 2, 1, 3)  # 42135
     with pytest.raises(ValueError):
         apply_transposition((2, 1), (3, 3))
+
+
+@pytest.mark.parametrize("t", [(1.0, 2.0), (1, 3.0), (True, 2), (1, Fraction(2))])
+def test_transposition_positions_must_be_ints(t):
+    with pytest.raises(ValueError, match=r"^transposition needs 1 <= a < b, got "):
+        apply_transposition((2, 1), t)
+    with pytest.raises(ValueError, match=r"^transposition needs 1 <= a < b, got "):
+        is_covering((2, 1), t)
 
 
 def test_transposition_changes_length_by_odd_amount():

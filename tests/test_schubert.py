@@ -239,10 +239,10 @@ def test_schur_examples():
 
 
 def test_a_float_permutation_is_not_read_from_the_memo():
-    # (2.0, 1.0) equals (2, 1) and hashes alike, so a memo read before the
-    # check would answer it with S_21.
+    # (2.0, 1.0) and (2, True) equal (2, 1) and hash alike, so a memo read
+    # before the check would answer them with S_21.
     assert str(schubert((2, 1))) == "x1"
-    for w in ((2.0, 1.0), (2, 1.0)):
+    for w in ((2.0, 1.0), (2, 1.0), (2, True)):
         with pytest.raises(ValueError, match=r"^not a permutation of 1\.\.2: "):
             schubert(w)
 

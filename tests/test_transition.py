@@ -24,7 +24,6 @@ from schubcalc import (
     lr_chains,
     lr_coefficient,
     monk_multiply,
-    normalize_chain,
     schubert,
     schubert_expand,
     schubert_times_schur,
@@ -35,7 +34,7 @@ from schubcalc import (
     truncation_paths,
     truncation_start,
 )
-from schubcalc.transition import _product_seed, _push_downs_left
+from schubcalc.transition import _descent_data, _drain, _product_seed, truncated_schubert
 from schubcalc.verify import all_partitions, all_perms, basis_vector
 from oracles import alternating_chains, chain_end, last_descent, ssyt_schur
 
@@ -90,6 +89,13 @@ def test_chain_rejects_bad_steps():
         Chain((2, 1), ((1, 2), (1, 2)), (-1,))
     with pytest.raises(ValueError, match=r"^not a permutation of 1\.\.3: "):
         Chain((1, 3, 2.0), ((1, 2),), (1,))  # a float entry
+    with pytest.raises(ValueError, match=r"^not a permutation of 1\.\.2: "):
+        Chain((2, True), (), ())  # a bool entry
+    with pytest.raises(ValueError, match=r"^transposition needs 1 <= a < b, got "):
+        Chain((2, 1), ((1.0, 2.0),), (-1,))
+    for d in [True, 1.0, -1.0]:
+        with pytest.raises(ValueError, match=r"^directions must be \+1 or -1$"):
+            Chain((), ((1, 2),), (d,))
 
 
 def test_chain_is_an_immutable_value():
@@ -157,6 +163,11 @@ def test_truncate_examples():
     }
     assert truncate_last_descent((2, 1)) == {}
     assert truncate_last_descent((1, 3, 2)) == {(2, 1): 1}
+    # Sorted, like the product's expansion.
+    assert list(truncate_last_descent((5, 1, 7, 3, 8, 2, 4, 6))) == [
+        (5, 2, 7, 6, 1, 3, 4),
+        (6, 2, 7, 4, 1, 3, 5),
+    ]
     with pytest.raises(ValueError):
         truncate_last_descent((1, 2, 3))
 
@@ -171,6 +182,20 @@ def test_truncation_equals_substitution_on_s5():
             assert c == 1, (w, u)
             total = total + schubert(u)
         assert total == substitute_zero(schubert(w), k - 1), w
+
+
+def test_drain_expands_every_truncation_on_s7():
+    # The paper's second result: S_w(x1..xk, 0, ...) expands positively by
+    # repeated last-descent truncation, at every k below the last descent.
+    for w in all_perms(7):
+        top = last_descent(w)
+        if top is None:
+            continue
+        assert list(truncate_last_descent(w)) == sorted(truncate_last_descent(w)), w
+        for k in range(top):
+            got = _drain(w, *_descent_data(w), k)
+            assert got == schubert_expand(truncated_schubert(w, k)), (w, k)
+            assert all(c > 0 for c in got.values()), (w, k)
 
 
 def test_product_42153():
@@ -304,12 +329,88 @@ def test_lr_chains_small_cases():
             assert {w: len(cs) for w, cs in chains.items()} == product, (u, lam, k)
 
 
+# A reference chain rewrite, independent of lr_chains: its own
+# conjugation and push-down, and the staircase normal form of one
+# alternating down/up truncation chain.
+
+
+def conj(d, t):
+    """d t d, the transposition t with d's two points exchanged."""
+    x, y = d
+    a, b = (y if p == x else x if p == y else p for p in t)
+    return (a, b) if a < b else (b, a)
+
+
+def push_downs_left(items):
+    """Rewrite a mixed word so all down-steps precede all up-steps.
+
+    items pairs each transposition with whether it is a down-step.
+    Moving a down-step t left across an up-step s rewrites s t as
+    t (t s t); an up-step equal to t cancels against it.  The group
+    element is unchanged.
+    """
+    downs, ups = [], []
+    for t, is_down in items:
+        if not is_down:
+            ups.append(t)
+            continue
+        for i in range(len(ups) - 1, -1, -1):
+            if ups[i] == t:
+                del ups[i]
+                break
+            ups[i] = conj(t, ups[i])
+        else:
+            downs.append(t)
+    return downs, ups
+
+
+def reverse_ups(ups):
+    """Reverse a transposition word by sinking heads: t R = (t R t) t."""
+    rest, out = list(ups), []
+    while rest:
+        head = rest.pop(0)
+        rest = [conj(head, t) for t in rest]
+        out.insert(0, head)
+    return out
+
+
+def normalize_chain(chain):
+    """Rewrite an alternating down/up chain into staircase form.
+
+    The input steps alternate (k, b_1)(a_1, k)(k, b_2)(a_2, k)... from a
+    base w whose last descent is k, with b_1 > b_2 > ... and b_1 maximal
+    such that w_k > w_{b_1}.  The output chain from the same base does
+    all m = b_1 - k down-steps (k, k+m)...(k, k+1) first, then m up-steps
+    in column order (a'_1, k)(a'_2, k+1)..., and reaches the same
+    endpoint.  Padding pairs (k,j)(k,j) are inserted at the skipped
+    columns, then down-steps commute left past up-steps by conjugation.
+    """
+    w, steps = chain.base, chain.steps
+    k = last_descent(w)
+    m = max(b for b in range(k + 1, len(w) + 1) if w[b - 1] < w[k - 1]) - k
+    pairs = list(zip(steps[0::2], steps[1::2]))
+    bs = [down[1] for down, _ in pairs] + [k]
+    items = []
+    for i, (down, up) in enumerate(pairs):
+        items += [(down, True), (up, False)]
+        for j in range(bs[i] - 1, bs[i + 1], -1):
+            items += [((k, j), True), ((k, j), False)]
+    downs, ups = push_downs_left(items)
+    assert downs == [(k, k + m - i) for i in range(m)], chain
+    ups = reverse_ups(ups)
+    assert [b for _, b in ups] == list(range(k, k + m)), chain
+    assert all(a < k for a, _ in ups), chain
+    out = Chain(w, tuple(downs + ups), (-1,) * m + (1,) * m)
+    assert out.endpoint == chain.endpoint, chain
+    return out
+
+
 def lr_chains_rewriting_each_leaf(u, lam, k):
     """lr_chains as first written: every leaf rewrites its whole raw word.
 
     The raw word of a leaf is the staircase of down-steps of each tree
     node on its path, each followed by the up-steps of the chosen
-    truncation columns; one _push_downs_left per leaf sorts it.
+    truncation columns; one push_downs_left per leaf sorts it.
     """
     u, w0, _, _ = _product_seed(u, grassmannian(lam, len(lam)), k)
     out = {}
@@ -317,7 +418,7 @@ def lr_chains_rewriting_each_leaf(u, lam, k):
     def go(w, raw):
         kk = last_descent(w)
         if kk is None or kk <= k:
-            downs, ups = _push_downs_left(raw)
+            downs, ups = push_downs_left(raw)
             base = w0
             for t in downs:
                 base = apply_transposition(base, t)
@@ -389,21 +490,6 @@ def test_normalize_chain_staircase_example():
     assert norm.endpoint == raw.endpoint == (5, 2, 7, 6, 1, 3, 4)
 
 
-def test_normalize_chain_shapes():
-    empty = Chain((2, 1), (), ())
-    assert normalize_chain(empty) is empty
-    with pytest.raises(ValueError):
-        normalize_chain(Chain((1, 4, 2, 3), ((1, 2),), (1,)))
-    with pytest.raises(ValueError):
-        # valid walk, but the down-step works column 1, not the descent column
-        normalize_chain(Chain((3, 1, 4, 2), ((1, 2), (1, 2)), (-1, 1)))
-    with pytest.raises(ValueError):
-        # first down-step must clear the full descent width (here (5,8))
-        normalize_chain(
-            Chain((5, 1, 7, 3, 8, 2, 4, 6), ((5, 6), (2, 5)), (-1, 1))
-        )
-
-
 def test_nested_chain_collapses_to_product_form():
     # the nested down/up blocks out of 421537968 multiply out to the same
     # permutation as the three bare up-steps out of 42153
@@ -465,16 +551,16 @@ def test_product_expands_each_node_once(monkeypatch):
         assert len(expanded) == len(set(expanded)), case
 
 
-# Budget units each call charges: one per truncated tree node of the
-# product, one per truncation endpoint.  The lr_chains and
-# truncate_last_descent counts were measured before the permutation
-# kernels were split from the validating layer; the product's fell from
-# 1751 to 1435 when its tree was drained by last descent, which expands
-# each node once.
+# Budget units each call charges: one per truncated tree node, one per
+# truncation endpoint.  The lr_chains count was measured before the
+# permutation kernels were split from the validating layer; the product's
+# fell from 1751 to 1435 when its tree was drained by last descent, which
+# expands each node once.  truncate_last_descent is one level of the same
+# drain, so its 12 endpoints cost one more unit, for its one node: 13.
 PINNED_WORK = [
     (schubert_times_schur, ((3, 1, 6, 2, 8, 5, 4, 7), (5, 4, 3, 2, 1), 7), 1435),
     (lr_chains, ((3, 1, 6, 2, 8, 5, 4, 7), (3, 2, 1), 7), 99),
-    (truncate_last_descent, ((8, 6, 3, 2, 1, 5, 10, 4, 7, 9),), 12),
+    (truncate_last_descent, ((8, 6, 3, 2, 1, 5, 10, 4, 7, 9),), 13),
 ]
 
 
@@ -492,7 +578,6 @@ def test_guards_hold_under_optimize():
     # Each guard is fed a wrong kernel or helper and must still raise with -O.
     script = """
 import schubcalc.transition as T
-from schubcalc import Chain
 
 def outcome(fn, *args, **patch):
     saved = {name: getattr(T, name) for name in patch}
@@ -507,9 +592,9 @@ def outcome(fn, *args, **patch):
 
 print(outcome(T.monk_multiply, (1, 3, 2), 2, _swap=lambda w, a, b: w))
 print(outcome(T.truncation_start, (5, 1, 7, 3, 8, 2, 4, 6), _strip=lambda w: tuple(w)[1:]))
-print(outcome(T.normalize_chain, Chain((1, 4, 2, 3), ((2, 4), (1, 2)), (-1, 1)),
-              _reverse_ups=lambda ups: []))
 print(outcome(T.lr_chains, (), (1,), 1, _push_down=lambda ups, t: False))
+twice = lambda w, k, m: [((2, 1), (1,), 1, 1)] * 2
+print(outcome(T.truncate_last_descent, (1, 3, 2), _paths=twice))
 # Truncating from w instead of w-hat leaves endpoints with a descent at
 # or past the node's, which the endpoint scan of _paths must catch.
 unshifted = lambda w, k, m: list(w)
@@ -526,4 +611,5 @@ print(outcome(T.lr_chains, (4, 2, 1, 5, 3), (2, 1), 5, _start_word=unshifted))
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert [line.split(":")[0] for line in lines] == ["RuntimeError"] * 6, proc.stdout
+    assert "duplicate truncation endpoint" in lines[3], proc.stdout
     assert all("keeps a descent" in line for line in lines[4:]), proc.stdout
