@@ -25,6 +25,21 @@ expands each node once; it serves the product and the one-level
 truncate_last_descent alike.  The truncation kernel _paths and the chain
 walk of lr_chains run on explicit stacks, so their depth is bounded by
 memory, not by Python's recursion limit.
+
+A node whose truncation to the drain's k variables is zero has no leaf
+below it, and _paths drops such an endpoint unexpanded when it meets
+this criterion: S_w(x1..xk, 0, ...) = 0 when some value of w has more
+than k larger values to its left.  The sketch is Bergeron and Billey's
+(RC-graphs and Schubert polynomials, Experimental Math. 1993).  The
+bottom pipe dream of w^-1 holds c_i crosses in row i, left-justified,
+where c is the code of w^-1: c_i counts the values of w larger than i
+to the left of i.  Every reduced pipe dream of w^-1 is reached from it
+by ladder moves, and a ladder move takes a cross one column right, so
+none has all its crosses in columns 1..k when some c_i > k.
+Transposing the pipe dreams of w^-1 gives those of w, whose rows carry
+the variables, so no monomial of S_w lives in x1..xk.  The converse
+holds too on S1..S7, where the tests check both directions; the drop
+uses only this one.
 """
 
 from __future__ import annotations
@@ -203,34 +218,48 @@ class Chain:
         directions = tuple(directions)
         if not {*directions} <= {-1, 1} or not {*map(type, directions)} <= {int}:
             raise ValueError("directions must be +1 or -1")
-        self._init(base, steps, directions)
+        self._init(base, tuple(map(_check_transposition, steps)), directions)
 
     @classmethod
     def _trusted(
-        cls, base: Perm, steps: Sequence[Sequence[int]], directions: tuple[int, ...]
+        cls, base: Perm, steps: tuple[Transposition, ...], directions: tuple[int, ...]
     ) -> Chain:
-        """Kernel: a Chain from a canonical base and int directions of +1 or -1.
+        """Kernel: a Chain whose parts have the shape __init__ checks.
 
-        Every step is still checked.
+        base is canonical, each step a pair of ints 1 <= a < b, and each
+        direction an int, +1 or -1; lr_chains vouches for the steps with
+        its leaf check 0 < a <= k < b.  That each step covers, or is
+        covered, in its direction is still checked.
         """
         chain = cls.__new__(cls)
         chain._init(base, steps, directions)
         return chain
 
     def _init(
-        self, base: Perm, steps: Sequence[Sequence[int]], directions: tuple[int, ...]
+        self, base: Perm, steps: tuple[Transposition, ...], directions: tuple[int, ...]
     ) -> None:
-        steps = tuple(map(_check_transposition, steps))
         if len(steps) != len(directions):
             raise ValueError("steps and directions must pair up")
-        p = list(pad(base, max([b for _, b in steps], default=0)))
+        # One walk, padded as it goes.  A transposition can shift length
+        # by any odd amount; (a, b) moves it by exactly one, up when
+        # p_a < p_b and down when p_a > p_b, when no value between p_a
+        # and p_b sits between positions a and b.
+        p = list(base)
+        n = len(p)
         for (a, b), d in zip(steps, directions):
-            # A transposition can shift length by any odd amount; covering
-            # from below is the exact test for a move of one.
-            up = _covers(p, a, b)
-            p[a - 1], p[b - 1] = p[b - 1], p[a - 1]
-            if not (up if d == 1 else _covers(p, a, b)):
+            if b > n:
+                p.extend(range(n + 1, b + 1))
+                n = b
+            pa = p[a - 1]
+            pb = p[b - 1]
+            lo, hi = (pa, pb) if d == 1 else (pb, pa)
+            if lo > hi:
                 raise ValueError(f"step {(a, b)} is not a covering in direction {d}")
+            for x in p[a : b - 1]:
+                if lo < x < hi:
+                    raise ValueError(f"step {(a, b)} is not a covering in direction {d}")
+            p[a - 1] = pb
+            p[b - 1] = pa
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "steps", steps)
         object.__setattr__(self, "directions", directions)
@@ -349,14 +378,24 @@ def truncation_paths(w: Sequence[int]) -> tuple[tuple[Perm, tuple[int, ...]], ..
     (((3, 1, 2), (1, 1)),)
     """
     w = canonical(w)
-    return tuple((e, cols) for e, cols, _, _ in _paths(w, *_descent_data(w)))
+    k, m = _descent_data(w)
+    return tuple((e, cols) for e, cols, _, _ in _paths(w, k, m, k - 1))
 
 
-def _paths(w: Perm, k: int, m: int) -> list[tuple[Perm, tuple[int, ...], int, int]]:
+def _paths(
+    w: Perm, k: int, m: int, low: int
+) -> list[tuple[Perm, tuple[int, ...], int, int]]:
     """Kernel: truncation_paths of canonical w, whose _descent_data is (k, m).
 
     Each endpoint e comes as (e, columns, ld, m') with (ld, m') the
-    _descent_data of e, read off the same scan that strips it.
+    _descent_data of e, read off the same scan that strips it.  low < k
+    is the number of variables the caller truncates to: an endpoint with
+    ld > low is dropped, after it is charged, when the scan sees a value
+    of e with more than low larger values to its left.  The scan looks at
+    the values from the last descent on, so it finds a lower bound on
+    the largest such count, and keeps every endpoint whose truncation to
+    x1..x_low is nonzero (the criterion in the module docstring).  With
+    low = k - 1 every endpoint has ld <= low and none is dropped.
     """
     # One word, long enough for every column, swapped in place and
     # restored.  Column j works position b = k + j; cols[j] is the row
@@ -400,21 +439,34 @@ def _paths(w: Perm, k: int, m: int) -> list[tuple[Perm, tuple[int, ...], int, in
         charge()
         # Endpoint: strip the trailing fixed points, then walk the
         # increasing run before them down to the last descent.  The
-        # endpoint has w's length, so it is not the identity.
+        # endpoint has w's length, so it is not the identity.  Every
+        # value from position i on is a fixed point, so the run and the
+        # values after it increase to the end, and a value p_q on the run
+        # has its p_q - 1 smaller values to its left: q - p_q larger ones.
         i = n
         while p[i - 1] == i:
             i -= 1
+        h = i - p[i - 1]
         ld = i - 1
         while p[ld - 1] < p[ld]:
+            if ld - p[ld - 1] > h:
+                h = ld - p[ld - 1]
             ld -= 1
-        e = tuple(p[:i])
         if ld >= k:
-            raise RuntimeError(f"truncation endpoint {e} keeps a descent at {ld} >= {k}")
+            raise RuntimeError(
+                f"truncation endpoint {tuple(p[:i])} keeps a descent at {ld} >= {k}"
+            )
         top = p[ld - 1]
         t = ld
         while t < i and p[t] < top:
             t += 1
-        out.append((e, tuple(cols), ld, t - ld))
+        # top has t - ld smaller values to its right, so ld - top + (t - ld)
+        # larger ones to its left.  More than low such values anywhere
+        # make the endpoint's truncation to x1..x_low vanish.
+        if t - top > h:
+            h = t - top
+        if ld <= low or h <= low:
+            out.append((tuple(p[:i]), tuple(cols), ld, t - ld))
         p[a - 1], p[b - 1] = pa, pb
         lo = pa
         a -= 1
@@ -430,7 +482,10 @@ def _drain(seed: Perm, top: int, m: int, k: int) -> dict[Perm, int]:
     its coefficient summed over all its parents.  The leaves, the nodes
     with last descent at most k, are the expansion; coefficients are
     positive.  One unit of budget is charged per expanded node, and _paths
-    charges one per endpoint.
+    charges one per endpoint.  _paths drops an endpoint whose truncation
+    to x1..xk it sees vanish, by the module's criterion, so a node is
+    expanded only when a leaf may lie below it; a dropped endpoint is
+    charged but never expanded.
     """
     if top <= k:
         return {seed: 1}
@@ -441,7 +496,7 @@ def _drain(seed: Perm, top: int, m: int, k: int) -> dict[Perm, int]:
     for kk in range(top, k, -1):
         for w, (c, m) in levels.pop(kk, {}).items():
             charge()
-            for p, _, ld, mp in _paths(w, kk, m):
+            for p, _, ld, mp in _paths(w, kk, m, k):
                 if ld <= k:
                     done[p] = done.get(p, 0) + c
                 else:
@@ -516,29 +571,28 @@ def lr_coefficient(
     return schubert_times_schur(u, lam, k).get(w, 0)
 
 
-def _conj(d: Transposition, t: Transposition) -> Transposition:
-    """d t d, the transposition t with d's two points exchanged."""
-    x, y = d
-    a, b = t
-    a = y if a == x else x if a == y else a
-    b = y if b == x else x if b == y else b
-    return (a, b) if a < b else (b, a)
+def _push_down(ups: list[Transposition], x: int, y: int) -> bool:
+    """Move the down-step t = (x, y) left across the up-steps ups, in place.
 
-
-def _push_down(ups: list[Transposition], t: Transposition) -> bool:
-    """Move a down-step t left across the up-steps ups, rewriting them in place.
-
-    Moving t left across an up-step s rewrites s t as t (t s t); an
-    up-step equal to t cancels against it.  Returns whether t survives,
-    i.e. whether it is a down-step of the rewritten word.  The group
-    element is unchanged.
+    Moving t left across an up-step s rewrites s t as t (t s t), and
+    t s t is s with the points x and y exchanged; an up-step equal to t
+    cancels against it.  Returns whether t survives, i.e. whether it is
+    a down-step of the rewritten word.  The group element is unchanged.
     """
     for i in range(len(ups) - 1, -1, -1):
-        s = ups[i]
-        if s == t:
-            del ups[i]
-            return False
-        ups[i] = _conj(t, s)
+        a, b = ups[i]
+        if a == x:
+            if b == y:
+                del ups[i]
+                return False
+            a = y
+        elif a == y:
+            a = x
+        if b == x:
+            b = y
+        elif b == y:
+            b = x
+        ups[i] = (a, b) if a < b else (b, a)
     return True
 
 
@@ -554,6 +608,8 @@ def lr_chains(
     {(2, 4, 1, 3): ['(2,3)(1,3)(2,4)']}
     """
     u, w0, kk, m = _product_seed(u, grassmannian(lam, len(lam)), k)
+    size = sum(lam)
+    ones = (1,) * size
     out: dict[Perm, list[Chain]] = {}
 
     # The raw word of a leaf is its path's down-steps and lifted up-steps
@@ -569,17 +625,18 @@ def lr_chains(
         if kk <= k:
             if base != u:
                 raise RuntimeError(f"down-steps to {w} leave {base}, not u = {u}")
-            if len(ups) != sum(lam) or not all(a <= k < b for a, b in ups):
+            # Chain._trusted takes the shape of each step from this check.
+            if len(ups) != size or not all(0 < a <= k < b for a, b in ups):
                 raise RuntimeError(f"up-steps {ups} to {w} do not cross k = {k} |lam| times")
-            chain = Chain._trusted(u, tuple(ups), (1,) * len(ups))
+            chain = Chain._trusted(u, tuple(ups), ones)
             if chain.endpoint != w:
                 raise RuntimeError(f"chain {chain} ends at {chain.endpoint}, not {w}")
             out.setdefault(w, []).append(chain)
             continue
         # ups is this node's own list: its parent built it for this node.
         for b in range(kk + m, kk, -1):
-            if _push_down(ups, (kk, b)):
+            if _push_down(ups, kk, b):
                 base = _swap(base, kk, b)
-        for p, cols, ld, mp in reversed(_paths(w, kk, m)):
+        for p, cols, ld, mp in reversed(_paths(w, kk, m, k)):
             stack.append((p, ld, mp, ups + [(a, kk + j) for j, a in enumerate(cols)], base))
     return {w: tuple(cs) for w, cs in sorted(out.items())}

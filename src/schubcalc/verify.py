@@ -22,6 +22,7 @@ from .schubert import (
     stanley,
 )
 from .transition import (
+    lr_chains,
     monk_multiply,
     schubert_times_schur,
     truncate_last_descent,
@@ -161,7 +162,11 @@ def verify_cross(nmax: int = 4) -> int:
 
 
 def verify_product(nmax: int = 4) -> int:
-    """Transition expansion matches the oracle, positively, degree-correct."""
+    """Transition expansion matches the oracle, positively, degree-correct.
+
+    Each case also checks lr_chains: as many chains end at each term as its
+    coefficient, and each starts at u and ends at that term.
+    """
     _check_nmax(nmax)
     count = 0
     for u in all_perms(nmax):
@@ -187,6 +192,18 @@ def verify_product(nmax: int = 4) -> int:
                         raise CounterexampleError(
                             f"degree of {w} is {length(w)}, expected {degree}"
                         )
+                chains = lr_chains(u, lam, k)
+                if {w: len(cs) for w, cs in chains.items()} != got:
+                    raise CounterexampleError(
+                        f"chain counts of ({u}, {lam}, {k}) differ from {got}"
+                    )
+                for w, cs in chains.items():
+                    for chain in cs:
+                        if chain.base != u or chain.endpoint != w:
+                            raise CounterexampleError(
+                                f"chain {chain} of ({u}, {lam}, {k}) runs from "
+                                f"{chain.base} to {chain.endpoint}, not from u to {w}"
+                            )
                 count += 1
     return count
 

@@ -32,7 +32,7 @@ from schubcalc import (
 )
 from schubcalc._limits import remaining
 from schubcalc.perm import _covers, _cross, _from_code, _last_descent, _strip, _swap, pad
-from schubcalc.transition import _descent_data, _paths, _start_word
+from schubcalc.transition import _descent_data, _paths, _start_word, truncated_schubert
 from schubcalc.verify import all_perms
 from oracles import dd_schubert, strip
 
@@ -136,7 +136,7 @@ def recursive_paths(w, k, m):
 
 def check_paths_kernel(w):
     k, m = _descent_data(w)
-    got = _paths(w, k, m)
+    got = _paths(w, k, m, k - 1)
     assert [(e, cols) for e, cols, _, _ in got] == recursive_paths(w, k, m), w
     for e, _, ld, mp in got:
         assert (ld, mp) == _descent_data(e), (w, e)
@@ -154,6 +154,30 @@ def test_paths_kernel_equals_the_recursion_on_s6():
 def test_paths_kernel_equals_the_recursion_on_s8_and_s9(w):
     if w:
         check_paths_kernel(w)
+
+
+def test_paths_kernel_keeps_every_endpoint_that_survives_truncation_on_s7():
+    # With low < k - 1, _paths drops an endpoint only when its truncation to
+    # x1..x_low vanishes.  The scan reads the values from the endpoint's last
+    # descent on, so it may keep a dead endpoint: on S7 it keeps 58 of the
+    # 17 297 dead ones over 21 581 (w, low) cases.
+    missed = dead = 0
+    for w in all_perms(7):
+        if not w:
+            continue
+        k, m = _descent_data(w)
+        every = _paths(w, k, m, k - 1)
+        for low in range(k - 1):
+            got = _paths(w, k, m, low)
+            kept = {e for e, _, _, _ in got}
+            assert got == [x for x in every if x[0] in kept], (w, low)
+            for e, _, _, _ in every:
+                if truncated_schubert(e, low).terms:
+                    assert e in kept, (w, low, e)
+                else:
+                    dead += 1
+                    missed += e in kept
+    assert (missed, dead) == (58, 17297)
 
 
 def test_from_code_kernel_on_s6():

@@ -86,6 +86,10 @@ def test_chain_rejects_bad_steps():
     with pytest.raises(ValueError):
         Chain((3, 2, 1), ((1, 3),), (-1,))  # drops length by 3
     with pytest.raises(ValueError):
+        Chain((), ((1, 3),), (1,))  # raises length by 3, over the padded 2
+    with pytest.raises(ValueError):
+        Chain((), ((2, 3), (1, 2)), (1, -1))  # goes up, flagged down
+    with pytest.raises(ValueError):
         Chain((2, 1), ((1, 2), (1, 2)), (-1,))
     with pytest.raises(ValueError, match=r"^not a permutation of 1\.\.3: "):
         Chain((1, 3, 2.0), ((1, 2),), (1,))  # a float entry
@@ -196,6 +200,22 @@ def test_drain_expands_every_truncation_on_s7():
             got = _drain(w, *_descent_data(w), k)
             assert got == schubert_expand(truncated_schubert(w, k)), (w, k)
             assert all(c > 0 for c in got.values()), (w, k)
+
+
+def larger_to_the_left(w):
+    """The largest number of larger values to the left of a value of w."""
+    return max((sum(x > y for x in w[:i]) for i, y in enumerate(w)), default=0)
+
+
+def test_truncation_vanishes_exactly_when_a_value_has_too_many_larger_to_its_left():
+    # The criterion by which _paths drops a truncation endpoint:
+    # S_w(x1..xk, 0, ...) = 0 exactly when some value of w has more than k
+    # larger values to its left.  The drop relies on one direction only.
+    for n in range(1, 8):
+        for w in all_perms(n):
+            h = larger_to_the_left(w)
+            for k in range(n):
+                assert bool(truncated_schubert(w, k).terms) == (h <= k), (w, k)
 
 
 def test_product_42153():
@@ -536,9 +556,9 @@ def test_product_expands_each_node_once(monkeypatch):
     expanded = []
     kernel = T._paths
 
-    def recording(w, k, m):
+    def recording(w, k, m, low):
         expanded.append(w)
-        return kernel(w, k, m)
+        return kernel(w, k, m, low)
 
     monkeypatch.setattr(T, "_paths", recording)
     cases = [((3, 1, 6, 2, 8, 5, 4, 7), (5, 4, 3, 2, 1), 7)]
@@ -555,10 +575,12 @@ def test_product_expands_each_node_once(monkeypatch):
 # truncation endpoint.  The lr_chains count was measured before the
 # permutation kernels were split from the validating layer; the product's
 # fell from 1751 to 1435 when its tree was drained by last descent, which
-# expands each node once.  truncate_last_descent is one level of the same
+# expands each node once, and to 1292 when endpoints whose truncation to
+# x1..xk vanishes were charged but no longer expanded; the lr_chains case
+# has no such endpoint.  truncate_last_descent is one level of the same
 # drain, so its 12 endpoints cost one more unit, for its one node: 13.
 PINNED_WORK = [
-    (schubert_times_schur, ((3, 1, 6, 2, 8, 5, 4, 7), (5, 4, 3, 2, 1), 7), 1435),
+    (schubert_times_schur, ((3, 1, 6, 2, 8, 5, 4, 7), (5, 4, 3, 2, 1), 7), 1292),
     (lr_chains, ((3, 1, 6, 2, 8, 5, 4, 7), (3, 2, 1), 7), 99),
     (truncate_last_descent, ((8, 6, 3, 2, 1, 5, 10, 4, 7, 9),), 13),
 ]
@@ -592,8 +614,8 @@ def outcome(fn, *args, **patch):
 
 print(outcome(T.monk_multiply, (1, 3, 2), 2, _swap=lambda w, a, b: w))
 print(outcome(T.truncation_start, (5, 1, 7, 3, 8, 2, 4, 6), _strip=lambda w: tuple(w)[1:]))
-print(outcome(T.lr_chains, (), (1,), 1, _push_down=lambda ups, t: False))
-twice = lambda w, k, m: [((2, 1), (1,), 1, 1)] * 2
+print(outcome(T.lr_chains, (), (1,), 1, _push_down=lambda ups, x, y: False))
+twice = lambda w, k, m, low: [((2, 1), (1,), 1, 1)] * 2
 print(outcome(T.truncate_last_descent, (1, 3, 2), _paths=twice))
 # Truncating from w instead of w-hat leaves endpoints with a descent at
 # or past the node's, which the endpoint scan of _paths must catch.
