@@ -22,8 +22,8 @@ Basis expansion (_eliminate) clears the largest packed key at each step.
 It hands its pivot that key and the slot width, and takes back the
 basis element's keys at that width, so a pivot can answer from a memo
 keyed by the packed int, with no unpacking: schubert_expand's pivots
-do.  slide_expand's do not, since each of its pivots charges its
-monomials, hit or miss.
+and slide_expand's do.  A slide pivot charges its monomials, hit or
+miss.
 """
 
 from __future__ import annotations
@@ -312,6 +312,19 @@ def _placed(parts: tuple[int, ...], npos: int, floor: tuple[int, ...] | None) ->
     return p
 
 
+def _pivot_size(entry: tuple[tuple[int, ...], object, Mapping[int, int]]) -> int:
+    """The size of a pivot in a memo: the monomials of its basis element."""
+    return len(entry[2])
+
+
+# The pivots of slide_expand by (packed monomial, slot width): the same
+# int is another monomial at another width.  An entry is (exponent tuple,
+# the same tuple as the basis label, keys of its slide polynomial at that
+# width); at the width of a _placements entry the keys are that entry's
+# own dict.  slide_expand is the only reader.
+_slide_pivots = Memo(_pivot_size)
+
+
 def slide_polynomial(a: Sequence[int] | _Virtual) -> Polynomial:
     """Sum of x^b over b dominating a whose nonzero parts refine those of a.
 
@@ -327,10 +340,10 @@ def slide_polynomial(a: Sequence[int] | _Virtual) -> Polynomial:
     """
     if a is VIRTUAL:
         return Polynomial._raw({}, 8, 0)
-    aa = _strip(a)
-    if any(x < 0 for x in aa):
-        raise ValueError(f"weak composition needed, got {tuple(a)!r}")
-    return _slide(aa)
+    a = tuple(a)
+    if not all(isinstance(x, int) and x >= 0 for x in a):
+        raise ValueError(f"weak composition needed, got {a!r}")
+    return _slide(_strip(a))
 
 
 def _slide(a: tuple[int, ...]) -> Polynomial:
@@ -347,8 +360,10 @@ def fundamental_quasisym(alpha: Sequence[int], k: int) -> Polynomial:
     'x1*x2'
     """
     al = tuple(alpha)
-    if any(x < 1 for x in al):
-        raise ValueError(f"composition parts must be positive: {al!r}")
+    if not all(isinstance(x, int) and x >= 1 for x in al):
+        raise ValueError(f"composition parts must be positive ints: {al!r}")
+    if not isinstance(k, int):
+        raise ValueError(f"k must be an int, got {k!r}")
     if k < 0:
         raise ValueError("k must be nonnegative")
     return _placed(al, k, None)
@@ -399,9 +414,14 @@ def slide_expand(p: Polynomial) -> dict[Composition, int]:
     """
 
     def pivot(m: int, bits: int) -> tuple[Composition, Composition, dict[int, int]]:
-        # Built through _placed on every pivot, so each charges its
-        # monomials, hit or miss.
-        e = _unpack(m, bits)
-        return e, e, _lift(_slide(e), bits)
+        entry = _slide_pivots.find((m, bits))
+        if entry is None:
+            e = _unpack(m, bits)
+            # _slide charges the monomials of a miss, through _placed.
+            entry = (e, e, _lift(_slide(e), bits))
+            _slide_pivots.put((m, bits), entry)
+        else:
+            charge(len(entry[2]))
+        return entry
 
     return _eliminate(p, pivot)

@@ -26,7 +26,15 @@ from collections.abc import Sequence
 
 from ._limits import Memo
 from .perm import Perm, _from_code, _grassmannian, canonical, check_partition, shift
-from .poly import NonExpandableError, Polynomial, _eliminate, _lift, _unpack, slide_polynomial
+from .poly import (
+    NonExpandableError,
+    Polynomial,
+    _eliminate,
+    _lift,
+    _pivot_size,
+    _unpack,
+    slide_polynomial,
+)
 # _stanley stays bound here: perfbench/tracer.py reads its cache_info().
 from .transition import _build, _node, _schubert, _stanley  # noqa: F401
 from .words import (
@@ -114,11 +122,6 @@ def schur(lam: Sequence[int], k: int) -> Polynomial:
     w = _grassmannian(lam, k)
     p = _schubert.find(w)
     return _build(w, len(w), _schubert, w) if p is None else p
-
-
-def _pivot_size(entry: tuple[tuple[int, ...], Perm, dict[int, int]]) -> int:
-    """The size of a pivot in a memo: the monomials of its Schubert polynomial."""
-    return len(entry[2])
 
 
 # The pivots of schubert_expand by (packed monomial, slot width): the same

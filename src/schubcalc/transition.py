@@ -138,7 +138,11 @@ def _transition(
     """One transition step of _build: yields each child word, receives its polynomial.
 
     Stores S_w(x1..xk, 0, ...) in memo under key and returns it; r is the
-    last descent of w.
+    last descent of w.  The x_r child comes first, then the q-children
+    from q = r - 1 down, so memo hits, misses and evictions follow that
+    order.  The sum starts as a copy of the first q-child, whose keys need
+    no shift; the later q-children merge into it, and the x_r term, raised
+    by x_r, merges last.
     """
     wr = w[r - 1]
     s = len(w)
@@ -152,12 +156,11 @@ def _transition(
     n = len(w)
     bits = _width(n * (n - 1) // 2)
     bound = 0
-    out: dict[int, int] = {}
+    xr = None
     if r <= k:
-        child = yield _strip(v)
-        bound = child._bound + 1
-        step = 1 << bits * (r - 1)
-        out = {e + step: c for e, c in _lift(child, bits).items()}
+        xr = yield _strip(v)
+        bound = xr._bound + 1
+    out: dict[int, int] | None = None
     # v (q, r) covers v exactly when v_q < v_r and no value strictly
     # between them sits in positions q+1..r-1.
     vr = v[r - 1]
@@ -169,10 +172,26 @@ def _transition(
             u = v[:]
             u[q - 1], u[r - 1] = vr, vq
             child = yield _strip(u)
-            bound = max(bound, child._bound)
-            # Coefficients are positive, so sums never cancel.
-            for e, c in _lift(child, bits).items():
-                out[e] = out.get(e, 0) + c
+            if child._bound > bound:
+                bound = child._bound
+            if out is None:
+                # A copy: stored children, and _ONE, never change.
+                out = dict(_lift(child, bits))
+                get = out.get
+            else:
+                # Coefficients are positive, so sums never cancel.
+                for e, c in _lift(child, bits).items():
+                    out[e] = get(e, 0) + c
+    if xr is not None:
+        step = 1 << bits * (r - 1)
+        if out is None:
+            out = {e + step: c for e, c in _lift(xr, bits).items()}
+        else:
+            for e, c in _lift(xr, bits).items():
+                e += step
+                out[e] = get(e, 0) + c
+    elif out is None:
+        out = {}
     if bound >> bits:
         raise RuntimeError(f"S_{w} has degree {bound}, too large for {bits}-bit slots")
     p = Polynomial._raw(out, bits, bound)

@@ -1,4 +1,4 @@
-"""The five memos: invisible in results, budgeted alike cold and warm,
+"""The six memos: invisible in results, budgeted alike cold and warm,
 and bounded by the items they hold."""
 
 import importlib
@@ -22,6 +22,7 @@ from schubcalc import (
     schubert,
     schubert_expand,
     schur,
+    slide_expand,
     slide_polynomial,
     stanley,
     term_budget,
@@ -29,6 +30,7 @@ from schubcalc import (
 from schubcalc._limits import MEMO_BOUND, Memo, charge, remaining
 from schubcalc.perm import _last_descent
 from schubcalc.transition import _schubert, _stanley
+from oracles import dd_schubert
 
 # schubcalc.schubert as an attribute is the function, not the module.
 _pivots = importlib.import_module("schubcalc.schubert")._pivots
@@ -88,6 +90,26 @@ def memo_traffic(node, items):
     clear()
     out = [node(canonical(w), k) for w, k in items]
     return out, [(m.hits, m.misses, list(m.items())) for m in MEMOS]
+
+
+def test_stored_children_never_change():
+    # Each transition sum starts from a copy of its first q-child, which
+    # is a stored polynomial or _ONE; a sum built in that child's own dict
+    # would change the child under its memo key.  Stanley nodes (last
+    # descent beyond k) have no x_r term, so their sum is that copy plus
+    # the later q-children.
+    clear()
+    for w in permutations(range(1, 7)):
+        schubert(w)
+    for w in permutations(range(1, 5)):
+        for k in range(6):
+            stanley(w, k)
+    assert len(_stanley) > 100
+    for w, (p, _) in _schubert.items():
+        assert p.terms == dd_schubert(w), w
+    for (w, k), (p, _) in _stanley.items():
+        assert p.terms == {e: c for e, c in dd_schubert(w).items() if len(e) <= k}, (w, k)
+    assert T._ONE._keys == {0: 1}
 
 
 def test_the_stack_keeps_the_memo_traffic_of_the_recursion(monkeypatch):
@@ -210,6 +232,10 @@ def expand_product(u, v):
     return schubert_expand(schubert(u) * schubert(v))
 
 
+def slides_of(w):
+    return slide_expand(schubert(w))
+
+
 # Each memo with calls that read it: a sample, and a flood that overfills
 # a bound of FLOOD_BOUND items.
 FLOOD_BOUND = 300
@@ -246,6 +272,15 @@ MEMO_CALLS = [
             (expand_product, ((3, 1, 2), (2, 3, 1))),
         ],
         [(expand_product, uv) for uv in product(permutations(range(1, 5)), repeat=2)],
+    ),
+    (
+        poly._slide_pivots,
+        [
+            (slides_of, ((1, 5, 3, 2, 6, 4),)),
+            (slides_of, ((4, 2, 1, 5, 3),)),
+            (slide_expand, (Polynomial({(1, 1): 1, (2,): -1}),)),
+        ],
+        [(slides_of, (w,)) for w in permutations(range(1, 6))],
     ),
 ]
 
@@ -287,20 +322,24 @@ def test_cache_info_counts_hits_and_misses():
     schubert((4, 2, 1, 5, 3))
     assert _schubert.cache_info().hits == info.hits + 1
     assert _schubert.cache_info().misses == info.misses
-    # A warm call reads one entry of one memo: one hit, no miss.
+    # A warm call reads one entry of one memo, or one per pivot of an
+    # expansion: hits only, no miss.
     memos = [memo for memo, _, _ in MEMO_CALLS]
-    for memo, call in (
-        (_stanley, lambda: stanley((4, 2, 1, 5, 3), 2)),
-        (_schubert, lambda: schur((2, 1), 2)),
-        (poly._placements, lambda: slide_polynomial((0, 2, 1))),
-        (poly._placements, lambda: fundamental_quasisym((2, 1), 3)),
-        (words._reduced_words, lambda: reduced_words((3, 1, 4, 2))),
-        (_pivots, lambda p=schubert((4, 2, 1, 5, 3)): schubert_expand(p)),
+    p = schubert((4, 2, 1, 5, 3))
+    for memo, call, reads in (
+        (_stanley, lambda: stanley((4, 2, 1, 5, 3), 2), 1),
+        (_schubert, lambda: schur((2, 1), 2), 1),
+        (poly._placements, lambda: slide_polynomial((0, 2, 1)), 1),
+        (poly._placements, lambda: fundamental_quasisym((2, 1), 3), 1),
+        (words._reduced_words, lambda: reduced_words((3, 1, 4, 2)), 1),
+        (_pivots, lambda: schubert_expand(p), 1),
+        # S_42153 is the slide polynomials of (3, 1, 0, 1) and (3, 2).
+        (poly._slide_pivots, lambda: slide_expand(p), 2),
     ):
         call()
         before = [(m.hits, m.misses) for m in memos]
         call()
-        after = [(m.hits - (m is memo), m.misses) for m in memos]
+        after = [(m.hits - reads * (m is memo), m.misses) for m in memos]
         assert after == before
 
 
@@ -324,6 +363,31 @@ def test_schubert_expand_charges_its_cold_pivots_only():
             charged.append(10**6 - remaining())
         assert len(got) == 5
     assert charged == [17, 0]
+
+
+def test_slide_expand_charges_alike_cold_and_warm():
+    # Every pivot charges the monomials of its slide polynomial: through
+    # _placed on a miss, and from the _slide_pivots entry on a hit.
+    p = schubert((1, 5, 3, 2, 6, 4))
+
+    def cold():
+        poly._slide_pivots.cache_clear()
+        poly._placements.cache_clear()
+
+    cold()
+    charged = []
+    for _ in range(2):
+        with term_budget(10**6):
+            got = slide_expand(p)
+            charged.append(10**6 - remaining())
+    need = sum(len(slide_polynomial(a).terms) for a in got)
+    assert charged == [need, need]
+    for n in range(need + 1):
+        cold()
+        result = attempt(slide_expand, (p,), n)
+        slide_expand(p)
+        assert attempt(slide_expand, (p,), n) == result
+        assert (result is None) == (n < need)
 
 
 def nodes(item):

@@ -197,6 +197,21 @@ def test_fundamental_quasisym_examples():
         fundamental_quasisym((1,), -1)
 
 
+def test_slide_bases_reject_parts_and_k_that_are_not_ints():
+    for call in (
+        lambda: slide_polynomial((1.0, 2)),
+        lambda: slide_polynomial((1.5,)),
+        lambda: slide_polynomial((1, 0.0)),
+        lambda: fundamental_quasisym((1.5,), 2),
+        lambda: fundamental_quasisym((2,), 2.0),
+    ):
+        with pytest.raises(ValueError):
+            call()
+    # bools are ints, as in Polynomial.
+    assert slide_polynomial((True, 2)) == slide_polynomial((1, 2))
+    assert fundamental_quasisym((2,), True) == fundamental_quasisym((2,), 1)
+
+
 def test_fundamental_quasisym_matches_brute_force():
     comps = {flatten(a) for a in all_weak_comps(4, 4)}
     for alpha in comps:

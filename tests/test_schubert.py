@@ -2,6 +2,7 @@ import importlib
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -11,9 +12,11 @@ from schubcalc import (
     NonExpandableError,
     NoSolutionError,
     Polynomial,
+    VIRTUAL,
     code,
     descent_set,
     fundamental_quasisym,
+    iter_reduced_words,
     length,
     schubert,
     schubert_expand,
@@ -24,6 +27,7 @@ from schubcalc import (
     slide_expand,
     stanley,
     substitute_zero,
+    weak_descent_composition,
 )
 from schubcalc.verify import all_partitions, all_perms
 from oracles import (
@@ -113,6 +117,15 @@ def test_schubert_153264_slide_expansion():
 
 def test_schubert_42153_slide_expansion():
     assert slide_expand(schubert((4, 2, 1, 5, 3))) == {(3, 1, 0, 1): 1, (3, 2): 1}
+
+
+def test_slide_expansion_counts_weak_descent_compositions_on_s5():
+    # Assaf and Searles: S_w is the sum of the slide polynomials of the weak
+    # descent compositions of its reduced words, the virtual ones left out.
+    for w in all_perms(5):
+        comps = map(weak_descent_composition, iter_reduced_words(w))
+        want = Counter(comp for comp in comps if comp is not VIRTUAL)
+        assert slide_expand(schubert(w)) == want, w
 
 
 def test_schubert_matches_definition_brute_force():
