@@ -142,6 +142,23 @@ def inverse(w: Sequence[int]) -> Perm:
     return tuple(inv)
 
 
+def _check_int(value: int, name: str, least: int = 0, got: bool = False) -> int:
+    """value, if it is an int (a bool counts) and at least least, 0 or 1.
+
+    The one check of the counts that public functions take: k, m, nmax.
+    A value that is not an int raises ValueError("<name> must be an int,
+    got <value>"); one below least raises ValueError("<name> must be
+    nonnegative") or "... positive", with ", got <value>" appended when
+    got is set.
+    """
+    if not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < least:
+        message = f"{name} must be {'positive' if least else 'nonnegative'}"
+        raise ValueError(f"{message}, got {value}" if got else message)
+    return value
+
+
 def _check_transposition(t: Sequence[int]) -> Transposition:
     a, b = t
     if type(a) is not int or type(b) is not int or not 1 <= a < b:
@@ -191,8 +208,7 @@ def shift(w: Sequence[int], m: int) -> Perm:
     >>> shift((2, 1), 2)
     (1, 2, 4, 3)
     """
-    if m < 0:
-        raise ValueError("shift amount must be nonnegative")
+    _check_int(m, "shift amount")
     w = canonical(w)
     return _strip(tuple(range(1, m + 1)) + tuple(v + m for v in w))
 
@@ -205,8 +221,7 @@ def cross(u: Sequence[int], v: Sequence[int], m: int) -> Perm:
     >>> cross((4, 2, 1, 5, 3), (2, 4, 1, 3), 5)
     (4, 2, 1, 5, 3, 7, 9, 6, 8)
     """
-    if m < 0:
-        raise ValueError(f"m must be nonnegative, got {m}")
+    _check_int(m, "m", got=True)
     u = canonical(u)
     v = canonical(v)
     if len(u) > m:
@@ -239,8 +254,7 @@ def grassmannian(lam: Sequence[int], k: int) -> Perm:
     (2, 4, 1, 3)
     """
     lam = check_partition(lam)
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    _check_int(k, "k")
     if len(lam) > k:
         raise ValueError(f"partition {lam!r} has more parts than k={k}")
     return _grassmannian(lam, k)
@@ -260,8 +274,7 @@ def _grassmannian(lam: tuple[int, ...], k: int) -> Perm:
 def to_partition(v: Sequence[int], k: int) -> tuple[int, ...]:
     """Recover lam from grassmannian(lam, k); rejects other input."""
     v = canonical(v)
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    _check_int(k, "k")
     if any(v[i - 1] > v[i] for i in range(1, len(v)) if i != k):
         raise ValueError(f"{v!r} is not grassmannian with descent at {k}")
     vv = pad(v, k)

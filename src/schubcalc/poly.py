@@ -32,6 +32,7 @@ from collections.abc import Callable, Mapping, Sequence
 from itertools import accumulate
 
 from ._limits import Memo, charge, remaining
+from .perm import _check_int
 from .words import VIRTUAL, Composition, _Virtual
 
 
@@ -234,8 +235,7 @@ def _term_str(exp: tuple[int, ...], coeff: int) -> str:
 
 def substitute_zero(p: Polynomial, k: int) -> Polynomial:
     """Set x_{k+1} = x_{k+2} = ... = 0."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    _check_int(k, "k")
     # A key uses only the first k slots exactly when it has at most B*k bits.
     top = p._bits * k
     return Polynomial._raw(
@@ -362,10 +362,7 @@ def fundamental_quasisym(alpha: Sequence[int], k: int) -> Polynomial:
     al = tuple(alpha)
     if not all(isinstance(x, int) and x >= 1 for x in al):
         raise ValueError(f"composition parts must be positive ints: {al!r}")
-    if not isinstance(k, int):
-        raise ValueError(f"k must be an int, got {k!r}")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    _check_int(k, "k")
     return _placed(al, k, None)
 
 

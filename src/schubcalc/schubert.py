@@ -2,11 +2,9 @@
 
 schubert, stanley and schur compute by Lascoux–Schützenberger transition
 (see the transition module), through two memos bounded by the monomials
-they hold.  Each validates its input once.  schubert and schur then read
-the _schubert memo themselves, so a hit is one find(), and on a miss
-call transition._build, which computes the node without looking it up
-again; stanley calls transition._node, which picks the memo by the last
-descent.  A Stanley symmetric polynomial comes from stability:
+they hold.  Each validates its input once and makes one call of
+transition._node, which picks the memo by the last descent, so a hit is
+one find().  A Stanley symmetric polynomial comes from stability:
 F_v(x1..xk) = S_{1^k x v}(x1..xk, 0, ...).  The reduced-word
 constructors schubert_via_slides (slide polynomials of weak descent
 compositions) and schubert_via_compatible (compatible sequences) are
@@ -25,7 +23,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from ._limits import Memo
-from .perm import Perm, _from_code, _grassmannian, canonical, check_partition, shift
+from .perm import Perm, _check_int, _from_code, _grassmannian, canonical, check_partition, shift
 from .poly import (
     NonExpandableError,
     Polynomial,
@@ -35,8 +33,9 @@ from .poly import (
     _unpack,
     slide_polynomial,
 )
-# _stanley stays bound here: perfbench/tracer.py reads its cache_info().
-from .transition import _build, _node, _schubert, _stanley  # noqa: F401
+# _schubert and _stanley stay bound here, unused: perfbench/tracer.py
+# reads their cache_info() from this module.
+from .transition import _node, _schubert, _stanley  # noqa: F401
 from .words import (
     VIRTUAL,
     compatible_sequences,
@@ -57,8 +56,7 @@ def schubert(w: Sequence[int]) -> Polynomial:
     'x1^3*x2^2 + x1^3*x2*x3 + x1^3*x2*x4'
     """
     w = canonical(w)
-    p = _schubert.find(w)
-    return _build(w, len(w), _schubert, w) if p is None else p
+    return _node(w, len(w))
 
 
 def schubert_via_slides(w: Sequence[int]) -> Polynomial:
@@ -99,8 +97,7 @@ def stanley(w: Sequence[int], k: int) -> Polynomial:
     >>> str(stanley((2, 1), 2))
     'x1 + x2'
     """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    _check_int(k, "k")
     return _node(shift(w, k), k)
 
 
@@ -115,13 +112,9 @@ def schur(lam: Sequence[int], k: int) -> Polynomial:
     '0'
     """
     lam = check_partition(lam)
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if k < len(lam):
+    if _check_int(k, "k") < len(lam):
         return Polynomial()
-    w = _grassmannian(lam, k)
-    p = _schubert.find(w)
-    return _build(w, len(w), _schubert, w) if p is None else p
+    return _node(_grassmannian(lam, k), k)
 
 
 # The pivots of schubert_expand by (packed monomial, slot width): the same

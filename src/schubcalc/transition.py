@@ -51,6 +51,7 @@ from ._limits import Memo, charge
 from .perm import (
     Perm,
     Transposition,
+    _check_int,
     _check_transposition,
     _covers,
     _cross,
@@ -65,46 +66,46 @@ from .poly import Polynomial, _lift, _monomials, _width
 
 # _schubert holds S_w by w; _stanley holds S_w(x1..xk, 0, ...) by (w, k)
 # for the w whose last descent is beyond k, where truncation matters.
-# _node and _build read them, and so do schubert and schur, which look
-# S_w up in _schubert themselves and call _build on a miss.
+# _node is their one reader: schubert, stanley, schur, truncated_schubert
+# and schubert_expand's pivots each validate and call it once.
 _schubert = Memo(_monomials)
 _stanley = Memo(_monomials)
 _ONE = Polynomial._raw({0: 1}, 8, 0)
 
 
 def _node(w: Perm, k: int) -> Polynomial:
-    """S_w(x1..xk, 0, ...) for canonical w, through the memos."""
-    if _last_descent(w) <= k:
-        memo, key = _schubert, w
-    else:
-        memo, key = _stanley, (w, k)
-    p = memo.find(key)
-    return _build(w, k, memo, key) if p is None else p
+    """S_w(x1..xk, 0, ...) for canonical w, through the memos.
 
-
-def _build(w: Perm, k: int, memo: Memo, key: Perm | tuple[Perm, int]) -> Polynomial:
-    """S_w(x1..xk, 0, ...) for canonical w, which memo does not hold under key.
-
-    memo and key are those _node would pick for w and k.  The transition
-    tree is walked depth first on an explicit stack that holds one
-    _transition generator per node being computed, so its depth (the
-    length of w for the longest element) is bounded by memory, not by
-    Python's recursion limit.  A node asks for its children one at a
-    time and each is looked up only when the one before it is complete,
-    so memo hits, misses and evictions come in depth-first order.  A
-    child computed here goes to its parent directly, not through find(),
-    so it is stored unread at the memo's cold end, first to be evicted,
-    until a later lookup reads it; the shared nodes that lookups do read
-    are kept.
+    w is the first lookup of a depth-first walk of the transition tree,
+    on an explicit stack that holds one _transition generator per node
+    being computed, so its depth (the length of w for the longest
+    element) is bounded by memory, not by Python's recursion limit.  A
+    lookup is the identity's _ONE, or one find() in _schubert under w
+    when the last descent is at most k, else in _stanley under (w, k); a
+    miss charges one unit of budget, before its children, and starts the
+    node.  A node asks for its children one at a time and each is looked
+    up only when the one before it is complete, so memo hits, misses and
+    evictions come in depth-first order.  A child computed here goes to
+    its parent directly, not through find(), so it is stored unread at
+    the memo's cold end, first to be evicted, until a later lookup reads
+    it; the shared nodes that lookups do read are kept.
     """
-    if not w:
-        return _ONE
-    r = _last_descent(w)
-    # One unit of budget per computed node, before its children.
-    charge()
-    stack: list[Generator[Perm, Polynomial, Polynomial]] = [_transition(w, k, r, memo, key)]
-    p = None
+    stack: list[Generator[Perm, Polynomial, Polynomial]] = []
     while True:
+        if w:
+            r = len(w) - 1
+            while w[r - 1] < w[r]:
+                r -= 1
+            if r <= k:
+                memo, key = _schubert, w
+            else:
+                memo, key = _stanley, (w, k)
+            p = memo.find(key)
+            if p is None:
+                charge()
+                stack.append(_transition(w, k, r, memo, key))
+        else:
+            p = _ONE
         # Hand p to the node that asked for it (None starts a new node),
         # finishing nodes until one asks for another child.
         while stack:
@@ -116,26 +117,12 @@ def _build(w: Perm, k: int, memo: Memo, key: Perm | tuple[Perm, int]) -> Polynom
                 p = done.value
         else:
             return p
-        if not w:
-            p = _ONE
-            continue
-        r = len(w) - 1
-        while w[r - 1] < w[r]:
-            r -= 1
-        if r <= k:
-            memo, key = _schubert, w
-        else:
-            memo, key = _stanley, (w, k)
-        p = memo.find(key)
-        if p is None:
-            charge()
-            stack.append(_transition(w, k, r, memo, key))
 
 
 def _transition(
     w: Perm, k: int, r: int, memo: Memo, key: Perm | tuple[Perm, int]
 ) -> Generator[Perm, Polynomial, Polynomial]:
-    """One transition step of _build: yields each child word, receives its polynomial.
+    """One transition step of _node: yields each child word, receives its polynomial.
 
     Stores S_w(x1..xk, 0, ...) in memo under key and returns it; r is the
     last descent of w.  The x_r child comes first, then the q-children
@@ -209,8 +196,7 @@ def truncated_schubert(w: Sequence[int], k: int) -> Polynomial:
     >>> str(truncated_schubert((4, 2, 1, 5, 3), 4))
     'x1^3*x2^2 + x1^3*x2*x3 + x1^3*x2*x4'
     """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    _check_int(k, "k")
     return _node(canonical(w), k)
 
 
@@ -332,9 +318,7 @@ def monk_multiply(w: Sequence[int], k: int) -> dict[Perm, int]:
     {(2, 1): 1}
     """
     w = canonical(w)
-    if k < 1:
-        raise ValueError("k must be positive")
-    n = max(len(w), k)
+    n = max(len(w), _check_int(k, "k", 1))
     p = pad(w, n + 1)
     out: dict[Perm, int] = {}
     for a in range(1, k + 1):
@@ -555,8 +539,7 @@ def _product_seed(u: Sequence[int], v: Perm, k: int) -> tuple[Perm, Perm, int, i
     (0, 0) for the identity seed, which is already a leaf.
     """
     u = canonical(u)
-    if k < 1:
-        raise ValueError("k must be positive")
+    _check_int(k, "k", 1)
     ld = _last_descent(u)
     if ld > k:
         raise ValueError(f"last descent of u is {ld}, beyond k={k}")

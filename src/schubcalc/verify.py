@@ -2,8 +2,8 @@
 
 Each suite checks one identity on every instance below a size bound and
 returns the number of instances checked; the first failure raises
-CounterexampleError with the witness, and a negative bound raises
-ValueError.  These back the CLI verify command.
+CounterexampleError with the witness, and a bound that is negative or
+not an int raises ValueError.  These back the CLI verify command.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from itertools import permutations
 
-from .perm import Perm, canonical, cross, last_descent, length
+from .perm import Perm, _check_int, canonical, cross, last_descent, length
 from .poly import Polynomial, substitute_zero
 from .schubert import (
     schubert,
@@ -32,11 +32,6 @@ from .transition import (
 
 class CounterexampleError(Exception):
     """An exhaustive suite found an instance violating its identity."""
-
-
-def _check_nmax(nmax: int) -> None:
-    if nmax < 0:
-        raise ValueError(f"nmax must be nonnegative, got {nmax}")
 
 
 def all_perms(n: int) -> Iterator[Perm]:
@@ -66,7 +61,7 @@ def basis_vector(k: int) -> Polynomial:
 
 def verify_slides(nmax: int = 4) -> int:
     """Transition, slides and compatible sequences agree on all of S_nmax."""
-    _check_nmax(nmax)
+    _check_int(nmax, "nmax", got=True)
     count = 0
     for w in all_perms(nmax):
         p = schubert(w)
@@ -78,7 +73,7 @@ def verify_slides(nmax: int = 4) -> int:
 
 def verify_monk(nmax: int = 4) -> int:
     """Covering-transposition expansion matches the expansion oracle."""
-    _check_nmax(nmax)
+    _check_int(nmax, "nmax", got=True)
     count = 0
     for w in all_perms(nmax):
         for k in range(1, nmax):
@@ -100,7 +95,7 @@ def verify_truncate(nmax: int = 4) -> int:
     0 <= j <= len(w); cross_identity_check relies on it.  The count is
     of the permutations with a last descent.
     """
-    _check_nmax(nmax)
+    _check_int(nmax, "nmax", got=True)
     count = 0
     for w in all_perms(nmax):
         p = schubert(w)
@@ -146,7 +141,7 @@ def cross_identity_check(
 
 def verify_cross(nmax: int = 4) -> int:
     """Splice-then-truncate factors into Schubert times Stanley."""
-    _check_nmax(nmax)
+    _check_int(nmax, "nmax", got=True)
     count = 0
     for u in all_perms(nmax - 1):
         m = len(u)
@@ -167,7 +162,7 @@ def verify_product(nmax: int = 4) -> int:
     Each case also checks lr_chains: as many chains end at each term as its
     coefficient, and each starts at u and ends at that term.
     """
-    _check_nmax(nmax)
+    _check_int(nmax, "nmax", got=True)
     count = 0
     for u in all_perms(nmax):
         ld = last_descent(u)

@@ -309,16 +309,23 @@ def test_closed_stdout_exits_quietly():
 
 
 def test_term_budget_is_exact_for_a_cold_construction():
-    # A fresh process builds every transition node once, charging one unit each.
-    nodes = int(run_python(
-        "from schubcalc import schubert\n"
-        "from schubcalc.transition import _schubert\n"
-        "schubert((4, 2, 1, 5, 3))\n"
-        "print(_schubert.cache_info().misses)\n"
-    ))
-    plain = run("schubert", "42153")
-    assert run("schubert", "42153", "--timeout-terms", str(nodes)) == plain
-    assert run("schubert", "42153", "--timeout-terms", str(nodes - 1))[0] == 4
+    # A fresh process builds every transition node once, charging one unit
+    # each: a node is one miss, of _schubert or of _stanley.
+    for args, call in (
+        (("schubert", "42153"), "schubert((4, 2, 1, 5, 3))"),
+        (("stanley", "42153", "2"), "stanley((4, 2, 1, 5, 3), 2)"),
+        (("schur", "2,1", "2"), "schur((2, 1), 2)"),
+    ):
+        nodes = int(run_python(
+            "from schubcalc import schubert, schur, stanley\n"
+            "from schubcalc.transition import _schubert, _stanley\n"
+            f"{call}\n"
+            "print(_schubert.cache_info().misses + _stanley.cache_info().misses)\n"
+        ))
+        plain = run(*args)
+        assert plain[0] == 0 and nodes > 0, args
+        assert run(*args, "--timeout-terms", str(nodes)) == plain, args
+        assert run(*args, "--timeout-terms", str(nodes - 1))[0] == 4, args
 
 
 def test_output_is_deterministic():

@@ -17,11 +17,13 @@ from schubcalc import (
     canonical,
     code,
     fundamental_quasisym,
+    grassmannian,
     iter_reduced_words,
     reduced_words,
     schubert,
     schubert_expand,
     schur,
+    shift,
     slide_expand,
     slide_polynomial,
     stanley,
@@ -30,6 +32,7 @@ from schubcalc import (
 from schubcalc._limits import MEMO_BOUND, Memo, charge, remaining
 from schubcalc.perm import _last_descent
 from schubcalc.transition import _schubert, _stanley
+from schubcalc.verify import all_partitions
 from oracles import dd_schubert
 
 # schubcalc.schubert as an attribute is the function, not the module.
@@ -86,9 +89,10 @@ def recursive_node(w, k):
         return done.value
 
 
-def memo_traffic(node, items):
+def memo_traffic(call, items):
+    """call(*item) for each item from cold memos, and the traffic it made."""
     clear()
-    out = [node(canonical(w), k) for w, k in items]
+    out = [call(*item) for item in items]
     return out, [(m.hits, m.misses, list(m.items())) for m in MEMOS]
 
 
@@ -116,8 +120,28 @@ def test_the_stack_keeps_the_memo_traffic_of_the_recursion(monkeypatch):
     # Small bounds make evictions, so hits depend on the order of lookups.
     for memo in MEMOS:
         monkeypatch.setattr(memo, "bound", 300)
-    items = [(w, k) for w in permutations(range(1, 7)) for k in (2, 6)]
-    assert memo_traffic(T._node, items) == memo_traffic(recursive_node, items)
+    perms = [canonical(w) for w in permutations(range(1, 7))]
+    items = [(w, k) for w in perms for k in (2, 6)]
+    # Each public entry validates and makes one _node call, on these
+    # arguments, so it makes the recursion's traffic too.
+    entries = [
+        (T._node, items, lambda w, k: (w, k)),
+        (T.truncated_schubert, items, lambda w, k: (w, k)),
+        (schubert, [(w,) for w in perms], lambda w: (w, len(w))),
+        (
+            stanley,
+            [(w, k) for w in perms[:120] for k in (0, 1, 3)],
+            lambda w, k: (shift(w, k), k),
+        ),
+        (
+            schur,
+            [(lam, k) for lam in all_partitions(5) for k in range(len(lam), 5)],
+            lambda lam, k: (grassmannian(lam, k), k),
+        ),
+    ]
+    for entry, args, node_args in entries:
+        recursion = memo_traffic(lambda *item: recursive_node(*node_args(*item)), args)
+        assert memo_traffic(entry, args) == recursion, entry.__name__
 
 
 # The eviction policy on bare memos, whose values are strings of their size.

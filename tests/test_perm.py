@@ -17,12 +17,20 @@ from schubcalc import (
     is_covering,
     last_descent,
     length,
+    lr_chains,
+    monk_multiply,
     parse_perm,
+    schubert,
+    schubert_times_schur,
     shift,
     schur,
+    stanley,
+    substitute_zero,
     to_partition,
 )
 from schubcalc.perm import _grassmannian
+from schubcalc.transition import truncated_schubert
+from schubcalc.verify import SUITES
 from oracles import grassmannian as oracle_grassmannian
 from oracles import inversions, partitions
 
@@ -178,6 +186,31 @@ def test_cross_rejects_a_negative_m():
     with pytest.raises(ValueError, match=r"^m must be nonnegative, got -2$"):
         cross((2, 1), (), -2)
     assert cross((), (2, 1), 0) == (2, 1)
+
+
+# Each public call that takes a count (k, m or nmax), as a function of it.
+COUNTED = {
+    "stanley": lambda x: stanley((2, 1), x),
+    "schur": lambda x: schur((2, 1), x),
+    "grassmannian": lambda x: grassmannian((1,), x),
+    "to_partition": lambda x: to_partition((2, 1), x),
+    "monk_multiply": lambda x: monk_multiply((2, 1), x),
+    "schubert_times_schur": lambda x: schubert_times_schur((2, 1), (1,), x),
+    "lr_chains": lambda x: lr_chains((2, 1), (1,), x),
+    "shift": lambda x: shift((2, 1), x),
+    "cross": lambda x: cross((), (2, 1), x),
+    "truncated_schubert": lambda x: truncated_schubert((2, 1), x),
+    "substitute_zero": lambda x: substitute_zero(schubert((2, 1)), x),
+} | {f"verify_{name}": suite for name, suite in SUITES.items()}
+
+
+@pytest.mark.parametrize("call", COUNTED.values(), ids=COUNTED)
+def test_a_count_must_be_an_int(call):
+    for x in (2.0, 1.5):
+        with pytest.raises(ValueError, match=rf" must be an int, got {x}$"):
+            call(x)
+    # A bool is an int: True counts as 1.
+    assert call(True) == call(1)
 
 
 def test_cross_length_and_descents_on_s3_pairs():
