@@ -1,18 +1,20 @@
 """Cache sizing and cooperative term budgets.
 
-Enumerations over reduced words, slide monomials and transition trees can
-explode combinatorially.  A term budget, installed as a context, makes
-them fail fast instead of grinding: producers call charge() as they emit
-items and the first item past the limit raises TermBudgetExceeded.  It is
+Enumerations over reduced words, compatible sequences, slide monomials
+and transition trees can explode combinatorially.  A term budget,
+installed as a context, makes them fail fast instead of grinding: every
+producer calls charge() as it emits an item, never looking ahead, and
+the first item past the limit raises TermBudgetExceeded.  A result read
+from a memo charges its items at once, the same as a cold call.  It is
 the only limit on work; without a budget an enumeration runs to the end.
 
-Their results are kept in memos, each bounded by the items its values
-hold (monomials for a polynomial, words for a word list), MEMO_BOUND
-items per memo.  A memo stores a new entry at its cold end, where it
-also evicts (the insertion order of the LRU insertion policy, Qureshi
-et al., ISCA 2007), and a read only sets the entry's reference bit: an
-entry whose bit is set when eviction reaches it has the bit cleared and
-goes to the hot end instead (second chance, as in CLOCK, Corbató 1968).
+Their results are kept in memos, each bounded by the monomials its
+values hold, MEMO_BOUND per memo.  A memo stores a new entry at its
+cold end, where it also evicts (the insertion order of the LRU
+insertion policy, Qureshi et al., ISCA 2007), and a read only sets the
+entry's reference bit: an entry whose bit is set when eviction reaches
+it has the bit cleared and goes to the hot end instead (second chance,
+as in CLOCK, Corbató 1968).
 So an entry that is stored and never read again, such as the result of
 a one-off construction, is evicted before the entries that lookups
 read, and a hit costs one dict read and a flag store.
@@ -24,6 +26,8 @@ import contextlib
 import contextvars
 from collections import OrderedDict
 from types import SimpleNamespace
+
+from .perm import _check_int
 
 MEMO_BOUND = 1 << 15
 
@@ -61,8 +65,7 @@ def term_budget(limit: int | None):
     if limit is None:
         yield
         return
-    if limit < 0:
-        raise ValueError("term budget must be nonnegative")
+    _check_int(limit, "term budget")
     token = _state.set([limit, limit])
     try:
         yield

@@ -22,8 +22,9 @@ Basis expansion (_eliminate) clears the largest packed key at each step.
 It hands its pivot that key and the slot width, and takes back the
 basis element's keys at that width, so a pivot can answer from a memo
 keyed by the packed int, with no unpacking: schubert_expand's pivots
-and slide_expand's do.  A slide pivot charges its monomials, hit or
-miss.
+and slide_expand's do.  Slide and quasisymmetric polynomials charge one
+unit per monomial: a cold placement as it places each, a placement or a
+slide pivot read from its memo all at once.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 from collections.abc import Callable, Mapping, Sequence
 from itertools import accumulate
 
-from ._limits import Memo, charge, remaining
+from ._limits import Memo, charge
 from .perm import _check_int
 from .words import VIRTUAL, Composition, _Virtual
 
@@ -260,25 +261,21 @@ def _monomials(p: Polynomial) -> int:
 def _place(parts: tuple[int, ...], npos: int, floor: tuple[int, ...] | None) -> Polynomial:
     # The sum of the monomials within npos positions whose nonzero entries
     # split the given parts in order; floor (when set) lower-bounds prefix
-    # sums.  The caller charges its monomials; under a budget the walk
-    # stops one monomial past what is left of it.
-    if not parts:
-        return Polynomial._raw({0: 1} if floor is None or not any(floor) else {}, 8, 0)
+    # sums.  Each monomial is charged one unit as it is placed; no parts
+    # place the one monomial 1.
     degree = sum(parts)
     bits = _width(degree)
-    budget = remaining()
     n = len(parts)
     out: list[int] = []
     # Depth first on an explicit stack, so the depth (npos) is not bounded
     # by Python's recursion limit.  A state is (position j, part t, what
     # is left of part t, prefix sum, key so far); a position's children
     # are pushed last-first so they are popped in the order 0, lo, ..., rem.
-    stack = [(0, 0, parts[0], 0, 0)]
+    stack = [(0, 0, parts[0] if parts else 0, 0, 0)]
     while stack:
         j, t, rem, psum, key = stack.pop()
         if t == n:
-            if len(out) == budget:  # never, when budget is None
-                charge(budget + 1)  # raises TermBudgetExceeded
+            charge()
             out.append(key)
             continue
         if npos - j < n - t:
@@ -308,7 +305,8 @@ def _placed(parts: tuple[int, ...], npos: int, floor: tuple[int, ...] | None) ->
     if p is None:
         p = _place(parts, npos, floor)
         _placements.put(key, p)
-    charge(len(p._keys))
+    else:
+        charge(len(p._keys))
     return p
 
 

@@ -144,6 +144,10 @@ def schubert_expand(
     >>> schubert_expand(Polynomial({(1,): 1, (0, 1): 1}))
     {(1, 3, 2): 1}
     """
+    if degree is not None:
+        _check_int(degree, "degree")
+    if ambient is not None:
+        _check_int(ambient, "ambient")
     degs = p.degrees()
     if len(degs) > 1:
         raise ValueError("Schubert expansion needs a homogeneous polynomial")

@@ -128,6 +128,8 @@ def cross_identity_check(
     with the product of u's Schubert polynomial and v's Stanley
     polynomial in those variables.  Needs u inside S_k and k <= n.
     """
+    _check_int(k, "k")
+    _check_int(n, "n")
     u = canonical(u)
     v = canonical(v)
     if len(u) > k:

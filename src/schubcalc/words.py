@@ -9,15 +9,15 @@ reduced_words and iter_reduced_words validate w once through canonical();
 the walk behind them (_walk) trusts that canonical input, reads its
 letters straight from the word and checks nothing.  It keeps its own
 stack, as compatible_sequences does, so the length of a word is not
-bounded by Python's recursion limit.
+bounded by Python's recursion limit.  Each reduced word and compatible
+sequence is charged one unit as it is emitted; nothing here is cached.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from itertools import islice
 
-from ._limits import Memo, charge, remaining
+from ._limits import Memo, charge
 from .perm import Perm, _strip, canonical
 
 Word = tuple[int, ...]
@@ -78,33 +78,17 @@ def _walk(w: Perm) -> Iterator[Word]:
             buf.pop()
 
 
-def _sorted_walk(w: Perm) -> tuple[Word, ...]:
-    # The caller charges the result; the walk stops one word past the budget.
-    budget = remaining()
-    words = sorted(islice(_walk(w), None if budget is None else budget + 1))
-    if budget is not None and len(words) > budget:
-        charge(len(words))  # raises TermBudgetExceeded
-    return tuple(words)
-
-
-# Word lists by permutation, sized by their words; reduced_words is the
-# only reader.
+# Unread; it stays bound because perfbench/tracer.py reads its cache_info().
 _reduced_words = Memo(len)
 
 
 def reduced_words(w: Sequence[int]) -> tuple[Word, ...]:
-    """All reduced words for w, sorted, cached and charged one unit each.
+    """All reduced words for w, sorted, charged one unit each as walked.
 
     >>> reduced_words((2, 1, 4, 3))
     ((1, 3), (3, 1))
     """
-    w = canonical(w)
-    out = _reduced_words.find(w)
-    if out is None:
-        out = _sorted_walk(w)
-        _reduced_words.put(w, out)
-    charge(len(out))
-    return out
+    return tuple(sorted(iter_reduced_words(w)))
 
 
 def iter_reduced_words(w: Sequence[int]) -> Iterator[Word]:
@@ -186,7 +170,7 @@ def greedy_compatible(word: Sequence[int]) -> tuple[int, ...] | _Virtual:
 
 
 def compatible_sequences(word: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """All compatible sequences for the word, sorted.
+    """All compatible sequences for the word, sorted, charged one unit each.
 
     A compatible sequence is a weakly increasing positive tuple bounded
     entrywise by the reversed word, increasing strictly wherever the
@@ -203,6 +187,7 @@ def compatible_sequences(word: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     rev = tuple(reversed(word))
     n = len(rev)
     if not n:
+        charge()
         return ((),)
     out: list[tuple[int, ...]] = []
     # Depth first, smallest entry first; stack holds one iterator over
@@ -219,6 +204,7 @@ def compatible_sequences(word: Sequence[int]) -> tuple[tuple[int, ...], ...]:
         seq.append(v)
         j = len(seq)
         if j == n:
+            charge()
             out.append(tuple(seq))
             seq.pop()
         else:

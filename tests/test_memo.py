@@ -1,4 +1,4 @@
-"""The six memos: invisible in results, budgeted alike cold and warm,
+"""The five memos: invisible in results, budgeted alike cold and warm,
 and bounded by the items they hold."""
 
 import importlib
@@ -16,12 +16,14 @@ from schubcalc import (
     TermBudgetExceeded,
     canonical,
     code,
+    compatible_sequences,
     fundamental_quasisym,
     grassmannian,
     iter_reduced_words,
     reduced_words,
     schubert,
     schubert_expand,
+    schubert_via_compatible,
     schur,
     shift,
     slide_expand,
@@ -284,11 +286,6 @@ MEMO_CALLS = [
         [(slide_polynomial, (a,)) for a in product(range(4), repeat=4)],
     ),
     (
-        words._reduced_words,
-        [(reduced_words, ((4, 2, 1, 5, 3),)), (reduced_words, ((3, 2, 1, 5, 4),))],
-        [(reduced_words, (w,)) for w in permutations(range(1, 6))],
-    ),
-    (
         _pivots,
         [
             (expand_product, ((4, 2, 1, 5, 3), (2, 1, 4, 3))),
@@ -355,7 +352,6 @@ def test_cache_info_counts_hits_and_misses():
         (_schubert, lambda: schur((2, 1), 2), 1),
         (poly._placements, lambda: slide_polynomial((0, 2, 1)), 1),
         (poly._placements, lambda: fundamental_quasisym((2, 1), 3), 1),
-        (words._reduced_words, lambda: reduced_words((3, 1, 4, 2)), 1),
         (_pivots, lambda: schubert_expand(p), 1),
         # S_42153 is the slide polynomials of (3, 1, 0, 1) and (3, 2).
         (poly._slide_pivots, lambda: slide_expand(p), 2),
@@ -439,9 +435,12 @@ def test_budgets_are_monotone(item, n):
                 assert list(build(item).terms.items()) == want
 
 
-# The memos of slide placements and reduced-word lists.
-CACHES = (poly._placements, words._reduced_words)
+# The memo of slide placements.
+CACHES = (poly._placements,)
 
+# Producers charged one unit per item: the readers of _placements, and
+# the enumerations of reduced words and compatible sequences, which are
+# not cached, so their warm call is a second cold one.
 CACHED = [
     (slide_polynomial, ((0, 3, 1, 0, 1),)),
     (slide_polynomial, ((1, 0, 2, 0, 0, 1),)),
@@ -449,6 +448,10 @@ CACHED = [
     (fundamental_quasisym, ((2, 2), 3)),
     (reduced_words, ((4, 2, 1, 5, 3),)),
     (reduced_words, ((3, 2, 1, 5, 4),)),
+    (slide_polynomial, ((),)),
+    (fundamental_quasisym, ((), 3)),
+    (compatible_sequences, ((9, 7, 5, 3, 1),)),
+    (compatible_sequences, ((),)),
 ]
 
 
@@ -475,7 +478,7 @@ def attempt(fn, args, n):
 @pytest.mark.parametrize("fn, args", CACHED)
 def test_budgets_fail_alike_cold_and_warm(fn, args):
     result = fn(*args)
-    size = len(result) if fn is reduced_words else len(result.terms)
+    size = len(result) if isinstance(result, tuple) else len(result.terms)
     for n in range(size + 2):
         clear_caches()
         cold = attempt(fn, args, n)
@@ -485,8 +488,10 @@ def test_budgets_fail_alike_cold_and_warm(fn, args):
 
 
 def test_a_cold_miss_stops_past_the_budget(monkeypatch):
-    # Unbudgeted, these are 12 870 placements and 768 words.  A cold miss
-    # under a budget of 5 stops at the sixth and charges 6, which raises.
+    # Unbudgeted, these are 12 870 placements, 768 words, 16 796 sequences
+    # (Catalan(10)) and, for the first reduced word of 2,1,4,3,...,24,23
+    # alone, 208 012 sequences (Catalan(12)).  Under a budget of 5 each
+    # charges one unit per item as it emits it and raises at the sixth.
     charged = []
 
     def recorded(n=1):
@@ -495,15 +500,21 @@ def test_a_cold_miss_stops_past_the_budget(monkeypatch):
 
     monkeypatch.setattr(poly, "charge", recorded)
     monkeypatch.setattr(words, "charge", recorded)
-    for fn, args in ((slide_polynomial, ((0,) * 8 + (8,),)), (reduced_words, ((5, 4, 3, 2, 1),))):
+    for fn, args in (
+        (slide_polynomial, ((0,) * 8 + (8,),)),
+        (reduced_words, ((5, 4, 3, 2, 1),)),
+        (compatible_sequences, (tuple(range(19, 0, -2)),)),
+        (schubert_via_compatible, (sum(((i + 1, i) for i in range(1, 24, 2)), ()),)),
+    ):
         clear_caches()
         charged.clear()
         with pytest.raises(TermBudgetExceeded):
             with term_budget(5):
                 fn(*args)
-        assert charged == [6], fn
+        assert charged == [1] * 6, fn
 
 
 def test_reduced_words_sorts_the_stream_on_s5():
     for w in permutations(range(1, 6)):
         assert reduced_words(w) == tuple(sorted(iter_reduced_words(w))), w
+

@@ -5,10 +5,12 @@ from itertools import combinations, permutations
 import pytest
 
 from schubcalc import (
+    Polynomial,
     apply_transposition,
     canonical,
     code,
     cross,
+    cross_identity_check,
     descent_set,
     format_perm,
     from_code,
@@ -20,12 +22,15 @@ from schubcalc import (
     lr_chains,
     monk_multiply,
     parse_perm,
+    reduced_words,
     schubert,
+    schubert_expand,
     schubert_times_schur,
     shift,
     schur,
     stanley,
     substitute_zero,
+    term_budget,
     to_partition,
 )
 from schubcalc.perm import _grassmannian
@@ -188,7 +193,13 @@ def test_cross_rejects_a_negative_m():
     assert cross((), (2, 1), 0) == (2, 1)
 
 
-# Each public call that takes a count (k, m or nmax), as a function of it.
+def budgeted(x):
+    with term_budget(x):
+        return reduced_words((2, 1))
+
+
+# Each public call that takes a count (k, m, n, nmax, degree, ambient or
+# a term budget), as a function of it.
 COUNTED = {
     "stanley": lambda x: stanley((2, 1), x),
     "schur": lambda x: schur((2, 1), x),
@@ -201,6 +212,11 @@ COUNTED = {
     "cross": lambda x: cross((), (2, 1), x),
     "truncated_schubert": lambda x: truncated_schubert((2, 1), x),
     "substitute_zero": lambda x: substitute_zero(schubert((2, 1)), x),
+    "schubert_expand_degree": lambda x: schubert_expand(schubert((2, 1)), degree=x),
+    "schubert_expand_ambient": lambda x: schubert_expand(Polynomial({(): 1}), ambient=x),
+    "cross_identity_check_k": lambda x: cross_identity_check((), (2, 1), x, 2),
+    "cross_identity_check_n": lambda x: cross_identity_check((), (2, 1), 1, x),
+    "term_budget": budgeted,
 } | {f"verify_{name}": suite for name, suite in SUITES.items()}
 
 
@@ -211,6 +227,13 @@ def test_a_count_must_be_an_int(call):
             call(x)
     # A bool is an int: True counts as 1.
     assert call(True) == call(1)
+
+
+def test_cross_identity_check_names_the_count_it_rejects():
+    # Each count is named as the caller passed it; n reaches cross as m.
+    for name in ("k", "n"):
+        with pytest.raises(ValueError, match=rf"^{name} must be an int, got 2.0$"):
+            COUNTED[f"cross_identity_check_{name}"](2.0)
 
 
 def test_cross_length_and_descents_on_s3_pairs():

@@ -547,8 +547,11 @@ def test_term_budget_aborts_enumeration():
     with term_budget(2):
         assert len(truncation_paths((5, 1, 7, 3, 8, 2, 4, 6))) == 2
     assert len(truncation_paths((5, 1, 7, 3, 8, 2, 4, 6))) == 2
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^term budget must be nonnegative$"):
         with term_budget(-1):
+            pass
+    with pytest.raises(ValueError, match="^term budget must be an int, got '2'$"):
+        with term_budget("2"):
             pass
 
 
