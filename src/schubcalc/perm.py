@@ -160,9 +160,14 @@ def _check_int(value: int, name: str, least: int = 0, got: bool = False) -> int:
 
 
 def _check_transposition(t: Sequence[int]) -> Transposition:
-    a, b = t
+    try:
+        t = tuple(t)
+        a, b = t
+    except (TypeError, ValueError):
+        # Not an iterable, or not of length two.
+        a = b = None
     if type(a) is not int or type(b) is not int or not 1 <= a < b:
-        raise ValueError(f"transposition needs 1 <= a < b, got {tuple(t)!r}")
+        raise ValueError(f"transposition needs 1 <= a < b, got {t!r}")
     return (a, b)
 
 

@@ -265,10 +265,11 @@ class Chain:
                     raise ValueError(f"step {(a, b)} is not a covering in direction {d}")
             p[a - 1] = pb
             p[b - 1] = pa
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "directions", directions)
-        object.__setattr__(self, "_end", _strip(p))
+        setfield = object.__setattr__
+        setfield(self, "base", base)
+        setfield(self, "steps", steps)
+        setfield(self, "directions", directions)
+        setfield(self, "_end", _strip(p))
 
     def _key(self) -> tuple:
         return (self.base, self.steps, self.directions)
@@ -401,42 +402,58 @@ def _paths(
     low = k - 1 every endpoint has ld <= low and none is dropped.
     """
     # One word, long enough for every column, swapped in place and
-    # restored.  Column j works position b = k + j; cols[j] is the row
-    # it swapped, and the stack of the walk.  (a, b) is a covering
-    # exactly when lo < p_a < p_b, where lo is the largest value below
-    # p_b in positions a+1..b-1; after a swap is undone, lo is p_a and
+    # restored.  Column j works position b = k + j and holds p_b in pb
+    # while it runs; a swap in column last = m - 1 makes an endpoint.
+    # cols[j] is the row column j swapped, and the stack of the walk.
+    # (a, b) is a covering exactly when lo < p_a < p_b, where lo is the
+    # largest value below p_b in positions a+1..b-1: a new column starts
+    # lo from positions k..b-1, and after a swap is undone lo is p_a and
     # the next row to try is a - 1, so a column resumes from cols alone.
+    # pa holds p_a of the row a being tried or swapped.  Once lo is
+    # p_b - 1 no value lies strictly between them, so no further row can
+    # cover: a is set to 0 and the column ends without trying the rest.
     p = _start_word(w, k, m)
     n = len(p)
     out: list[tuple[Perm, tuple[int, ...], int, int]] = []
+    emit = out.append
     cols = [0] * m
+    last = m - 1
     j, b, a, lo = 0, k, k - 1, 0
+    pb = p[k - 1]
     while True:
-        pb = p[b - 1]
-        while a and not lo < p[a - 1] < pb:
+        if lo == pb - 1:
+            a = 0
+        while a:
+            pa = p[a - 1]
+            if lo < pa < pb:
+                break
             a -= 1
-        if not a:
-            # Column exhausted: resume the one before it.
+        else:
+            # Column exhausted: undo the swap of the one before it and
+            # resume that column.
             if not j:
                 return out
             j -= 1
             b -= 1
             a = cols[j]
-            p[a - 1], p[b - 1] = p[b - 1], p[a - 1]
-            lo = p[a - 1]
+            pa = p[b - 1]
+            pb = p[a - 1]
+            p[a - 1] = pa
+            p[b - 1] = pb
+            lo = pa
             a -= 1
             continue
-        pa = p[a - 1]
-        p[a - 1], p[b - 1] = pb, pa
+        p[a - 1] = pb
+        p[b - 1] = pa
         cols[j] = a
-        if j < m - 1:
+        if j < last:
             j += 1
             b += 1
             pb = p[b - 1]
             lo = 0
-            for c in range(k - 1, b - 1):
-                if lo < p[c] < pb:
-                    lo = p[c]
+            for x in p[k - 1 : b - 1]:
+                if lo < x < pb:
+                    lo = x
             a = k - 1
             continue
         charge()
@@ -469,8 +486,9 @@ def _paths(
         if t - top > h:
             h = t - top
         if ld <= low or h <= low:
-            out.append((tuple(p[:i]), tuple(cols), ld, t - ld))
-        p[a - 1], p[b - 1] = pa, pb
+            emit((tuple(p[:i]), tuple(cols), ld, t - ld))
+        p[a - 1] = pa
+        p[b - 1] = pb
         lo = pa
         a -= 1
 

@@ -116,7 +116,10 @@ def test_apply_transposition_examples():
         apply_transposition((2, 1), (3, 3))
 
 
-@pytest.mark.parametrize("t", [(1.0, 2.0), (1, 3.0), (True, 2), (1, Fraction(2))])
+# The last three are not pairs at all: an int, and tuples of the wrong length.
+@pytest.mark.parametrize(
+    "t", [(1.0, 2.0), (1, 3.0), (True, 2), (1, Fraction(2)), 5, (1,), (1, 2, 3)]
+)
 def test_transposition_positions_must_be_ints(t):
     with pytest.raises(ValueError, match=r"^transposition needs 1 <= a < b, got "):
         apply_transposition((2, 1), t)

@@ -97,6 +97,10 @@ def test_chain_rejects_bad_steps():
         Chain((2, True), (), ())  # a bool entry
     with pytest.raises(ValueError, match=r"^transposition needs 1 <= a < b, got "):
         Chain((2, 1), ((1.0, 2.0),), (-1,))
+    with pytest.raises(ValueError, match=r"^transposition needs 1 <= a < b, got "):
+        Chain((), [5], [1])  # a step that is not a pair
+    with pytest.raises(ValueError, match=r"^transposition needs 1 <= a < b, got "):
+        Chain((), [(1, 2, 3)], [1])  # a step of three positions
     for d in [True, 1.0, -1.0]:
         with pytest.raises(ValueError, match=r"^directions must be \+1 or -1$"):
             Chain((), ((1, 2),), (d,))
