@@ -61,16 +61,29 @@ def remaining() -> int | None:
 
 @contextlib.contextmanager
 def term_budget(limit: int | None):
-    """Limit the total items charged within the context; None disables."""
+    """Limit the total items charged within the context; None adds no limit.
+
+    Inside another budget, it stops at whichever of the two runs out
+    first, names that one's limit when it raises, and charges the
+    enclosing budget with all it charged, however the context exits.
+    """
     if limit is None:
         yield
         return
     _check_int(limit, "term budget")
-    token = _state.set([limit, limit])
+    outer = _state.get()
+    if outer is None or limit <= outer[0]:
+        state = [limit, limit]
+    else:
+        state = outer[:]
+    start = state[0]
+    token = _state.set(state)
     try:
         yield
     finally:
         _state.reset(token)
+        if outer is not None:
+            outer[0] -= start - state[0]
 
 
 class Memo(OrderedDict):

@@ -127,26 +127,33 @@ def _transition(
     Stores S_w(x1..xk, 0, ...) in memo under key and returns it; r is the
     last descent of w.  The x_r child comes first, then the q-children
     from q = r - 1 down, so memo hits, misses and evictions follow that
-    order.  The sum starts as a copy of the first q-child, whose keys need
+    order.  Each q-child is swapped into v in place and back around its
+    yield.  The sum starts as a copy of the first q-child, whose keys need
     no shift; the later q-children merge into it, and the x_r term, raised
     by x_r, merges last.
     """
     wr = w[r - 1]
-    s = len(w)
+    n = s = len(w)
     while w[s - 1] > wr:
         s -= 1
     v = list(w)
     v[r - 1], v[s - 1] = v[s - 1], wr
-    # S_w has degree length(w) <= n(n-1)/2 for n = len(w), and no child
-    # is longer than w, so slots of this width hold the node and its
-    # children.  bound is the exact degree.
-    n = len(w)
-    bits = _width(n * (n - 1) // 2)
+    # w is canonical, so v ends in a fixed point only when the swap put n
+    # at position n; tail is the length of v without its fixed points.
+    tail = n if v[-1] != n else len(_strip(v))
+    # S_w has degree length(w) <= n(n-1)/2, below 256 for n <= 23, and no
+    # child is longer than w, so slots of this width hold the node and
+    # its children.  bound is the exact degree.
+    bits = 8 if n <= 23 else _width(n * (n - 1) // 2)
     bound = 0
     xr = None
     if r <= k:
-        xr = yield _strip(v)
+        xr = yield tuple(v[:tail])
         bound = xr._bound + 1
+    # A q-child holds v_q < v_r <= r at position r when every position
+    # past r is fixed, so none of its words ends before r.
+    if tail < r:
+        tail = r
     out: dict[int, int] | None = None
     # v (q, r) covers v exactly when v_q < v_r and no value strictly
     # between them sits in positions q+1..r-1.
@@ -156,25 +163,27 @@ def _transition(
         vq = v[q - 1]
         if lo < vq < vr:
             lo = vq
-            u = v[:]
-            u[q - 1], u[r - 1] = vr, vq
-            child = yield _strip(u)
+            v[q - 1], v[r - 1] = vr, vq
+            child = yield tuple(v[:tail])
+            v[q - 1], v[r - 1] = vq, vr
             if child._bound > bound:
                 bound = child._bound
+            keys = child._keys if child._bits == bits else _lift(child, bits)
             if out is None:
                 # A copy: stored children, and _ONE, never change.
-                out = dict(_lift(child, bits))
+                out = dict(keys)
                 get = out.get
             else:
                 # Coefficients are positive, so sums never cancel.
-                for e, c in _lift(child, bits).items():
+                for e, c in keys.items():
                     out[e] = get(e, 0) + c
     if xr is not None:
         step = 1 << bits * (r - 1)
+        keys = xr._keys if xr._bits == bits else _lift(xr, bits)
         if out is None:
-            out = {e + step: c for e, c in _lift(xr, bits).items()}
+            out = {e + step: c for e, c in keys.items()}
         else:
-            for e, c in _lift(xr, bits).items():
+            for e, c in keys.items():
                 e += step
                 out[e] = get(e, 0) + c
     elif out is None:

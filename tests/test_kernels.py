@@ -30,9 +30,17 @@ from schubcalc import (
     term_budget,
     truncation_paths,
 )
-from schubcalc._limits import remaining
+from schubcalc._limits import Memo, remaining
 from schubcalc.perm import _covers, _cross, _from_code, _last_descent, _strip, _swap, pad
-from schubcalc.transition import _descent_data, _paths, _start_word, truncated_schubert
+from schubcalc.poly import _monomials
+from schubcalc.transition import (
+    _descent_data,
+    _node,
+    _paths,
+    _start_word,
+    _transition,
+    truncated_schubert,
+)
 from schubcalc.verify import all_perms
 from oracles import dd_schubert, strip
 
@@ -180,6 +188,44 @@ def test_paths_kernel_keeps_every_endpoint_that_survives_truncation_on_s7():
                     dead += 1
                     missed += e in kept
     assert (missed, dead) == (58, 17297)
+
+
+def reference_children(w, k, r):
+    """The child words of one transition step of w, each copied, swapped and stripped."""
+    s = max(j for j in range(r + 1, len(w) + 1) if w[j - 1] < w[r - 1])
+    v = list(w)
+    v[r - 1], v[s - 1] = v[s - 1], v[r - 1]
+    out = [_strip(v)] if r <= k else []
+    for q in range(r - 1, 0, -1):
+        if is_covering(v, (q, r)):
+            u = v[:]
+            u[q - 1], u[r - 1] = u[r - 1], u[q - 1]
+            out.append(_strip(u))
+    return out
+
+
+def test_transition_kernel_yields_the_stripped_child_words_on_s7():
+    # Each word is compared before its polynomial is built, so a wrong word
+    # fails here rather than sending _node down a tree that never ends.
+    for w in all_perms(7):
+        if not w:
+            continue
+        r = _last_descent(w)
+        for k in (len(w), r - 1):
+            want = reference_children(w, k, r)
+            key = w if r <= k else (w, k)
+            step = _transition(w, k, r, Memo(_monomials), key)
+            got = []
+            try:
+                child = next(step)
+                while True:
+                    assert child == want[len(got)], (w, k, got)
+                    got.append(child)
+                    child = step.send(_node(child, k))
+            except StopIteration as done:
+                p = done.value
+            assert got == want, (w, k)
+            assert p == truncated_schubert(w, k), (w, k)
 
 
 def test_from_code_kernel_on_s6():

@@ -514,6 +514,42 @@ def test_a_cold_miss_stops_past_the_budget(monkeypatch):
         assert charged == [1] * 6, fn
 
 
+def test_a_nested_budget_stops_at_the_enclosing_one():
+    # Unbudgeted, 5,4,3,2,1 has 768 reduced words.
+    walked = []
+    with pytest.raises(TermBudgetExceeded) as raised:
+        with term_budget(5):
+            with term_budget(10**6):
+                for word in iter_reduced_words((5, 4, 3, 2, 1)):
+                    walked.append(word)
+    assert len(walked) == 5
+    assert raised.value.limit == 5
+
+
+def test_a_nested_budget_charges_the_enclosing_one():
+    with term_budget(100):
+        with term_budget(10):
+            assert len(reduced_words((3, 2, 1))) == 2
+            assert remaining() == 8
+        assert remaining() == 98
+        # Also when the inner block exits by an exception: the item past
+        # its limit is charged like the rest.
+        with pytest.raises(TermBudgetExceeded):
+            with term_budget(1):
+                reduced_words((3, 2, 1))
+        assert remaining() == 96
+    assert remaining() is None
+
+
+def test_a_smaller_nested_budget_raises_with_its_own_limit():
+    with term_budget(100):
+        with pytest.raises(TermBudgetExceeded) as raised:
+            with term_budget(3):
+                reduced_words((5, 4, 3, 2, 1))
+        assert raised.value.limit == 3
+        assert remaining() == 96
+
+
 def test_reduced_words_sorts_the_stream_on_s5():
     for w in permutations(range(1, 6)):
         assert reduced_words(w) == tuple(sorted(iter_reduced_words(w))), w
