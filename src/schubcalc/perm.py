@@ -12,12 +12,16 @@ _strip.  The private kernels (_strip, _last_descent, _swap, _covers,
 _cross) trust their input, a permutation word, canonical or padded with
 trailing fixed points, and check nothing; _from_code likewise trusts a
 code to be nonnegative, and _grassmannian a partition to have at most k
-parts.  Loops that call many kernels validate once at their entry.
+parts.  _grassmannian is also cached, up to 1024 results with the least
+recently used dropped first: it is a pure function of (lam, k), and its
+result is a tuple, which no caller can change.  Loops that call many
+kernels validate once at their entry.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import lru_cache
 
 Perm = tuple[int, ...]
 Transposition = tuple[int, int]
@@ -241,10 +245,13 @@ def _cross(u: Perm, v: Perm, m: int) -> Perm:
 
 def check_partition(lam: Sequence[int]) -> tuple[int, ...]:
     lam = tuple(lam)
-    if any(not isinstance(x, int) or x < 1 for x in lam) or any(
-        lam[i] < lam[i + 1] for i in range(len(lam) - 1)
-    ):
-        raise ValueError(f"not a partition: {lam!r}")
+    # Each part is an int (a bool counts) between 1 and the part before
+    # it; the first part is compared with itself only once it is an int.
+    prev = lam[0] if lam else 0
+    for x in lam:
+        if not isinstance(x, int) or not 0 < x <= prev:
+            raise ValueError(f"not a partition: {lam!r}")
+        prev = x
     return lam
 
 
@@ -265,6 +272,7 @@ def grassmannian(lam: Sequence[int], k: int) -> Perm:
     return _grassmannian(lam, k)
 
 
+@lru_cache(maxsize=1024)
 def _grassmannian(lam: tuple[int, ...], k: int) -> Perm:
     """Kernel: grassmannian for a partition lam with at most k parts."""
     # Position i <= k holds i + lam_{k-i+1}, increasing in i; the values

@@ -655,7 +655,12 @@ def lr_chains(
             if base != u:
                 raise RuntimeError(f"down-steps to {w} leave {base}, not u = {u}")
             # Chain._trusted takes the shape of each step from this check.
-            if len(ups) != size or not all(0 < a <= k < b for a, b in ups):
+            crossing = len(ups) == size
+            for a, b in ups:
+                if not 0 < a <= k < b:
+                    crossing = False
+                    break
+            if not crossing:
                 raise RuntimeError(f"up-steps {ups} to {w} do not cross k = {k} |lam| times")
             chain = Chain._trusted(u, tuple(ups), ones)
             if chain.endpoint != w:

@@ -1,3 +1,4 @@
+import re
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -33,7 +34,7 @@ from schubcalc import (
     term_budget,
     to_partition,
 )
-from schubcalc.perm import _grassmannian
+from schubcalc.perm import _grassmannian, check_partition
 from schubcalc.transition import truncated_schubert
 from schubcalc.verify import SUITES
 from oracles import grassmannian as oracle_grassmannian
@@ -272,6 +273,52 @@ def test_grassmannian_matches_the_oracle():
                 assert _grassmannian(lam, k) == grassmannian(lam, k) == want, (lam, k)
                 cases += 1
     assert cases == 947
+
+
+def test_grassmannian_cache_agrees_cold_and_warm():
+    keys = [(lam, k) for w in range(9) for lam in partitions(w) for k in range(len(lam), 9)]
+    _grassmannian.cache_clear()
+    for _ in ("cold", "warm"):
+        for lam, k in keys:
+            want = oracle_grassmannian(lam, k)
+            assert _grassmannian(lam, k) == _grassmannian.__wrapped__(lam, k) == want, (lam, k)
+    assert _grassmannian.cache_info().hits == len(keys)
+
+
+def test_grassmannian_cache_stays_bounded():
+    maxsize = _grassmannian.cache_info().maxsize
+    _grassmannian.cache_clear()
+    # The empty partition keeps each entry small: grassmannian((), k) == ().
+    for k in range(maxsize + 50):
+        assert _grassmannian((), k) == ()
+        assert _grassmannian.cache_info().currsize <= maxsize
+    assert _grassmannian.cache_info().currsize == maxsize
+
+
+@pytest.mark.parametrize(
+    "first, second", [((2, True), (2, 1)), ((2, 1), (2, True))], ids=["bool_first", "int_first"]
+)
+def test_grassmannian_of_a_bool_part_is_plain_ints(first, second):
+    # (2, True) == (2, 1), so both share one cache entry, filled by
+    # whichever comes first.
+    _grassmannian.cache_clear()
+    a, b = grassmannian(first, 2), grassmannian(second, 2)
+    assert a == b == (2, 4, 1, 3)
+    assert all(type(x) is int for x in a + b)
+    assert str(schur(first, 2)) == str(schur(second, 2))
+
+
+@pytest.mark.parametrize("lam", [(1, 2.0), (3, 1, 0), (2, 2, 3), (3, "1"), (1, True, 2)])
+def test_check_partition_rejects_a_bad_part_after_a_valid_prefix(lam):
+    with pytest.raises(ValueError, match=rf"^not a partition: {re.escape(repr(lam))}$"):
+        check_partition(lam)
+
+
+def test_check_partition_accepts_a_bool_part_unchanged():
+    lam = (2, True)
+    got = check_partition(lam)
+    assert got == (2, 1) and got[1] is True
+    assert check_partition(()) == ()
 
 
 def test_grassmannian_and_schur_messages():

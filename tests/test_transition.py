@@ -629,6 +629,9 @@ print(outcome(T.truncate_last_descent, (1, 3, 2), _paths=twice))
 unshifted = lambda w, k, m: list(w)
 print(outcome(T.schubert_times_schur, (4, 2, 1, 5, 3), (2, 1), 5, _start_word=unshifted))
 print(outcome(T.lr_chains, (4, 2, 1, 5, 3), (2, 1), 5, _start_word=unshifted))
+# An up-step out of row 0 is not one of the chain's steps (a, b) with
+# 0 < a <= k < b, which the leaf check must catch.
+print(outcome(T.lr_chains, (1, 3, 2), (1,), 2, _paths=lambda w, k, m, low: [((2, 3, 1), (0,), 2, 1)]))
 """
     src = os.path.dirname(os.path.dirname(schubcalc.__file__))
     proc = subprocess.run(
@@ -639,6 +642,9 @@ print(outcome(T.lr_chains, (4, 2, 1, 5, 3), (2, 1), 5, _start_word=unshifted))
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert [line.split(":")[0] for line in lines] == ["RuntimeError"] * 6, proc.stdout
+    assert [line.split(":")[0] for line in lines] == ["RuntimeError"] * 7, proc.stdout
     assert "duplicate truncation endpoint" in lines[3], proc.stdout
-    assert all("keeps a descent" in line for line in lines[4:]), proc.stdout
+    assert all("keeps a descent" in line for line in lines[4:6]), proc.stdout
+    assert lines[6] == (
+        "RuntimeError: up-steps [(0, 4)] to (2, 3, 1) do not cross k = 2 |lam| times"
+    ), proc.stdout
