@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+from _thread import allocate_lock
 from collections import OrderedDict
 from types import SimpleNamespace
 
@@ -99,6 +100,12 @@ class Memo(OrderedDict):
     end.  So an entry that was never read is evicted first, newest
     first, and one that was read outlives the next eviction pass.  An
     entry larger than the bound is still stored, alone.
+
+    A memo may be shared between threads.  put() and cache_clear() run
+    under a per-memo lock, and a put of a key already held (two threads
+    that missed it alike) replaces its entry, so held stays the sum of
+    the sizes of the entries stored.  find() takes no lock, so hits
+    counts are exact only in a single thread.
     """
 
     def __init__(self, size):
@@ -106,6 +113,9 @@ class Memo(OrderedDict):
         self.size = size
         self.bound = MEMO_BOUND
         self.held = self.hits = self.misses = 0
+        # _thread, not threading: under python -S nothing else imports
+        # threading, whose import adds about 0.5 ms to every process.
+        self._lock = allocate_lock()
 
     def find(self, key):
         """The value stored under key, or None; a hit sets the entry's bit."""
@@ -117,19 +127,29 @@ class Memo(OrderedDict):
         return entry[0]
 
     def put(self, key, value) -> None:
-        self.misses += 1
-        n = self.size(value)
-        while self and self.held + n > self.bound:
-            old, entry = self.popitem(last=False)
-            if entry[1]:
-                # Read since it was stored or last passed over: a second chance.
-                entry[1] = False
-                self[old] = entry
-            else:
-                self.held -= self.size(entry[0])
-        self[key] = [value, False]
-        self.move_to_end(key, last=False)
-        self.held += n
+        # acquire() and release() take 66 ns a pair, a with statement 157 ns
+        # (Python 3.11.7 on a 2-core VM).
+        self._lock.acquire()
+        try:
+            self.misses += 1
+            # Two threads that miss the same key both put it.
+            replaced = self.pop(key, None)
+            if replaced is not None:
+                self.held -= self.size(replaced[0])
+            n = self.size(value)
+            while self and self.held + n > self.bound:
+                old, entry = self.popitem(last=False)
+                if entry[1]:
+                    # Read since it was stored or last passed over: a second chance.
+                    entry[1] = False
+                    self[old] = entry
+                else:
+                    self.held -= self.size(entry[0])
+            self[key] = [value, False]
+            self.move_to_end(key, last=False)
+            self.held += n
+        finally:
+            self._lock.release()
 
     def cache_info(self) -> SimpleNamespace:
         """hits, misses, maxsize and currsize, as functools caches report; sizes count items."""
@@ -138,5 +158,6 @@ class Memo(OrderedDict):
         )
 
     def cache_clear(self) -> None:
-        self.clear()
-        self.held = self.hits = self.misses = 0
+        with self._lock:
+            self.clear()
+            self.held = self.hits = self.misses = 0

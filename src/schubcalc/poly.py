@@ -18,13 +18,15 @@ builds a slide polynomial from a composition that is already stripped
 and nonnegative, such as a key of a Polynomial, and checks nothing;
 slide_expand builds its pivots with it.
 
-Basis expansion (_eliminate) clears the largest packed key at each step.
-It hands its pivot that key and the slot width, and takes back the
-basis element's keys at that width, so a pivot can answer from a memo
-keyed by the packed int, with no unpacking: schubert_expand's pivots
-and slide_expand's do.  Slide and quasisymmetric polynomials charge one
-unit per monomial: a cold placement as it places each, a placement or a
-slide pivot read from its memo all at once.
+Basis expansion (_eliminate) clears the largest packed key at each step
+with a pivot that it reads from a memo keyed by that int and the slot
+width, so a hit unpacks nothing.  It is the one reader and writer of
+both pivot memos, schubert_expand's and slide_expand's: every pivot of
+either basis is checked when it is first built, and stored only if its
+basis element has the pivot as its largest monomial, with coefficient 1.
+Slide and quasisymmetric polynomials charge one unit per monomial: a
+cold placement as it places each, a placement or a slide pivot read
+from its memo all at once.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .words import VIRTUAL, Composition, _Virtual
 
 
 class NonExpandableError(RuntimeError):
-    """A positional-basis elimination failed to make progress."""
+    """A positional-basis elimination met a pivot that does not clear its monomial."""
 
 
 def _strip(exp: Sequence[int]) -> tuple[int, ...]:
@@ -315,11 +317,9 @@ def _pivot_size(entry: tuple[tuple[int, ...], object, Mapping[int, int]]) -> int
     return len(entry[2])
 
 
-# The pivots of slide_expand by (packed monomial, slot width): the same
-# int is another monomial at another width.  An entry is (exponent tuple,
-# the same tuple as the basis label, keys of its slide polynomial at that
-# width); at the width of a _placements entry the keys are that entry's
-# own dict.  slide_expand is the only reader.
+# The pivots of slide_expand by (packed monomial, slot width), as
+# _eliminate stores them, with the exponent tuple as the basis label; at
+# the width of a _placements entry the keys are that entry's own dict.
 _slide_pivots = Memo(_pivot_size)
 
 
@@ -365,26 +365,46 @@ def fundamental_quasisym(alpha: Sequence[int], k: int) -> Polynomial:
 
 
 def _eliminate(
-    p: Polynomial, pivot: Callable[[int, int], tuple[tuple[int, ...], object, Mapping[int, int]]]
+    p: Polynomial,
+    memo: Memo,
+    build: Callable[[tuple[int, ...]], tuple[object, Polynomial]],
+    hit: Callable[[tuple], object] | None = None,
 ) -> dict:
-    # Clear the largest key m with pivot(m, bits) = (e, key, keys): e is
-    # the exponent tuple of m, key the basis label and keys the basis
-    # element's monomials packed with slots of bits bits (p's width).  Its
-    # largest key must be m, so the maximum strictly decreases; its degree
-    # is at most that of m, so p's slots hold it.  The result is ordered
+    # Clear the largest key m with the memo's entry (e, label, keys) under
+    # (m, bits), as the same int is another monomial at another width: e
+    # is the exponent tuple of m, label the basis label and keys the basis
+    # element's monomials packed with slots of bits bits (p's width).  A
+    # miss builds (label, element) = build(e) and stores the entry only if
+    # the element's largest key is m, with coefficient 1, so the maximum
+    # strictly decreases; its degree is at most that of m, so p's slots
+    # hold it.  A hit calls hit(entry), when given.  The result is ordered
     # by the tuples e, ascending.
     bits = p._bits
     work = dict(p._keys)
     get = work.get
+    find = memo.find
     found = []
     last = None
     while work:
         m = max(work)
         if last is not None and m >= last:
             raise NonExpandableError(f"pivot {_unpack(last, bits)} did not clear the maximum")
-        e, key, keys = pivot(m, bits)
+        entry = find((m, bits))
+        if entry is None:
+            e = _unpack(m, bits)
+            label, element = build(e)
+            keys = _lift(element, bits)
+            if max(keys, default=-1) != m or keys[m] != 1:
+                raise NonExpandableError(
+                    f"pivot {e} is not the largest monomial, with coefficient 1, of {label}"
+                )
+            entry = (e, label, keys)
+            memo.put((m, bits), entry)
+        elif hit is not None:
+            hit(entry)
+        e, label, keys = entry
         c = work[m]
-        found.append((e, key, c))
+        found.append((e, label, c))
         for b, cb in keys.items():
             c2 = get(b, 0) - c * cb
             if c2:
@@ -393,8 +413,17 @@ def _eliminate(
                 # c and cb are nonzero, so b was in work.
                 del work[b]
         last = m
-    # The exponent tuples are distinct, so the sort never compares keys.
-    return {key: c for _, key, c in sorted(found)}
+    # The exponent tuples are distinct, so the sort never compares labels.
+    return {label: c for _, label, c in sorted(found)}
+
+
+def _slide_pivot(e: tuple[int, ...]) -> tuple[Composition, Polynomial]:
+    # _slide charges the monomials of a miss, through _placed.
+    return e, _slide(e)
+
+
+def _charge_pivot(entry: tuple[Composition, Composition, Mapping[int, int]]) -> None:
+    charge(len(entry[2]))
 
 
 def slide_expand(p: Polynomial) -> dict[Composition, int]:
@@ -407,16 +436,4 @@ def slide_expand(p: Polynomial) -> dict[Composition, int]:
     >>> slide_expand(Polynomial({(1, 1): 1, (2,): -1}))
     {(1, 1): 1, (2,): -1}
     """
-
-    def pivot(m: int, bits: int) -> tuple[Composition, Composition, dict[int, int]]:
-        entry = _slide_pivots.find((m, bits))
-        if entry is None:
-            e = _unpack(m, bits)
-            # _slide charges the monomials of a miss, through _placed.
-            entry = (e, e, _lift(_slide(e), bits))
-            _slide_pivots.put((m, bits), entry)
-        else:
-            charge(len(entry[2]))
-        return entry
-
-    return _eliminate(p, pivot)
+    return _eliminate(p, _slide_pivots, _slide_pivot, _charge_pivot)

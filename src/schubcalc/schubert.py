@@ -10,12 +10,13 @@ constructors schubert_via_slides (slide polynomials of weak descent
 compositions) and schubert_via_compatible (compatible sequences) are
 independent oracles and are not used by the others.
 
-schubert_expand resolves each pivot by its packed monomial through the
-_pivots memo: one read gives the exponent tuple, the permutation and
-its Schubert polynomial's keys, where a miss unpacks the monomial,
-builds the permutation from its code and looks the polynomial up with
-_node.  A pivot is checked on its miss, before it is stored, so the
-memo holds only pivots that clear their monomial.
+schubert_expand hands its pivots to poly._eliminate, which reads them
+from the _pivots memo by packed monomial: one read gives the exponent
+tuple, the permutation and its Schubert polynomial's keys.  A miss
+builds the permutation from the monomial's exponents, its code, and
+looks the polynomial up with _node; _eliminate checks that pivot when
+it is first built, and stores it only then, so the memo holds only
+pivots that clear their monomial.
 """
 
 from __future__ import annotations
@@ -24,15 +25,7 @@ from collections.abc import Sequence
 
 from ._limits import Memo
 from .perm import Perm, _check_int, _from_code, _grassmannian, canonical, check_partition, shift
-from .poly import (
-    NonExpandableError,
-    Polynomial,
-    _eliminate,
-    _lift,
-    _pivot_size,
-    _unpack,
-    slide_polynomial,
-)
+from .poly import NonExpandableError, Polynomial, _eliminate, _pivot_size, slide_polynomial
 # _schubert and _stanley stay bound here, unused: perfbench/tracer.py
 # reads their cache_info() from this module.
 from .transition import _node, _schubert, _stanley  # noqa: F401
@@ -117,11 +110,10 @@ def schur(lam: Sequence[int], k: int) -> Polynomial:
     return _node(_grassmannian(lam, k), k)
 
 
-# The pivots of schubert_expand by (packed monomial, slot width): the same
-# int is another monomial at another width.  An entry is (exponent tuple,
-# permutation, keys of its Schubert polynomial at that width); at the
-# width of a transition memo entry the keys are that entry's own dict.
-# schubert_expand is the only reader.
+# The pivots of schubert_expand by (packed monomial, slot width), as
+# poly._eliminate stores them, with the permutation as the basis label;
+# at the width of a transition memo entry the keys are that entry's own
+# dict.
 _pivots = Memo(_pivot_size)
 
 
@@ -136,10 +128,9 @@ def schubert_expand(
     same order.  With ambient=N, any permutation moving a value
     beyond position N raises NoSolutionError, whether or not the pivot
     is in the memo; degree, when given, is checked against the
-    polynomial.  Pivots come from the _pivots memo, keyed by packed
-    monomial and slot width; a pivot whose Schubert polynomial does not
-    have it as its largest monomial raises NonExpandableError before it
-    is stored.
+    polynomial.  A pivot whose Schubert polynomial does not have it as
+    its largest monomial, with coefficient 1, raises NonExpandableError
+    when it is first built, and is not stored.
 
     >>> schubert_expand(Polynomial({(1,): 1, (0, 1): 1}))
     {(1, 3, 2): 1}
@@ -154,28 +145,18 @@ def schubert_expand(
     if degree is not None and degs and degs != {degree}:
         raise ValueError(f"polynomial has degree {degs.pop()}, expected {degree}")
 
-    def pivot(m: int, bits: int) -> tuple[tuple[int, ...], Perm, dict[int, int]]:
-        entry = _pivots.find((m, bits))
-        if entry is None:
-            e = _unpack(m, bits)
-            # Keys of a Polynomial are nonnegative, so e is a valid code.
-            w = _from_code(e)
-        else:
-            e, w, _ = entry
-        if ambient is not None and len(w) > ambient:
-            raise NoSolutionError(
-                f"pivot {e} needs a permutation of {len(w)} values, ambient is {ambient}"
-            )
-        if entry is None:
-            keys = _lift(_node(w, len(w)), bits)
-            # Checked before the put, so a wrong entry is never stored.
-            if max(keys, default=-1) != m:
-                raise NonExpandableError(
-                    f"pivot {e} is not the largest monomial of the Schubert polynomial of {w}"
-                )
-            entry = (e, w, keys)
-            _pivots.put((m, bits), entry)
-        return entry
+    def build(e: tuple[int, ...]) -> tuple[Perm, Polynomial]:
+        # Keys of a Polynomial are nonnegative, so e is a valid code.
+        w = _from_code(e)
+        _check_ambient(e, w, ambient)
+        return w, _node(w, len(w))
 
-    return _eliminate(p, pivot)
+    hit = None if ambient is None else lambda entry: _check_ambient(*entry[:2], ambient)
+    return _eliminate(p, _pivots, build, hit)
 
+
+def _check_ambient(e: tuple[int, ...], w: Perm, ambient: int | None) -> None:
+    if ambient is not None and len(w) > ambient:
+        raise NoSolutionError(
+            f"pivot {e} needs a permutation of {len(w)} values, ambient is {ambient}"
+        )

@@ -2,6 +2,8 @@
 and bounded by the items they hold."""
 
 import importlib
+import sys
+import threading
 from itertools import permutations, product
 
 import pytest
@@ -202,6 +204,12 @@ def test_an_entry_larger_than_the_bound_is_kept_alone():
     assert list(memo) == ["c"] and memo.held == 1
 
 
+def test_a_put_of_a_held_key_replaces_its_entry():
+    memo = bare(5, "a", "bb")
+    memo.put("bb", "bb")
+    assert list(memo) == ["bb", "a"] and memo.held == 3
+
+
 # Sizes by key for the list model; key 6 is larger than the bound of 5.
 SIZES = {key: 1 + key % 3 for key in range(6)} | {6: 7}
 
@@ -247,6 +255,38 @@ def test_a_cold_scan_of_s6_misses_a_pinned_count(monkeypatch):
     for w in permutations(range(1, 7)):
         schubert(w)
     assert (_schubert.hits, _schubert.misses) == (1906, 1916)
+
+
+def test_two_threads_share_a_memo():
+    # Both threads miss many of the same nodes and put them twice, and
+    # with a small bound each evicts while the other stores.
+    perms = [canonical(w) for w in permutations(range(1, 7))]
+    clear()
+    want = [schubert(w) for w in perms]
+    clear()
+    results, errors = [None, None], []
+
+    def scan(i):
+        try:
+            results[i] = [schubert(w) for w in perms]
+        except BaseException as exc:
+            errors.append(exc)
+
+    interval, bound = sys.getswitchinterval(), _schubert.bound
+    threads = [threading.Thread(target=scan, args=(i,)) for i in range(2)]
+    try:
+        _schubert.bound = 300
+        sys.setswitchinterval(1e-6)
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+        _schubert.bound = bound
+    assert errors == []
+    assert _schubert.held == sum(items(_schubert))
+    assert results == [want, want]
 
 
 def items(memo):

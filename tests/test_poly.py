@@ -1,3 +1,7 @@
+import importlib
+import os
+import subprocess
+import sys
 from itertools import zip_longest
 
 import pytest
@@ -285,6 +289,33 @@ def test_slide_expand_signed_input():
     for a, c in expansion.items():
         total = total + slide_polynomial(a) * c
     assert total == p
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_a_wrong_slide_pivot_is_refused_before_it_is_stored(flags):
+    # x1^9 does not have the pivot x1 as its largest monomial, and 2*x1
+    # has it with coefficient 2.  Each is refused as it is built, with or
+    # without assert statements, and the cold memo stays empty.
+    script = (
+        "import schubcalc.poly as m\n"
+        "x1 = m.Polynomial({(1,): 1})\n"
+        "for wrong in (m.Polynomial({(9,): 1}), x1 * 2):\n"
+        "    m._slide = lambda a: wrong\n"
+        "    try:\n"
+        "        m.slide_expand(x1)\n"
+        "    except m.NonExpandableError as exc:\n"
+        "        pivots = m._slide_pivots\n"
+        "        print(exc, len(pivots), pivots.held, pivots.misses)\n"
+    )
+    src = os.path.dirname(os.path.dirname(importlib.import_module("schubcalc").__file__))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    refused = "pivot (1,) is not the largest monomial, with coefficient 1, of (1,) 0 0 0\n"
+    assert (proc.returncode, proc.stdout) == (0, refused * 2), proc.stderr
 
 
 @given(

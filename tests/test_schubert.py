@@ -365,6 +365,34 @@ def test_schubert_expand_guard_holds_under_optimization():
     assert (proc.returncode, proc.stdout) == (0, "raised\n"), proc.stderr
 
 
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_a_wrong_schubert_pivot_is_refused_before_it_is_stored(flags):
+    # The pivot of x1 is the code of (2, 1).  x1^9 does not have it as its
+    # largest monomial, and 2*x1 has it with coefficient 2.  Each is
+    # refused as it is built, with or without assert statements, and the
+    # cold memo stays empty.
+    script = (
+        "import importlib\n"
+        "m = importlib.import_module('schubcalc.schubert')\n"
+        "x1 = m.Polynomial({(1,): 1})\n"
+        "for wrong in (m.Polynomial({(9,): 1}), x1 * 2):\n"
+        "    m._node = lambda w, k: wrong\n"
+        "    try:\n"
+        "        m.schubert_expand(x1)\n"
+        "    except m.NonExpandableError as exc:\n"
+        "        print(exc, len(m._pivots), m._pivots.held, m._pivots.misses)\n"
+    )
+    src = os.path.dirname(os.path.dirname(importlib.import_module("schubcalc").__file__))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    refused = "pivot (1,) is not the largest monomial, with coefficient 1, of (2, 1) 0 0 0\n"
+    assert (proc.returncode, proc.stdout) == (0, refused * 2), proc.stderr
+
+
 def test_schubert_expand_round_trips_s4():
     for w in all_perms(4):
         assert schubert_expand(schubert(w)) == {w: 1}, w
