@@ -19,7 +19,7 @@ from collections.abc import Sequence
 
 from ._limits import TermBudgetExceeded, term_budget
 from .perm import check_partition, format_perm, parse_perm
-from .poly import Polynomial, fundamental_quasisym, slide_polynomial
+from .poly import Polynomial, _check_strong, _check_weak, fundamental_quasisym, slide_polynomial
 from .schubert import schubert, schubert_via_compatible, schubert_via_slides, schur, stanley
 from .transition import (
     lr_chains,
@@ -64,18 +64,12 @@ def _partition(text: str) -> tuple[int, ...]:
 
 @_converter
 def _weak_comp(text: str) -> tuple[int, ...]:
-    comp = _ints(text)
-    if any(x < 0 for x in comp):
-        raise ValueError(f"weak composition parts must be nonnegative: {comp!r}")
-    return comp
+    return _check_weak(_ints(text))
 
 
 @_converter
 def _strong_comp(text: str) -> tuple[int, ...]:
-    comp = _ints(text)
-    if any(x < 1 for x in comp):
-        raise ValueError(f"composition parts must be positive: {comp!r}")
-    return comp
+    return _check_strong(_ints(text))
 
 
 def _json(doc: dict) -> str:

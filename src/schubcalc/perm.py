@@ -125,8 +125,8 @@ def from_code(c: Sequence[int]) -> Perm:
     (4, 2, 1, 5, 3)
     """
     c = tuple(c)
-    if any(x < 0 for x in c):
-        raise ValueError(f"code entries must be nonnegative: {c!r}")
+    if not all(isinstance(x, int) and x >= 0 for x in c):
+        raise ValueError(f"code entries must be nonnegative ints: {c!r}")
     return _from_code(c)
 
 

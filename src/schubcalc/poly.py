@@ -13,20 +13,21 @@ exact Python ints.  The public view, Polynomial.terms, is a dict from
 exponent tuples with trailing zeros stripped to coefficients, built on
 each access.
 
-Public functions validate their input once.  The private kernel _slide
-builds a slide polynomial from a composition that is already stripped
-and nonnegative, such as a key of a Polynomial, and checks nothing;
-slide_expand builds its pivots with it.
+Public functions validate their input once, a composition through
+_check_weak or _check_strong, which the CLI calls too.  The private
+kernel _slide builds a slide polynomial from a composition that is
+already stripped and nonnegative, such as a key of a Polynomial, and
+checks nothing; slide_expand builds its pivots with it.
 
 Basis expansion (_eliminate) clears the largest packed key at each step
 with a pivot that it reads from a memo keyed by that int and the slot
 width, so a hit unpacks nothing.  It is the one reader and writer of
 both pivot memos, schubert_expand's and slide_expand's: every pivot of
 either basis is checked when it is first built, and stored only if its
-basis element has the pivot as its largest monomial, with coefficient 1.
-Slide and quasisymmetric polynomials charge one unit per monomial: a
-cold placement as it places each, a placement or a slide pivot read
-from its memo all at once.
+basis element has the pivot as its largest monomial, with coefficient 1,
+and a hit charges one unit per monomial of that element.  Slide and
+quasisymmetric polynomials charge one unit per monomial too: a cold
+placement as it places each, a placement read from its memo all at once.
 """
 
 from __future__ import annotations
@@ -246,6 +247,22 @@ def substitute_zero(p: Polynomial, k: int) -> Polynomial:
     )
 
 
+# The one check of each kind of composition: its parts are ints (a bool
+# counts), nonnegative in a weak composition and positive in a strong one.
+def _check_weak(comp: Sequence[int]) -> tuple[int, ...]:
+    comp = tuple(comp)
+    if not all(isinstance(x, int) and x >= 0 for x in comp):
+        raise ValueError(f"weak composition parts must be nonnegative ints: {comp!r}")
+    return comp
+
+
+def _check_strong(comp: Sequence[int]) -> tuple[int, ...]:
+    comp = tuple(comp)
+    if not all(isinstance(x, int) and x >= 1 for x in comp):
+        raise ValueError(f"composition parts must be positive ints: {comp!r}")
+    return comp
+
+
 def flatten(comp: Sequence[int]) -> Composition:
     """Drop zero parts.
 
@@ -338,10 +355,7 @@ def slide_polynomial(a: Sequence[int] | _Virtual) -> Polynomial:
     """
     if a is VIRTUAL:
         return Polynomial._raw({}, 8, 0)
-    a = tuple(a)
-    if not all(isinstance(x, int) and x >= 0 for x in a):
-        raise ValueError(f"weak composition needed, got {a!r}")
-    return _slide(_strip(a))
+    return _slide(_strip(_check_weak(a)))
 
 
 def _slide(a: tuple[int, ...]) -> Polynomial:
@@ -357,18 +371,13 @@ def fundamental_quasisym(alpha: Sequence[int], k: int) -> Polynomial:
     >>> str(fundamental_quasisym((1, 1), 2))
     'x1*x2'
     """
-    al = tuple(alpha)
-    if not all(isinstance(x, int) and x >= 1 for x in al):
-        raise ValueError(f"composition parts must be positive ints: {al!r}")
-    _check_int(k, "k")
-    return _placed(al, k, None)
+    return _placed(_check_strong(alpha), _check_int(k, "k"), None)
 
 
 def _eliminate(
     p: Polynomial,
     memo: Memo,
     build: Callable[[tuple[int, ...]], tuple[object, Polynomial]],
-    hit: Callable[[tuple], object] | None = None,
 ) -> dict:
     # Clear the largest key m with the memo's entry (e, label, keys) under
     # (m, bits), as the same int is another monomial at another width: e
@@ -377,8 +386,8 @@ def _eliminate(
     # miss builds (label, element) = build(e) and stores the entry only if
     # the element's largest key is m, with coefficient 1, so the maximum
     # strictly decreases; its degree is at most that of m, so p's slots
-    # hold it.  A hit calls hit(entry), when given.  The result is ordered
-    # by the tuples e, ascending.
+    # hold it.  A hit charges len(keys), the work of clearing m, as the
+    # build of a miss charges its own.  The result is ordered by e.
     bits = p._bits
     work = dict(p._keys)
     get = work.get
@@ -400,8 +409,8 @@ def _eliminate(
                 )
             entry = (e, label, keys)
             memo.put((m, bits), entry)
-        elif hit is not None:
-            hit(entry)
+        else:
+            charge(len(entry[2]))
         e, label, keys = entry
         c = work[m]
         found.append((e, label, c))
@@ -422,10 +431,6 @@ def _slide_pivot(e: tuple[int, ...]) -> tuple[Composition, Polynomial]:
     return e, _slide(e)
 
 
-def _charge_pivot(entry: tuple[Composition, Composition, Mapping[int, int]]) -> None:
-    charge(len(entry[2]))
-
-
 def slide_expand(p: Polynomial) -> dict[Composition, int]:
     """Write p as an integer combination of slide polynomials.
 
@@ -436,4 +441,4 @@ def slide_expand(p: Polynomial) -> dict[Composition, int]:
     >>> slide_expand(Polynomial({(1, 1): 1, (2,): -1}))
     {(1, 1): 1, (2,): -1}
     """
-    return _eliminate(p, _slide_pivots, _slide_pivot, _charge_pivot)
+    return _eliminate(p, _slide_pivots, _slide_pivot)

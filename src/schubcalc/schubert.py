@@ -14,9 +14,10 @@ schubert_expand hands its pivots to poly._eliminate, which reads them
 from the _pivots memo by packed monomial: one read gives the exponent
 tuple, the permutation and its Schubert polynomial's keys.  A miss
 builds the permutation from the monomial's exponents, its code, and
-looks the polynomial up with _node; _eliminate checks that pivot when
-it is first built, and stores it only then, so the memo holds only
-pivots that clear their monomial.
+looks the polynomial up with _node.  The Schubert polynomials of S_N
+are a basis of the polynomials under the staircase x_i^(N-i)
+(Macdonald, Notes on Schubert Polynomials, (4.11)), so ambient=N is
+checked on the input's monomials, once, and never on a pivot.
 """
 
 from __future__ import annotations
@@ -117,6 +118,12 @@ def schur(lam: Sequence[int], k: int) -> Polynomial:
 _pivots = Memo(_pivot_size)
 
 
+def _schubert_pivot(e: tuple[int, ...]) -> tuple[Perm, Polynomial]:
+    # Keys of a Polynomial are nonnegative, so e is a valid code.
+    w = _from_code(e)
+    return w, _node(w, len(w))
+
+
 def schubert_expand(
     p: Polynomial, *, degree: int | None = None, ambient: int | None = None
 ) -> dict[Perm, int]:
@@ -125,12 +132,12 @@ def schubert_expand(
     Repeatedly clears the largest monomial, comparing exponents from the
     last variable back; it is the code of exactly one permutation and
     the largest monomial of that permutation's Schubert polynomial in the
-    same order.  With ambient=N, any permutation moving a value
-    beyond position N raises NoSolutionError, whether or not the pivot
-    is in the memo; degree, when given, is checked against the
-    polynomial.  A pivot whose Schubert polynomial does not have it as
-    its largest monomial, with coefficient 1, raises NonExpandableError
-    when it is first built, and is not stored.
+    same order.  degree, when given, is checked against the polynomial.
+    With ambient=N, a monomial of p above the staircase (x_i to a power
+    above N - i) needs a permutation of more than N values and raises
+    NoSolutionError before any pivot is read.  A pivot whose Schubert
+    polynomial lacks it as its largest monomial with coefficient 1
+    raises NonExpandableError when it is first built, and is not stored.
 
     >>> schubert_expand(Polynomial({(1,): 1, (0, 1): 1}))
     {(1, 3, 2): 1}
@@ -144,19 +151,12 @@ def schubert_expand(
         raise ValueError("Schubert expansion needs a homogeneous polynomial")
     if degree is not None and degs and degs != {degree}:
         raise ValueError(f"polynomial has degree {degs.pop()}, expected {degree}")
-
-    def build(e: tuple[int, ...]) -> tuple[Perm, Polynomial]:
-        # Keys of a Polynomial are nonnegative, so e is a valid code.
-        w = _from_code(e)
-        _check_ambient(e, w, ambient)
-        return w, _node(w, len(w))
-
-    hit = None if ambient is None else lambda entry: _check_ambient(*entry[:2], ambient)
-    return _eliminate(p, _pivots, build, hit)
-
-
-def _check_ambient(e: tuple[int, ...], w: Perm, ambient: int | None) -> None:
-    if ambient is not None and len(w) > ambient:
-        raise NoSolutionError(
-            f"pivot {e} needs a permutation of {len(w)} values, ambient is {ambient}"
-        )
+    if ambient is not None and p:
+        # The largest (values, e) names the same monomial of p whatever
+        # order its terms were built in.
+        n, e = max((len(_from_code(e)), e) for e in p.terms)
+        if n > ambient:
+            raise NoSolutionError(
+                f"monomial {e} needs a permutation of {n} values, ambient is {ambient}"
+            )
+    return _eliminate(p, _pivots, _schubert_pivot)

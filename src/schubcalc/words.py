@@ -214,14 +214,14 @@ def compatible_sequences(word: Sequence[int]) -> tuple[tuple[int, ...], ...]:
 
 
 def sequence_weight(seq: Sequence[int]) -> Composition:
-    """Occurrence counts of 1..max(seq).
+    """Occurrence counts of 1..max(seq), for a sequence of positive ints.
 
     >>> sequence_weight((1, 1, 1, 2, 4))
     (3, 1, 0, 1)
     """
-    if not seq:
-        return ()
-    comp = [0] * max(seq)
+    if not all(isinstance(v, int) and v > 0 for v in seq):
+        raise ValueError(f"sequence entries must be positive ints: {tuple(seq)!r}")
+    comp = [0] * max(seq, default=0)
     for v in seq:
         comp[v - 1] += 1
     return tuple(comp)

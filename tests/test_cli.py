@@ -190,8 +190,8 @@ def test_exit_2_on_malformed_input():
         (("schubert", "4215x"), "perm", library_message(parse_perm, "4215x")),
         (("schubert", "1,1"), "perm", library_message(parse_perm, "1,1")),
         (("schur", "1,2", "3"), "partition", library_message(check_partition, (1, 2))),
-        (("fqs", "3,0,1", "3"), "comp", "composition parts must be positive: (3, 0, 1)"),
-        (("slide", "0,-1"), "comp", "weak composition parts must be nonnegative: (0, -1)"),
+        (("fqs", "3,0,1", "3"), "comp", "composition parts must be positive ints: (3, 0, 1)"),
+        (("slide", "0,-1"), "comp", "weak composition parts must be nonnegative ints: (0, -1)"),
     ]
     for args, dest, message in cases:
         code, out, err = run(*args)

@@ -14,6 +14,7 @@ import schubcalc.poly as poly
 import schubcalc.transition as T
 import schubcalc.words as words
 from schubcalc import (
+    NoSolutionError,
     Polynomial,
     TermBudgetExceeded,
     canonical,
@@ -412,7 +413,8 @@ def test_budget_stops_a_cold_construction():
 
 def test_schubert_expand_charges_its_cold_pivots_only():
     # A cold expansion charges the transition nodes of its pivots; a warm
-    # one reads every pivot from _pivots and charges nothing.
+    # one charges the monomials of each pivot it reads from _pivots, as
+    # slide_expand does.
     p = schubert((4, 2, 1, 5, 3)) * schubert((2, 1, 4, 3))
     for memo, _, _ in MEMO_CALLS:
         memo.cache_clear()
@@ -422,7 +424,53 @@ def test_schubert_expand_charges_its_cold_pivots_only():
             got = schubert_expand(p)
             charged.append(10**6 - remaining())
         assert len(got) == 5
-    assert charged == [17, 0]
+    assert charged == [17, 9]
+
+
+def test_schubert_expand_checks_ambient_before_it_charges():
+    # S_42153 * S_2143 has monomials above the staircase of S_5.  Cold or
+    # warm, the ambient check comes before any pivot is read, built or
+    # charged, so a budget of 3 sees NoSolutionError and stays whole.
+    p = schubert((4, 2, 1, 5, 3)) * schubert((2, 1, 4, 3))
+    for warm in (False, True):
+        if warm:
+            schubert_expand(p)
+        else:
+            for memo, _, _ in MEMO_CALLS:
+                memo.cache_clear()
+        with term_budget(3):
+            with pytest.raises(NoSolutionError):
+                schubert_expand(p, ambient=5)
+            assert remaining() == 3
+        if not warm:
+            assert not _pivots and (_pivots.hits, _pivots.misses) == (0, 0)
+
+
+def test_a_warm_schubert_expand_stops_at_the_first_pivot_past_its_budget():
+    p = schubert((4, 2, 1, 5, 3)) * schubert((2, 1, 4, 3))
+    got = schubert_expand(p)
+    # Every pivot read is a term of the result.  _eliminate reads them
+    # largest packed key first: codes padded to one length and compared
+    # from the last entry back.
+    width = max(len(code(w)) for w in got)
+
+    def key(w):
+        c = code(w)
+        return tuple(reversed(c + (0,) * (width - len(c))))
+
+    sizes = [len(schubert(w).terms) for w in sorted(got, key=key, reverse=True)]
+    need = sum(sizes)
+    assert need == 9
+    for n in range(need + 1):
+        before = _pivots.hits
+        assert (attempt(schubert_expand, (p,), n) is None) == (n < need)
+        # The pivots read are those up to the first whose charge overdraws n.
+        used = 0
+        for read, size in enumerate(sizes, 1):
+            used += size
+            if used > n:
+                break
+        assert _pivots.hits - before == read
 
 
 def test_slide_expand_charges_alike_cold_and_warm():

@@ -109,6 +109,14 @@ def test_code_round_trip_on_s5():
     assert from_code((3, 1, 0, 1, 0, 0)) == (4, 2, 1, 5, 3)
 
 
+def test_from_code_rejects_entries_that_are_not_ints():
+    for c in ((1.0,), (1.5,), (0, 2.0), ("a",), (-1,), (0, None)):
+        with pytest.raises(ValueError, match="code entries must be nonnegative ints"):
+            from_code(c)
+    # bools are ints, as in canonical.
+    assert from_code((True,)) == (2, 1)
+
+
 def test_apply_transposition_examples():
     assert apply_transposition((2, 1, 3), (1, 3)) == (3, 1, 2)
     assert apply_transposition((), (1, 2)) == (2, 1)

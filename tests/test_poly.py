@@ -216,6 +216,21 @@ def test_slide_bases_reject_parts_and_k_that_are_not_ints():
     assert fundamental_quasisym((2,), True) == fundamental_quasisym((2,), 1)
 
 
+def test_each_composition_kind_has_one_message():
+    # The library raises what the CLI reports for its comp argument.
+    weak = "weak composition parts must be nonnegative ints: "
+    strong = "composition parts must be positive ints: "
+    for call, message in (
+        (lambda: slide_polynomial((0, -1)), weak + "(0, -1)"),
+        (lambda: slide_polynomial([1.5]), weak + "(1.5,)"),
+        (lambda: fundamental_quasisym((3, 0, 1), 3), strong + "(3, 0, 1)"),
+        (lambda: fundamental_quasisym(["a"], 3), strong + "('a',)"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
+
+
 def test_fundamental_quasisym_matches_brute_force():
     comps = {flatten(a) for a in all_weak_comps(4, 4)}
     for alpha in comps:

@@ -330,6 +330,8 @@ def test_schubert_expand_rejects_a_wrong_pivot_polynomial(monkeypatch):
 
 
 def test_schubert_expand_checks_ambient_on_a_hit_and_on_a_miss():
+    # ambient is checked on p's monomials before any pivot is read, so a
+    # cold memo and a warm one raise alike, and the cold one stays empty.
     module = importlib.import_module("schubcalc.schubert")
     p = Polynomial({(1,): 1, (0, 1): 1})
     module._pivots.cache_clear()
@@ -341,8 +343,44 @@ def test_schubert_expand_checks_ambient_on_a_hit_and_on_a_miss():
     with pytest.raises(NoSolutionError) as warm:
         schubert_expand(p, ambient=2)
     assert str(warm.value) == str(cold.value) == (
-        "pivot (0, 1) needs a permutation of 3 values, ambient is 2"
+        "monomial (0, 1) needs a permutation of 3 values, ambient is 2"
     )
+
+
+def test_ambient_holds_exactly_under_the_staircase():
+    # The S_w with w in S_N are a basis of the polynomials whose monomials
+    # lie under the staircase x_i^(N-i) (Macdonald, Notes on Schubert
+    # Polynomials, (4.11)).
+    perms = list(all_perms(4))
+    for u in perms:
+        for v in perms:
+            p = schubert(u) * schubert(v)
+            full = schubert_expand(p)
+            for n in range(7):
+                if all(x <= n - i for e in p.terms for i, x in enumerate(e, 1)):
+                    assert schubert_expand(p, ambient=n) == full, (u, v, n)
+                    assert all(len(w) <= n for w in full)
+                else:
+                    with pytest.raises(NoSolutionError):
+                        schubert_expand(p, ambient=n)
+
+
+def test_ambient_names_one_monomial_however_p_was_built():
+    p = schubert((4, 2, 1, 5, 3)) * schubert((2, 1, 4, 3))
+    terms = list(p.terms.items())
+    builds = [Polynomial(dict(order)) for order in (terms, terms[::-1], sorted(terms))]
+    for order in (terms, terms[::-1]):
+        q = Polynomial()
+        for e, c in order:
+            q = q + Polynomial.monomial(e, c)
+        builds.append(q)
+    assert len({tuple(q._keys) for q in builds}) > 1
+    for q in builds:
+        with pytest.raises(NoSolutionError) as exc:
+            schubert_expand(q, ambient=5)
+        assert str(exc.value) == (
+            "monomial (5, 2) needs a permutation of 6 values, ambient is 5"
+        )
 
 
 def test_schubert_expand_guard_holds_under_optimization():

@@ -247,6 +247,15 @@ def test_sequence_weight():
     assert sequence_weight((2, 2, 3)) == (0, 2, 1)
 
 
+def test_sequence_weight_rejects_entries_that_are_not_positive_ints():
+    # A 0 once landed in the last slot through comp[-1]; (0,) and (-1,)
+    # raised IndexError.
+    for seq in ((0, 2), (2, 0, 0), (0,), (-1,), (1.0,), (1, "a")):
+        with pytest.raises(ValueError, match="sequence entries must be positive ints"):
+            sequence_weight(seq)
+    assert sequence_weight((True, 2)) == (1, 1)
+
+
 def test_virtual_word_for_41758236():
     # a 12-letter reduced word whose greedy slots fall off the left edge
     rho = (5, 6, 3, 4, 5, 7, 3, 1, 4, 2, 3, 6)
