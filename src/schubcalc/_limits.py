@@ -4,9 +4,13 @@ Enumerations over reduced words, compatible sequences, slide monomials
 and transition trees can explode combinatorially.  A term budget,
 installed as a context, makes them fail fast instead of grinding: every
 producer calls charge() as it emits an item, never looking ahead, and
-the first item past the limit raises TermBudgetExceeded.  A result read
-from a memo charges its items at once, the same as a cold call.  It is
-the only limit on work; without a budget an enumeration runs to the end.
+the first item past the limit raises TermBudgetExceeded.  A memo read
+charges by what it stands for: a slide or quasisymmetric polynomial
+charges its monomials at once, the same as a cold call, and an
+expansion pivot the monomials of its basis element; a transition node
+charges nothing, since only the nodes a construction computes are
+work.  The budget is the only limit on work; without one an
+enumeration runs to the end.
 
 Their results are kept in memos, each bounded by the monomials its
 values hold, MEMO_BOUND per memo.  A memo stores a new entry at its

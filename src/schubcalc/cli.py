@@ -18,8 +18,8 @@ import sys
 from collections.abc import Sequence
 
 from ._limits import TermBudgetExceeded, term_budget
-from .perm import check_partition, format_perm, parse_perm
-from .poly import Polynomial, _check_strong, _check_weak, fundamental_quasisym, slide_polynomial
+from .perm import _check_ints, check_partition, format_perm, parse_perm
+from .poly import Polynomial, fundamental_quasisym, slide_polynomial
 from .schubert import schubert, schubert_via_compatible, schubert_via_slides, schur, stanley
 from .transition import (
     lr_chains,
@@ -64,12 +64,12 @@ def _partition(text: str) -> tuple[int, ...]:
 
 @_converter
 def _weak_comp(text: str) -> tuple[int, ...]:
-    return _check_weak(_ints(text))
+    return _check_ints(_ints(text), "weak composition parts")
 
 
 @_converter
 def _strong_comp(text: str) -> tuple[int, ...]:
-    return _check_strong(_ints(text))
+    return _check_ints(_ints(text), "composition parts", 1)
 
 
 def _json(doc: dict) -> str:

@@ -12,10 +12,13 @@ _strip.  The private kernels (_strip, _last_descent, _swap, _covers,
 _cross) trust their input, a permutation word, canonical or padded with
 trailing fixed points, and check nothing; _from_code likewise trusts a
 code to be nonnegative, and _grassmannian a partition to have at most k
-parts.  _grassmannian is also cached, up to 1024 results with the least
-recently used dropped first: it is a pure function of (lam, k), and its
-result is a tuple, which no caller can change.  Loops that call many
-kernels validate once at their entry.
+parts; _strip_zeros drops the trailing zeros of a code, a partition or
+an exponent vector.  _grassmannian is also cached, up to 1024 results
+with the least recently used dropped first: it is a pure function of
+(lam, k), and its result is a tuple, which no caller can change.  Loops
+that call many kernels validate once at their entry.  The package's
+checks of a count (_check_int) and of a sequence of ints (_check_ints)
+live here too.
 """
 
 from __future__ import annotations
@@ -54,6 +57,14 @@ def _strip(values: Sequence[int]) -> Perm:
     """Kernel: drop trailing fixed points of a permutation word."""
     n = len(values)
     while n and values[n - 1] == n:
+        n -= 1
+    return tuple(values[:n])
+
+
+def _strip_zeros(values: Sequence[int]) -> tuple[int, ...]:
+    """Kernel: drop the trailing zeros of a sequence of ints."""
+    n = len(values)
+    while n and values[n - 1] == 0:
         n -= 1
     return tuple(values[:n])
 
@@ -112,10 +123,9 @@ def code(w: Sequence[int]) -> tuple[int, ...]:
     (3, 1, 0, 1)
     """
     w = canonical(w)
-    c = [sum(1 for j in range(i + 1, len(w)) if w[j] < w[i]) for i in range(len(w))]
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
+    return _strip_zeros(
+        [sum(1 for j in range(i + 1, len(w)) if w[j] < w[i]) for i in range(len(w))]
+    )
 
 
 def from_code(c: Sequence[int]) -> Perm:
@@ -124,10 +134,7 @@ def from_code(c: Sequence[int]) -> Perm:
     >>> from_code((3, 1, 0, 1))
     (4, 2, 1, 5, 3)
     """
-    c = tuple(c)
-    if not all(isinstance(x, int) and x >= 0 for x in c):
-        raise ValueError(f"code entries must be nonnegative ints: {c!r}")
-    return _from_code(c)
+    return _from_code(_check_ints(c, "code entries"))
 
 
 def _from_code(c: Sequence[int]) -> Perm:
@@ -146,21 +153,35 @@ def inverse(w: Sequence[int]) -> Perm:
     return tuple(inv)
 
 
-def _check_int(value: int, name: str, least: int = 0, got: bool = False) -> int:
+def _check_int(value: int, name: str, least: int = 0) -> int:
     """value, if it is an int (a bool counts) and at least least, 0 or 1.
 
     The one check of the counts that public functions take: k, m, nmax.
     A value that is not an int raises ValueError("<name> must be an int,
     got <value>"); one below least raises ValueError("<name> must be
-    nonnegative") or "... positive", with ", got <value>" appended when
-    got is set.
+    nonnegative, got <value>"), or "positive" when least is 1.
     """
     if not isinstance(value, int):
         raise ValueError(f"{name} must be an int, got {value!r}")
     if value < least:
-        message = f"{name} must be {'positive' if least else 'nonnegative'}"
-        raise ValueError(f"{message}, got {value}" if got else message)
+        raise ValueError(f"{name} must be {'positive' if least else 'nonnegative'}, got {value}")
     return value
+
+
+def _check_ints(values: Sequence[int], name: str, least: int = 0) -> tuple[int, ...]:
+    """values as a tuple, if every entry is an int (a bool counts) and at least least.
+
+    The one check of the int sequences that public functions take: codes,
+    exponents and weak compositions (least 0), compositions, words and
+    sequences (least 1).  Any other entry raises ValueError("<name> must be
+    nonnegative ints: <values>"), or "positive ints" when least is 1.
+    """
+    values = tuple(values)
+    for x in values:
+        if not isinstance(x, int) or x < least:
+            kind = "positive" if least else "nonnegative"
+            raise ValueError(f"{name} must be {kind} ints: {values!r}")
+    return values
 
 
 def _check_transposition(t: Sequence[int]) -> Transposition:
@@ -230,7 +251,7 @@ def cross(u: Sequence[int], v: Sequence[int], m: int) -> Perm:
     >>> cross((4, 2, 1, 5, 3), (2, 4, 1, 3), 5)
     (4, 2, 1, 5, 3, 7, 9, 6, 8)
     """
-    _check_int(m, "m", got=True)
+    _check_int(m, "m")
     u = canonical(u)
     v = canonical(v)
     if len(u) > m:
@@ -291,10 +312,7 @@ def to_partition(v: Sequence[int], k: int) -> tuple[int, ...]:
     if any(v[i - 1] > v[i] for i in range(1, len(v)) if i != k):
         raise ValueError(f"{v!r} is not grassmannian with descent at {k}")
     vv = pad(v, k)
-    lam = [vv[k - j] - (k - j + 1) for j in range(1, k + 1)]
-    while lam and lam[-1] == 0:
-        lam.pop()
-    return check_partition(lam)
+    return check_partition(_strip_zeros([vv[k - j] - (k - j + 1) for j in range(1, k + 1)]))
 
 
 def parse_perm(text: str) -> Perm:

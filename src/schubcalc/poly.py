@@ -14,10 +14,10 @@ exponent tuples with trailing zeros stripped to coefficients, built on
 each access.
 
 Public functions validate their input once, a composition through
-_check_weak or _check_strong, which the CLI calls too.  The private
-kernel _slide builds a slide polynomial from a composition that is
-already stripped and nonnegative, such as a key of a Polynomial, and
-checks nothing; slide_expand builds its pivots with it.
+perm._check_ints, as the CLI does.  The private kernel _slide builds a
+slide polynomial from a composition that is already stripped and
+nonnegative, such as a key of a Polynomial, and checks nothing;
+slide_expand builds its pivots with it.
 
 Basis expansion (_eliminate) clears the largest packed key at each step
 with a pivot that it reads from a memo keyed by that int and the slot
@@ -36,20 +36,12 @@ from collections.abc import Callable, Mapping, Sequence
 from itertools import accumulate
 
 from ._limits import Memo, charge
-from .perm import _check_int
+from .perm import _check_int, _check_ints, _strip_zeros
 from .words import VIRTUAL, Composition, _Virtual
 
 
 class NonExpandableError(RuntimeError):
     """A positional-basis elimination met a pivot that does not clear its monomial."""
-
-
-def _strip(exp: Sequence[int]) -> tuple[int, ...]:
-    e = tuple(exp)
-    n = len(e)
-    while n > 0 and e[n - 1] == 0:
-        n -= 1
-    return e[:n]
 
 
 def _width(bound: int) -> int:
@@ -96,14 +88,12 @@ class Polynomial:
         clean: dict[tuple[int, ...], int] = {}
         if terms:
             for exp, c in terms.items():
-                e = tuple(exp)
-                if not isinstance(c, int) or not all(isinstance(x, int) for x in e):
+                e = _check_ints(exp, "exponents")
+                if not isinstance(c, int):
                     raise ValueError(f"non-integer term {e!r}: {c!r}")
-                if any(x < 0 for x in e):
-                    raise ValueError(f"negative exponent in {e!r}")
                 if not c:
                     continue
-                e = _strip(e)
+                e = _strip_zeros(e)
                 c2 = clean.get(e, 0) + c
                 if c2:
                     clean[e] = c2
@@ -247,22 +237,6 @@ def substitute_zero(p: Polynomial, k: int) -> Polynomial:
     )
 
 
-# The one check of each kind of composition: its parts are ints (a bool
-# counts), nonnegative in a weak composition and positive in a strong one.
-def _check_weak(comp: Sequence[int]) -> tuple[int, ...]:
-    comp = tuple(comp)
-    if not all(isinstance(x, int) and x >= 0 for x in comp):
-        raise ValueError(f"weak composition parts must be nonnegative ints: {comp!r}")
-    return comp
-
-
-def _check_strong(comp: Sequence[int]) -> tuple[int, ...]:
-    comp = tuple(comp)
-    if not all(isinstance(x, int) and x >= 1 for x in comp):
-        raise ValueError(f"composition parts must be positive ints: {comp!r}")
-    return comp
-
-
 def flatten(comp: Sequence[int]) -> Composition:
     """Drop zero parts.
 
@@ -355,7 +329,7 @@ def slide_polynomial(a: Sequence[int] | _Virtual) -> Polynomial:
     """
     if a is VIRTUAL:
         return Polynomial._raw({}, 8, 0)
-    return _slide(_strip(_check_weak(a)))
+    return _slide(_strip_zeros(_check_ints(a, "weak composition parts")))
 
 
 def _slide(a: tuple[int, ...]) -> Polynomial:
@@ -371,7 +345,7 @@ def fundamental_quasisym(alpha: Sequence[int], k: int) -> Polynomial:
     >>> str(fundamental_quasisym((1, 1), 2))
     'x1*x2'
     """
-    return _placed(_check_strong(alpha), _check_int(k, "k"), None)
+    return _placed(_check_ints(alpha, "composition parts", 1), _check_int(k, "k"), None)
 
 
 def _eliminate(

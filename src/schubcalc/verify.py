@@ -61,7 +61,7 @@ def basis_vector(k: int) -> Polynomial:
 
 def verify_slides(nmax: int = 4) -> int:
     """Transition, slides and compatible sequences agree on all of S_nmax."""
-    _check_int(nmax, "nmax", got=True)
+    _check_int(nmax, "nmax")
     count = 0
     for w in all_perms(nmax):
         p = schubert(w)
@@ -73,7 +73,7 @@ def verify_slides(nmax: int = 4) -> int:
 
 def verify_monk(nmax: int = 4) -> int:
     """Covering-transposition expansion matches the expansion oracle."""
-    _check_int(nmax, "nmax", got=True)
+    _check_int(nmax, "nmax")
     count = 0
     for w in all_perms(nmax):
         for k in range(1, nmax):
@@ -95,7 +95,7 @@ def verify_truncate(nmax: int = 4) -> int:
     0 <= j <= len(w); cross_identity_check relies on it.  The count is
     of the permutations with a last descent.
     """
-    _check_int(nmax, "nmax", got=True)
+    _check_int(nmax, "nmax")
     count = 0
     for w in all_perms(nmax):
         p = schubert(w)
@@ -143,7 +143,7 @@ def cross_identity_check(
 
 def verify_cross(nmax: int = 4) -> int:
     """Splice-then-truncate factors into Schubert times Stanley."""
-    _check_int(nmax, "nmax", got=True)
+    _check_int(nmax, "nmax")
     count = 0
     for u in all_perms(nmax - 1):
         m = len(u)
@@ -164,7 +164,7 @@ def verify_product(nmax: int = 4) -> int:
     Each case also checks lr_chains: as many chains end at each term as its
     coefficient, and each starts at u and ends at that term.
     """
-    _check_int(nmax, "nmax", got=True)
+    _check_int(nmax, "nmax")
     count = 0
     for u in all_perms(nmax):
         ld = last_descent(u)

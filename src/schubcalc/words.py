@@ -3,7 +3,9 @@
 A word is a tuple of positive letters; letter i swaps the values i and
 i+1.  Words act left to right, so (4, 2, 1, 2, 3) builds (4, 2, 1, 5, 3)
 from the identity.  A word is reduced when its length equals the Coxeter
-length of the permutation it builds.
+length of the permutation it builds.  The functions that take a word
+check its letters once, through perm._check_ints in run_decomposition
+or greedy_compatible, and sequence_weight its sequence the same way.
 
 reduced_words and iter_reduced_words validate w once through canonical();
 the walk behind them (_walk) trusts that canonical input, reads its
@@ -18,7 +20,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 
 from ._limits import Memo, charge
-from .perm import Perm, _strip, canonical
+from .perm import Perm, _check_ints, _strip, canonical
 
 Word = tuple[int, ...]
 Composition = tuple[int, ...]
@@ -111,7 +113,7 @@ def run_decomposition(word: Sequence[int]) -> tuple[Word, ...]:
     ((4,), (2,), (1, 2, 3))
     """
     runs: list[list[int]] = []
-    for x in word:
+    for x in _check_ints(word, "word letters", 1):
         if runs and runs[-1][-1] < x:
             runs[-1].append(x)
         else:
@@ -156,7 +158,7 @@ def greedy_compatible(word: Sequence[int]) -> tuple[int, ...] | _Virtual:
     >>> greedy_compatible((4, 2, 1, 2, 3))
     (1, 1, 1, 2, 4)
     """
-    rev = tuple(reversed(word))
+    rev = _check_ints(word, "word letters", 1)[::-1]
     n = len(rev)
     caps = [0] * n
     for j in range(n - 1, -1, -1):
@@ -219,8 +221,7 @@ def sequence_weight(seq: Sequence[int]) -> Composition:
     >>> sequence_weight((1, 1, 1, 2, 4))
     (3, 1, 0, 1)
     """
-    if not all(isinstance(v, int) and v > 0 for v in seq):
-        raise ValueError(f"sequence entries must be positive ints: {tuple(seq)!r}")
+    seq = _check_ints(seq, "sequence entries", 1)
     comp = [0] * max(seq, default=0)
     for v in seq:
         comp[v - 1] += 1

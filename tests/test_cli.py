@@ -13,12 +13,20 @@ import schubcalc
 from schubcalc import (
     Polynomial,
     canonical,
+    compatible_sequences,
     format_perm,
+    from_code,
+    fundamental_quasisym,
+    greedy_compatible,
     last_descent,
     parse_perm,
+    run_decomposition,
     schubert,
     schubert_times_schur,
+    sequence_weight,
+    slide_polynomial,
     stanley,
+    weak_descent_composition,
 )
 from schubcalc import cli, verify
 from schubcalc.perm import check_partition
@@ -200,9 +208,56 @@ def test_exit_2_on_malformed_input():
         assert "invalid" not in err and " _" not in err, err
 
 
+# Every entry point that takes a sequence of ints: the name its check
+# gives the entries, and their least value.
+INT_SEQUENCES = {
+    "from_code": (from_code, "code entries", 0),
+    "sequence_weight": (sequence_weight, "sequence entries", 1),
+    "slide_polynomial": (slide_polynomial, "weak composition parts", 0),
+    "fundamental_quasisym": (lambda a: fundamental_quasisym(a, 3), "composition parts", 1),
+    "run_decomposition": (run_decomposition, "word letters", 1),
+    "weak_descent_composition": (weak_descent_composition, "word letters", 1),
+    "greedy_compatible": (greedy_compatible, "word letters", 1),
+    "compatible_sequences": (compatible_sequences, "word letters", 1),
+    "Polynomial": (lambda e: Polynomial({e: 1}), "exponents", 0),
+}
+
+
+@pytest.mark.parametrize("call, name, least", INT_SEQUENCES.values(), ids=INT_SEQUENCES)
+def test_int_sequences_share_one_check(call, name, least):
+    kind = "positive" if least else "nonnegative"
+    # A float, a str and a value below the bound, in a sequence that is
+    # otherwise valid, raise the one message.
+    for bad in (1.5, "a", least - 1):
+        seq = (2, bad)
+        with pytest.raises(ValueError) as exc:
+            call(seq)
+        assert str(exc.value) == f"{name} must be {kind} ints: {seq!r}"
+    # bools are ints, as in check_partition.
+    assert call((2, True)) == call((2, 1))
+
+
+def test_cli_int_sequences_share_the_library_check():
+    for command, extra, name, least in (
+        ("slide", (), "weak composition parts", 0),
+        ("fqs", ("3",), "composition parts", 1),
+    ):
+        kind = "positive" if least else "nonnegative"
+        # Only a value below the bound reads as an int; the others are
+        # malformed before the check.
+        for bad, message in (
+            (least - 1, f"{name} must be {kind} ints: (2, {least - 1})"),
+            (1.5, "cannot read integers from '2,1.5'"),
+            ("a", "cannot read integers from '2,a'"),
+        ):
+            code, out, err = run(command, f"2,{bad}", *extra)
+            assert (code, out) == (2, "")
+            assert err.endswith(f": error: argument comp: {message}\n"), err
+
+
 def test_exit_3_on_precondition_violation():
-    assert run("monk", "21", "0") == (3, "", "error: k must be positive\n")
-    assert run("schur", "1", "-1") == (3, "", "error: k must be nonnegative\n")
+    assert run("monk", "21", "0") == (3, "", "error: k must be positive, got 0\n")
+    assert run("schur", "1", "-1") == (3, "", "error: k must be nonnegative, got -1\n")
     code, _, err = run("multiply", "42153", "2,1", "2")
     assert code == 3 and err.startswith("error:")
     code, out, err = run("verify", "--suite", "slides", "--nmax", "-1")

@@ -32,30 +32,48 @@ def python(*args):
 
 
 TABLES = f"""
-import importlib, json, sys
+import importlib, json, pkgutil, sys
 sys.path.insert(0, {PERFBENCH!r})
 import tracer
+import schubcalc
 from schubcalc import _limits
-report = {{"caches": [], "charges": []}}
+report = {{"caches": [], "charges": [], "producers": [], "labelled": list(tracer.CHARGE_LABELS)}}
 for metric, module, name in tracer.CACHES:
     info = getattr(importlib.import_module("schubcalc." + module), name).cache_info()
     report["caches"].append([metric, module, name, info.hits, info.misses])
 for module in tracer.CHARGE_LABELS:
     bound = importlib.import_module("schubcalc." + module).charge is _limits.charge
     report["charges"].append([module, bound])
+for info in pkgutil.iter_modules(schubcalc.__path__):
+    module = importlib.import_module("schubcalc." + info.name)
+    if info.name != "_limits" and getattr(module, "charge", None) is _limits.charge:
+        report["producers"].append(info.name)
 print(json.dumps(report))
 """
 
 
-def test_tracer_tables_name_live_caches_and_charges():
+def tables():
     code, out, err = python("-c", TABLES)
     assert code == 0, err
-    report = json.loads(out)
+    return json.loads(out)
+
+
+def test_tracer_tables_name_live_caches_and_charges():
+    report = tables()
     assert report["caches"] and report["charges"]
     for metric, module, name, hits, misses in report["caches"]:
         assert isinstance(hits, int) and isinstance(misses, int), (metric, module, name)
     for module, bound in report["charges"]:
         assert bound, f"schubcalc.{module}.charge is not _limits.charge"
+
+
+def test_every_charging_module_is_labelled():
+    # The tracer counts only the charges of the modules it labels, so a
+    # charge() bound in any other module would shrink the traced budgets.
+    report = tables()
+    assert report["producers"]
+    unlabelled = set(report["producers"]) - set(report["labelled"])
+    assert not unlabelled, f"charge() bound in unlabelled modules: {sorted(unlabelled)}"
 
 
 def traced_charge(argv):

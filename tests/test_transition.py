@@ -551,7 +551,7 @@ def test_term_budget_aborts_enumeration():
     with term_budget(2):
         assert len(truncation_paths((5, 1, 7, 3, 8, 2, 4, 6))) == 2
     assert len(truncation_paths((5, 1, 7, 3, 8, 2, 4, 6))) == 2
-    with pytest.raises(ValueError, match="^term budget must be nonnegative$"):
+    with pytest.raises(ValueError, match="^term budget must be nonnegative, got -1$"):
         with term_budget(-1):
             pass
     with pytest.raises(ValueError, match="^term budget must be an int, got '2'$"):
