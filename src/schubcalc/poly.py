@@ -16,8 +16,11 @@ each access.
 Public functions validate their input once, a composition through
 perm._check_ints, as the CLI does.  The private kernel _slide builds a
 slide polynomial from a composition that is already stripped and
-nonnegative, such as a key of a Polynomial, and checks nothing;
-slide_expand builds its pivots with it.
+nonnegative, such as a key of a Polynomial, checks nothing, and is the
+one user of the _placements memo, keyed by that composition.  Every
+slide polynomial and slide_expand pivot goes through it, and so does
+F_alpha(x1..xk): the slide polynomial of alpha with k - len(alpha) zeros
+in front (Assaf and Searles, 2017).
 
 Basis expansion (_eliminate) clears the largest packed key at each step
 with a pivot that it reads from a memo keyed by that int and the slot
@@ -251,11 +254,15 @@ def _monomials(p: Polynomial) -> int:
     return len(p._keys)
 
 
-def _place(parts: tuple[int, ...], npos: int, floor: tuple[int, ...] | None) -> Polynomial:
-    # The sum of the monomials within npos positions whose nonzero entries
-    # split the given parts in order; floor (when set) lower-bounds prefix
-    # sums.  Each monomial is charged one unit as it is placed; no parts
-    # place the one monomial 1.
+def _place(a: tuple[int, ...]) -> Polynomial:
+    # The slide polynomial of a stripped, nonnegative composition a: the
+    # sum of the monomials x^b within len(a) positions whose prefix sums
+    # are at least those of a and whose nonzero entries split the nonzero
+    # parts of a in order.  Each monomial is charged one unit as it is
+    # placed; a = () places the one monomial 1.
+    parts = flatten(a)
+    npos = len(a)
+    floor = tuple(accumulate(a))
     degree = sum(parts)
     bits = _width(degree)
     n = len(parts)
@@ -273,7 +280,7 @@ def _place(parts: tuple[int, ...], npos: int, floor: tuple[int, ...] | None) -> 
             continue
         if npos - j < n - t:
             continue
-        lo = 0 if floor is None else floor[j] - psum
+        lo = floor[j] - psum
         shift = bits * j
         for v in range(rem, max(lo, 1) - 1, -1):
             if v == rem:
@@ -286,21 +293,9 @@ def _place(parts: tuple[int, ...], npos: int, floor: tuple[int, ...] | None) -> 
     return Polynomial._raw(dict.fromkeys(out, 1), bits, degree)
 
 
-# Polynomials are immutable, so callers share the stored one.  _placed is
-# the only reader.
+# Slide polynomials by stripped composition.  Polynomials are immutable,
+# so callers share the stored one.  _slide is the only reader and writer.
 _placements = Memo(_monomials)
-
-
-def _placed(parts: tuple[int, ...], npos: int, floor: tuple[int, ...] | None) -> Polynomial:
-    """_place through the _placements memo, charged one unit per monomial, hit or miss."""
-    key = (parts, npos, floor)
-    p = _placements.find(key)
-    if p is None:
-        p = _place(parts, npos, floor)
-        _placements.put(key, p)
-    else:
-        charge(len(p._keys))
-    return p
 
 
 def _pivot_size(entry: tuple[tuple[int, ...], object, Mapping[int, int]]) -> int:
@@ -333,19 +328,31 @@ def slide_polynomial(a: Sequence[int] | _Virtual) -> Polynomial:
 
 
 def _slide(a: tuple[int, ...]) -> Polynomial:
-    """Kernel: slide_polynomial of a stripped, nonnegative composition."""
-    return _placed(flatten(a), len(a), tuple(accumulate(a)))
+    """Kernel: slide_polynomial of a stripped, nonnegative composition, through _placements."""
+    p = _placements.find(a)
+    if p is None:
+        p = _place(a)
+        _placements.put(a, p)
+    else:
+        charge(len(p._keys))
+    return p
 
 
 def fundamental_quasisym(alpha: Sequence[int], k: int) -> Polynomial:
     """Sum over x^b in k variables whose nonzero parts refine alpha.
+
+    It is the slide polynomial of alpha padded with k - len(alpha) zeros
+    in front, and 0 when alpha has more than k parts.
 
     >>> str(fundamental_quasisym((2,), 2))
     'x1^2 + x1*x2 + x2^2'
     >>> str(fundamental_quasisym((1, 1), 2))
     'x1*x2'
     """
-    return _placed(_check_ints(alpha, "composition parts", 1), _check_int(k, "k"), None)
+    alpha = _check_ints(alpha, "composition parts", 1)
+    if _check_int(k, "k") < len(alpha):
+        return Polynomial()
+    return _slide(_strip_zeros((0,) * (k - len(alpha)) + alpha))
 
 
 def _eliminate(
@@ -401,7 +408,7 @@ def _eliminate(
 
 
 def _slide_pivot(e: tuple[int, ...]) -> tuple[Composition, Polynomial]:
-    # _slide charges the monomials of a miss, through _placed.
+    # _slide charges the monomials of a miss.
     return e, _slide(e)
 
 

@@ -26,7 +26,7 @@ from collections.abc import Sequence
 
 from ._limits import Memo
 from .perm import Perm, _check_int, _from_code, _grassmannian, canonical, check_partition, shift
-from .poly import NonExpandableError, Polynomial, _eliminate, _pivot_size, slide_polynomial
+from .poly import NonExpandableError, Polynomial, _eliminate, _pivot_size, _slide
 # _schubert and _stanley stay bound here, unused: perfbench/tracer.py
 # reads their cache_info() from this module.
 from .transition import _node, _schubert, _stanley  # noqa: F401
@@ -63,10 +63,11 @@ def schubert_via_slides(w: Sequence[int]) -> Polynomial:
     """
     acc: dict[tuple[int, ...], int] = {}
     for word in iter_reduced_words(canonical(w)):
+        # A weak descent composition is stripped and nonnegative already.
         comp = weak_descent_composition(word)
         if comp is VIRTUAL:
             continue
-        for e, c in slide_polynomial(comp).terms.items():
+        for e, c in _slide(comp).terms.items():
             acc[e] = acc.get(e, 0) + c
     return Polynomial(acc)
 

@@ -55,11 +55,12 @@ from .perm import (
     _check_transposition,
     _covers,
     _cross,
+    _grassmannian,
     _last_descent,
     _strip,
     _swap,
     canonical,
-    grassmannian,
+    check_partition,
     pad,
 )
 from .poly import Polynomial, _lift, _monomials, _width
@@ -574,6 +575,14 @@ def _product_seed(u: Sequence[int], v: Perm, k: int) -> tuple[Perm, Perm, int, i
     return (u, seed, *(_descent_data(seed) if seed else (0, 0)))
 
 
+def _schur_seed(
+    u: Sequence[int], lam: Sequence[int], k: int
+) -> tuple[tuple[int, ...], Perm, Perm, int, int]:
+    """lam, checked once as a partition, then _product_seed of u and v_lam."""
+    lam = check_partition(lam)
+    return (lam, *_product_seed(u, _grassmannian(lam, len(lam)), k))
+
+
 def schubert_times_schur(
     u: Sequence[int], lam: Sequence[int], k: int
 ) -> dict[Perm, int]:
@@ -588,7 +597,7 @@ def schubert_times_schur(
     >>> schubert_times_schur((), (2, 1), 2)
     {(2, 4, 1, 3): 1}
     """
-    _, seed, top, m = _product_seed(u, grassmannian(lam, len(lam)), k)
+    _, _, seed, top, m = _schur_seed(u, lam, k)
     return _drain(seed, top, m, k)
 
 
@@ -636,7 +645,7 @@ def lr_chains(
     >>> {w: [str(c) for c in cs] for w, cs in lr_chains((), (2, 1), 2).items()}
     {(2, 4, 1, 3): ['(2,3)(1,3)(2,4)']}
     """
-    u, w0, kk, m = _product_seed(u, grassmannian(lam, len(lam)), k)
+    lam, u, w0, kk, m = _schur_seed(u, lam, k)
     size = sum(lam)
     ones = (1,) * size
     out: dict[Perm, list[Chain]] = {}

@@ -5,7 +5,8 @@ i+1.  Words act left to right, so (4, 2, 1, 2, 3) builds (4, 2, 1, 5, 3)
 from the identity.  A word is reduced when its length equals the Coxeter
 length of the permutation it builds.  The functions that take a word
 check its letters once, through perm._check_ints in run_decomposition
-or greedy_compatible, and sequence_weight its sequence the same way.
+or _greedy, which greedy_compatible and compatible_sequences share, and
+sequence_weight its sequence the same way.
 
 reduced_words and iter_reduced_words validate w once through canonical();
 the walk behind them (_walk) trusts that canonical input, reads its
@@ -152,12 +153,8 @@ def weak_descent_composition(word: Sequence[int]) -> Composition | _Virtual:
     return tuple(comp)
 
 
-def greedy_compatible(word: Sequence[int]) -> tuple[int, ...] | _Virtual:
-    """The entrywise-largest compatible sequence, or VIRTUAL if none exists.
-
-    >>> greedy_compatible((4, 2, 1, 2, 3))
-    (1, 1, 1, 2, 4)
-    """
+def _greedy(word: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...] | _Virtual]:
+    # The checked word reversed, and greedy_compatible of the word.
     rev = _check_ints(word, "word letters", 1)[::-1]
     n = len(rev)
     caps = [0] * n
@@ -167,8 +164,17 @@ def greedy_compatible(word: Sequence[int]) -> tuple[int, ...] | _Virtual:
         else:
             caps[j] = min(rev[j], caps[j + 1] - (1 if rev[j] < rev[j + 1] else 0))
         if caps[j] < 1:
-            return VIRTUAL
-    return tuple(caps)
+            return rev, VIRTUAL
+    return rev, tuple(caps)
+
+
+def greedy_compatible(word: Sequence[int]) -> tuple[int, ...] | _Virtual:
+    """The entrywise-largest compatible sequence, or VIRTUAL if none exists.
+
+    >>> greedy_compatible((4, 2, 1, 2, 3))
+    (1, 1, 1, 2, 4)
+    """
+    return _greedy(word)[1]
 
 
 def compatible_sequences(word: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -183,10 +189,9 @@ def compatible_sequences(word: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     >>> compatible_sequences((2, 4, 1, 2, 3))
     ((1, 1, 1, 2, 2),)
     """
-    caps = greedy_compatible(word)
+    rev, caps = _greedy(word)
     if caps is VIRTUAL:
         return ()
-    rev = tuple(reversed(word))
     n = len(rev)
     if not n:
         charge()

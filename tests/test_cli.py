@@ -235,6 +235,8 @@ def test_int_sequences_share_one_check(call, name, least):
         assert str(exc.value) == f"{name} must be {kind} ints: {seq!r}"
     # bools are ints, as in check_partition.
     assert call((2, True)) == call((2, 1))
+    # Any iterable is read once, as its tuple.
+    assert call(iter((2, 1))) == call((2, 1))
 
 
 def test_cli_int_sequences_share_the_library_check():

@@ -404,6 +404,16 @@ def test_cache_info_counts_hits_and_misses():
         assert after == before
 
 
+def test_a_slide_and_the_equal_quasisymmetric_share_one_placement():
+    # F_(2,1)(x1, x2, x3) is the slide polynomial of (0, 2, 1): one entry.
+    poly._placements.cache_clear()
+    p = slide_polynomial((0, 2, 1))
+    q = fundamental_quasisym((2, 1), 3)
+    info = poly._placements.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, len(p._keys))
+    assert q is p
+
+
 def test_budget_stops_a_cold_construction():
     clear()
     with pytest.raises(TermBudgetExceeded):
@@ -475,7 +485,7 @@ def test_a_warm_schubert_expand_stops_at_the_first_pivot_past_its_budget():
 
 def test_slide_expand_charges_alike_cold_and_warm():
     # Every pivot charges the monomials of its slide polynomial: through
-    # _placed on a miss, and from the _slide_pivots entry on a hit.
+    # _slide on a miss, and from the _slide_pivots entry on a hit.
     p = schubert((1, 5, 3, 2, 6, 4))
 
     def cold():

@@ -96,6 +96,8 @@ def traced_charge(argv):
         ["multiply", "42153", "2,1", "5", "--chains"],
         ["schubert", "42153"],
         ["multiply", "21", "2,1", "1"],
+        ["fqs", "2,1", "3"],
+        ["slide", "0,2,1"],
     ],
     ids=" ".join,
 )

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import schubcalc.poly as poly
 from schubcalc import (
     VIRTUAL,
     NonExpandableError,
@@ -17,7 +18,9 @@ from schubcalc import (
     slide_expand,
     slide_polynomial,
     substitute_zero,
+    term_budget,
 )
+from schubcalc._limits import remaining
 from oracles import brute_fqs, brute_slide, refines, strip, weak_compositions
 
 # the displayed monomial expansion of the slide polynomial of (0,3,1,0,1)
@@ -237,6 +240,32 @@ def test_fundamental_quasisym_matches_brute_force():
         for k in range(0, 5):
             got = fundamental_quasisym(alpha, k)
             assert dict(got.terms) == brute_fqs(alpha, k), (alpha, k)
+
+
+def cold_charge(call):
+    """The result of call with no placement memoized, and the units it charged."""
+    poly._placements.cache_clear()
+    with term_budget(10**6):
+        p = call()
+        return p, 10**6 - remaining()
+
+
+def test_fundamental_quasisym_is_the_padded_slide_polynomial():
+    # F_alpha(x1..xk) is the slide polynomial of 0^(k - len(alpha)) alpha,
+    # and 0 when alpha has more than k parts: the same keys, in the same
+    # order, for the same charge, on every |alpha| <= 7 and k <= 7.
+    cases = 0
+    for alpha in sorted({flatten(a) for n in range(8) for a in weak_compositions(n, n)}):
+        for k in range(8):
+            got, charged = cold_charge(lambda: fundamental_quasisym(alpha, k))
+            if k < len(alpha):
+                want, need = Polynomial(), 0
+            else:
+                want, need = cold_charge(lambda: slide_polynomial((0,) * (k - len(alpha)) + alpha))
+            assert list(got._keys) == list(want._keys), (alpha, k)
+            assert charged == need, (alpha, k)
+            cases += 1
+    assert cases == 1024
 
 
 def test_quasisym_monomials_flatten_to_refinements():

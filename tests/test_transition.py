@@ -230,6 +230,10 @@ def test_product_identity_and_monk_cases():
     assert schubert_times_schur((), (2, 1), 2) == {(2, 4, 1, 3): 1}
     assert schubert_times_schur((2, 1), (1,), 1) == {(3, 1, 2): 1}
     assert schubert_times_schur((2, 1), (), 3) == {(2, 1): 1}
+    # lam may be any iterable, as in schur and grassmannian.
+    assert schubert_times_schur((), iter((2, 1)), 2) == {(2, 4, 1, 3): 1}
+    assert lr_chains((), iter((2, 1)), 2) == lr_chains((), (2, 1), 2)
+    assert lr_coefficient((), iter((2, 1)), 2, (2, 4, 1, 3)) == 1
 
 
 def test_product_preconditions():
