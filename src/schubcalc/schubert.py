@@ -8,7 +8,8 @@ one find().  A Stanley symmetric polynomial comes from stability:
 F_v(x1..xk) = S_{1^k x v}(x1..xk, 0, ...).  The reduced-word
 constructors schubert_via_slides (slide polynomials of weak descent
 compositions) and schubert_via_compatible (compatible sequences) are
-independent oracles and are not used by the others.
+independent oracles and are not used by the others.  The latter hands
+each walked word, valid already, to words._compatible unchecked.
 
 schubert_expand hands its pivots to poly._eliminate, which reads them
 from the _pivots memo by packed monomial: one read gives the exponent
@@ -30,13 +31,7 @@ from .poly import NonExpandableError, Polynomial, _eliminate, _pivot_size, _slid
 # _schubert and _stanley stay bound here, unused: perfbench/tracer.py
 # reads their cache_info() from this module.
 from .transition import _node, _schubert, _stanley  # noqa: F401
-from .words import (
-    VIRTUAL,
-    compatible_sequences,
-    iter_reduced_words,
-    sequence_weight,
-    weak_descent_composition,
-)
+from .words import VIRTUAL, _compatible, iter_reduced_words, sequence_weight, weak_descent_composition
 
 
 class NoSolutionError(ValueError):
@@ -80,7 +75,7 @@ def schubert_via_compatible(w: Sequence[int]) -> Polynomial:
     """
     acc: dict[tuple[int, ...], int] = {}
     for word in iter_reduced_words(canonical(w)):
-        for seq in compatible_sequences(word):
+        for seq in _compatible(word[::-1]):
             e = sequence_weight(seq)
             acc[e] = acc.get(e, 0) + 1
     return Polynomial(acc)

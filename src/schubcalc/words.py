@@ -3,17 +3,20 @@
 A word is a tuple of positive letters; letter i swaps the values i and
 i+1.  Words act left to right, so (4, 2, 1, 2, 3) builds (4, 2, 1, 5, 3)
 from the identity.  A word is reduced when its length equals the Coxeter
-length of the permutation it builds.  The functions that take a word
-check its letters once, through perm._check_ints in run_decomposition
-or _greedy, which greedy_compatible and compatible_sequences share, and
-sequence_weight its sequence the same way.
+length of the permutation it builds.
 
-reduced_words and iter_reduced_words validate w once through canonical();
-the walk behind them (_walk) trusts that canonical input, reads its
-letters straight from the word and checks nothing.  It keeps its own
-stack, as compatible_sequences does, so the length of a word is not
-bounded by Python's recursion limit.  Each reduced word and compatible
-sequence is charged one unit as it is emitted; nothing here is cached.
+The public functions check their input once; the kernels behind them
+trust it.  reduced_words and iter_reduced_words run w through canonical()
+for _walk.  The word functions and sequence_weight check their entries
+through perm._check_ints; greedy_compatible and compatible_sequences
+then hand the reversed word to _greedy and _compatible, which
+schubert_via_compatible calls on the walk's words directly.
+
+_walk holds w^-1 in one list and its letters as its only stack, and
+_compatible keeps only the sequence it builds.  Neither recurses, so the
+length of a word is not bounded by Python's recursion limit.  Each
+reduced word and compatible sequence is charged one unit as it is
+emitted; nothing here is cached.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 
 from ._limits import Memo, charge
-from .perm import Perm, _check_ints, _strip, canonical
+from .perm import Perm, _check_ints, canonical
 
 Word = tuple[int, ...]
 Composition = tuple[int, ...]
@@ -44,41 +47,38 @@ class _Virtual:
 VIRTUAL = _Virtual()
 
 
-def _steps(u: Perm) -> Iterator[tuple[int, Perm]]:
-    # Each letter i that can end a reduced word of u, ascending, with the
-    # permutation the word builds before that letter.
-    where = {x: j for j, x in enumerate(u)}
-    for i in range(1, len(u)):
-        a, b = where[i], where[i + 1]
-        if a > b:  # i+1 stands before i in u; swap them
-            v = list(u)
-            v[a], v[b] = i + 1, i
-            yield i, _strip(v)
-
-
 def _walk(w: Perm) -> Iterator[Word]:
     # Reduced words of w, built last letter first, depth first with the
-    # letters of each step ascending.  stack holds one _steps iterator per
-    # letter in buf, plus one for the permutation buf has reached.
-    if not w:
+    # letters of each step ascending.  x is w^-1 (x[v] is the position of
+    # v, x[0] unused) as the letters in buf leave it: letter i can end a
+    # reduced word of what remains exactly when x has a descent at i, and
+    # taking it swaps x[i] and x[i+1].  buf is the walk's only stack.
+    n = len(w)
+    ell = sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
+    if not ell:
         yield ()
         return
+    x = [0] * (n + 1)
+    for j, v in enumerate(w, 1):
+        x[v] = j
     buf: list[int] = []
-    stack = [_steps(w)]
-    while stack:
-        step = next(stack[-1], None)
-        if step is None:
-            stack.pop()
-            if buf:
-                buf.pop()
-            continue
-        i, v = step
-        buf.append(i)
-        if v:
-            stack.append(_steps(v))
-        else:
+    i = 1
+    while True:
+        while i < n and x[i] < x[i + 1]:
+            i += 1
+        if i < n:
+            x[i], x[i + 1] = x[i + 1], x[i]
+            buf.append(i)
+            if len(buf) < ell:
+                i = 1
+                continue
             yield tuple(reversed(buf))
-            buf.pop()
+        elif not buf:
+            return
+        # Undo the last letter and resume after it.
+        i = buf.pop()
+        x[i], x[i + 1] = x[i + 1], x[i]
+        i += 1
 
 
 # Unread; it stays bound because perfbench/tracer.py reads its cache_info().
@@ -137,35 +137,34 @@ def weak_descent_composition(word: Sequence[int]) -> Composition | _Virtual:
     >>> weak_descent_composition((5, 6, 3, 4, 5, 7, 3, 1, 4, 2, 3, 6))
     VIRTUAL
     """
-    runs = run_decomposition(word)
-    if not runs:
+    word = _check_ints(word, "word letters", 1)
+    if not word:
         return ()
-    slots = []
-    r = runs[0][0]
-    for run in runs:
-        r = min(run[0], r) if not slots else min(run[0], r - 1)
-        slots.append(r)
-    if slots[-1] < 1:
-        return VIRTUAL
-    comp = [0] * slots[0]
-    for r, run in zip(slots, runs):
-        comp[r - 1] = len(run)
+    # A letter no larger than the one before it starts a run; prev starts
+    # above the first letter so that it starts one too.  Slots strictly
+    # decrease, so the first one below 1 makes the word virtual.
+    slot = prev = word[0] + 1
+    comp = [0] * word[0]
+    for x in word:
+        if x <= prev:
+            slot = min(x, slot - 1)
+            if slot < 1:
+                return VIRTUAL
+        comp[slot - 1] += 1
+        prev = x
     return tuple(comp)
 
 
-def _greedy(word: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...] | _Virtual]:
-    # The checked word reversed, and greedy_compatible of the word.
-    rev = _check_ints(word, "word letters", 1)[::-1]
-    n = len(rev)
-    caps = [0] * n
-    for j in range(n - 1, -1, -1):
-        if j == n - 1:
-            caps[j] = rev[j]
-        else:
-            caps[j] = min(rev[j], caps[j + 1] - (1 if rev[j] < rev[j + 1] else 0))
-        if caps[j] < 1:
-            return rev, VIRTUAL
-    return rev, tuple(caps)
+def _greedy(rev: Sequence[int]) -> tuple[int, ...] | _Virtual:
+    # greedy_compatible of the word whose reversal is rev, a checked word.
+    caps = list(rev)
+    for j in range(len(rev) - 2, -1, -1):
+        cap = caps[j + 1] - (rev[j] < rev[j + 1])
+        if cap < caps[j]:
+            if cap < 1:
+                return VIRTUAL
+            caps[j] = cap
+    return tuple(caps)
 
 
 def greedy_compatible(word: Sequence[int]) -> tuple[int, ...] | _Virtual:
@@ -174,7 +173,37 @@ def greedy_compatible(word: Sequence[int]) -> tuple[int, ...] | _Virtual:
     >>> greedy_compatible((4, 2, 1, 2, 3))
     (1, 1, 1, 2, 4)
     """
-    return _greedy(word)[1]
+    return _greedy(_check_ints(word, "word letters", 1)[::-1])
+
+
+def _compatible(rev: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    # compatible_sequences of the word whose reversal is rev, a checked
+    # word.  Depth first, smallest entry first: seq holds the entries
+    # placed so far and v the next candidate at position len(seq); a dead
+    # end pops the last entry and tries it plus one.
+    caps = _greedy(rev)
+    if caps is VIRTUAL:
+        return ()
+    if not rev:
+        charge()
+        return ((),)
+    last = len(rev) - 1
+    out: list[tuple[int, ...]] = []
+    seq: list[int] = []
+    v = 1
+    while True:
+        j = len(seq)
+        if v > caps[j]:
+            if not seq:
+                return tuple(out)
+            v = seq.pop() + 1
+        elif j == last:
+            charge()
+            out.append((*seq, v))
+            v += 1
+        else:
+            seq.append(v)
+            v += rev[j] < rev[j + 1]
 
 
 def compatible_sequences(word: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -189,35 +218,7 @@ def compatible_sequences(word: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     >>> compatible_sequences((2, 4, 1, 2, 3))
     ((1, 1, 1, 2, 2),)
     """
-    rev, caps = _greedy(word)
-    if caps is VIRTUAL:
-        return ()
-    n = len(rev)
-    if not n:
-        charge()
-        return ((),)
-    out: list[tuple[int, ...]] = []
-    # Depth first, smallest entry first; stack holds one iterator over
-    # the candidates of each position from 0 to len(seq).
-    seq: list[int] = []
-    stack = [iter(range(1, caps[0] + 1))]
-    while stack:
-        v = next(stack[-1], None)
-        if v is None:
-            stack.pop()
-            if seq:
-                seq.pop()
-            continue
-        seq.append(v)
-        j = len(seq)
-        if j == n:
-            charge()
-            out.append(tuple(seq))
-            seq.pop()
-        else:
-            lo = v + (1 if rev[j - 1] < rev[j] else 0)
-            stack.append(iter(range(lo, caps[j] + 1)))
-    return tuple(out)
+    return _compatible(_check_ints(word, "word letters", 1)[::-1])
 
 
 def sequence_weight(seq: Sequence[int]) -> Composition:

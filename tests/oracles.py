@@ -169,6 +169,31 @@ def strong_descent(word):
     return tuple(reversed(sizes))
 
 
+def weak_descent(word):
+    """Weak descent composition of any word, or None when it is virtual.
+
+    Split the word into its maximal strictly increasing runs.  The first
+    run's slot is its first letter; each later run's slot is the smaller
+    of its first letter and one below the slot before.  The word is
+    virtual when a slot falls below 1; otherwise the composition holds
+    each run's size at its slot."""
+    runs = []
+    for i, x in enumerate(word):
+        if i and word[i - 1] < x:
+            runs[-1].append(x)
+        else:
+            runs.append([x])
+    slots = []
+    for run in runs:
+        slots.append(run[0] if not slots else min(run[0], slots[-1] - 1))
+    if slots and slots[-1] < 1:
+        return None
+    comp = [0] * (slots[0] if slots else 0)
+    for slot, run in zip(slots, runs):
+        comp[slot - 1] = len(run)
+    return tuple(comp)
+
+
 def flat(a):
     return tuple(x for x in a if x)
 

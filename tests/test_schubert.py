@@ -128,6 +128,17 @@ def test_slide_expansion_counts_weak_descent_compositions_on_s5():
         assert slide_expand(schubert(w)) == want, w
 
 
+def test_oracles_agree_on_s7_up_to_length_8():
+    # The verify suites and the tests above stop at S6; at length <= 8
+    # every reduced-word oracle of S7 stays cheap.
+    perms = [w for w in all_perms(7) if length(w) <= 8]
+    assert len(perms) == 1416
+    for w in perms:
+        p = schubert(w)
+        assert schubert_via_slides(w) == p, w
+        assert schubert_via_compatible(w) == p, w
+
+
 def test_schubert_matches_definition_brute_force():
     for w in all_perms(4):
         assert schubert_via_compatible(w) == Polynomial(brute_schubert(w)), w

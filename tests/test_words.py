@@ -1,5 +1,5 @@
 from collections import Counter
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -23,11 +23,19 @@ from oracles import (
     inversions,
     strip,
     strong_descent,
+    weak_descent,
     word_perm,
 )
 
 S4 = [canonical(p) for p in permutations(range(1, 5))]
 S5 = [canonical(p) for p in permutations(range(1, 6))]
+
+
+def all_words(most, letters=4):
+    # Every word of length at most `most` over 1..letters, reduced or not:
+    # unlike reduced words, these repeat letters, so they tell < from <=.
+    for n in range(most + 1):
+        yield from product(range(1, letters + 1), repeat=n)
 
 # the eleven reduced words of 42153, frozen from brute-force enumeration
 R42153 = {
@@ -175,6 +183,14 @@ def test_weak_descent_composition_examples():
     assert weak_descent_composition((5, 6, 3, 4, 5, 7, 3, 1, 4, 2, 3, 6)) is VIRTUAL
 
 
+def test_weak_descent_composition_matches_its_definition_on_every_word():
+    words = list(all_words(7))
+    assert len(words) == 21845
+    for word in words:
+        comp = weak_descent_composition(word)
+        assert (None if comp is VIRTUAL else comp) == weak_descent(word), word
+
+
 def test_flat_of_weak_equals_strong_on_s5():
     for w in S5:
         for rho in reduced_words(w):
@@ -210,6 +226,16 @@ def test_compatible_sequences_match_brute_force():
     for w in S4:
         for rho in reduced_words(w):
             assert set(compatible_sequences(rho)) == brute_compatible(rho)
+
+
+def test_compatible_sequences_match_brute_force_on_every_word():
+    words = list(all_words(5))
+    assert len(words) == 1365
+    for word in words:
+        want = sorted(brute_compatible(word))
+        assert compatible_sequences(word) == tuple(want), word
+        best = tuple(map(max, zip(*want))) if want else VIRTUAL
+        assert greedy_compatible(word) == best, word
 
 
 def test_virtual_iff_no_compatible_sequence_on_s5():
