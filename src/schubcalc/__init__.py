@@ -1,4 +1,9 @@
-"""Exact Schubert-calculus polynomials: slides, Stanley, and transitions."""
+"""Exact Schubert-calculus polynomials: slides, Stanley, and transitions.
+
+import schubcalc loads the kernels (_limits, perm, poly, schubert and
+transition); the reduced-word oracles of words and the suites of verify
+load on first use of a name they define.
+"""
 
 from ._limits import TermBudgetExceeded, term_budget
 from .perm import (
@@ -21,6 +26,7 @@ from .perm import (
     to_partition,
 )
 from .poly import (
+    VIRTUAL,
     NonExpandableError,
     Polynomial,
     flatten,
@@ -49,17 +55,37 @@ from .transition import (
     truncation_paths,
     truncation_start,
 )
-from .verify import SUITES, CounterexampleError, cross_identity_check
-from .words import (
-    VIRTUAL,
-    compatible_sequences,
-    greedy_compatible,
-    iter_reduced_words,
-    reduced_words,
-    run_decomposition,
-    sequence_weight,
-    weak_descent_composition,
-)
+
+# Names defined by the oracle modules, by module; __getattr__ imports the
+# module on first access (PEP 562) and binds the name here.
+_LAZY = {
+    "SUITES": "verify",
+    "CounterexampleError": "verify",
+    "cross_identity_check": "verify",
+    "compatible_sequences": "words",
+    "greedy_compatible": "words",
+    "iter_reduced_words": "words",
+    "reduced_words": "words",
+    "run_decomposition": "words",
+    "sequence_weight": "words",
+    "weak_descent_composition": "words",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # Imported here: a plain import of the package does not need it.
+    from importlib import import_module
+
+    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
+
 
 __version__ = "0.1.0"
 

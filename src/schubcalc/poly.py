@@ -40,7 +40,25 @@ from itertools import accumulate
 
 from ._limits import Memo, charge
 from .perm import _check_int, _check_ints, _strip_zeros
-from .words import VIRTUAL, Composition, _Virtual
+
+Composition = tuple[int, ...]
+
+
+class _Virtual:
+    """Sentinel composition whose slide polynomial is zero."""
+
+    _instance = None
+
+    def __new__(cls):
+        if cls._instance is None:
+            cls._instance = super().__new__(cls)
+        return cls._instance
+
+    def __repr__(self) -> str:
+        return "VIRTUAL"
+
+
+VIRTUAL = _Virtual()
 
 
 class NonExpandableError(RuntimeError):

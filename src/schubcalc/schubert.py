@@ -9,7 +9,9 @@ F_v(x1..xk) = S_{1^k x v}(x1..xk, 0, ...).  The reduced-word
 constructors schubert_via_slides (slide polynomials of weak descent
 compositions) and schubert_via_compatible (compatible sequences) are
 independent oracles and are not used by the others.  The latter hands
-each walked word, valid already, to words._compatible unchecked.
+each walked word, valid already, to words._compatible unchecked.  Both
+import the words module when they run, so importing this module does
+not load it.
 
 schubert_expand hands its pivots to poly._eliminate, which reads them
 from the _pivots memo by packed monomial: one read gives the exponent
@@ -27,11 +29,10 @@ from collections.abc import Sequence
 
 from ._limits import Memo
 from .perm import Perm, _check_int, _from_code, _grassmannian, canonical, check_partition, shift
-from .poly import NonExpandableError, Polynomial, _eliminate, _pivot_size, _slide
+from .poly import VIRTUAL, NonExpandableError, Polynomial, _eliminate, _pivot_size, _slide
 # _schubert and _stanley stay bound here, unused: perfbench/tracer.py
 # reads their cache_info() from this module.
 from .transition import _node, _schubert, _stanley  # noqa: F401
-from .words import VIRTUAL, _compatible, iter_reduced_words, sequence_weight, weak_descent_composition
 
 
 class NoSolutionError(ValueError):
@@ -56,6 +57,8 @@ def schubert_via_slides(w: Sequence[int]) -> Polynomial:
     >>> str(schubert_via_slides((1, 3, 2)))
     'x1 + x2'
     """
+    from .words import iter_reduced_words, weak_descent_composition
+
     acc: dict[tuple[int, ...], int] = {}
     for word in iter_reduced_words(canonical(w)):
         # A weak descent composition is stripped and nonnegative already.
@@ -73,6 +76,8 @@ def schubert_via_compatible(w: Sequence[int]) -> Polynomial:
     Independent of the slide enumeration and of transition, which makes
     it a useful cross-check.
     """
+    from .words import _compatible, iter_reduced_words, sequence_weight
+
     acc: dict[tuple[int, ...], int] = {}
     for word in iter_reduced_words(canonical(w)):
         for seq in _compatible(word[::-1]):

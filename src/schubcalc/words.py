@@ -6,17 +6,19 @@ from the identity.  A word is reduced when its length equals the Coxeter
 length of the permutation it builds.
 
 The public functions check their input once; the kernels behind them
-trust it.  reduced_words and iter_reduced_words run w through canonical()
-for _walk.  The word functions and sequence_weight check their entries
-through perm._check_ints; greedy_compatible and compatible_sequences
-then hand the reversed word to _greedy and _compatible, which
-schubert_via_compatible calls on the walk's words directly.
+trust it.  iter_reduced_words runs w through canonical() and walks the
+result; reduced_words sorts what it walks.  The word functions and
+sequence_weight check their entries through perm._check_ints;
+greedy_compatible and compatible_sequences then hand the reversed word
+to _greedy and _compatible, which schubert_via_compatible calls on the
+walk's words directly.
 
-_walk holds w^-1 in one list and its letters as its only stack, and
+The walk holds w^-1 in one list and its letters as its only stack, and
 _compatible keeps only the sequence it builds.  Neither recurses, so the
 length of a word is not bounded by Python's recursion limit.  Each
-reduced word and compatible sequence is charged one unit as it is
-emitted; nothing here is cached.
+reduced word and compatible sequence is charged one unit just before it
+is emitted; nothing here is cached.  VIRTUAL, the composition whose
+slide polynomial is zero, lives in poly and is imported from there.
 """
 
 from __future__ import annotations
@@ -24,62 +26,10 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 
 from ._limits import Memo, charge
-from .perm import Perm, _check_ints, canonical
+from .perm import _check_ints, canonical
+from .poly import VIRTUAL, Composition, _Virtual
 
 Word = tuple[int, ...]
-Composition = tuple[int, ...]
-
-
-class _Virtual:
-    """Sentinel composition whose slide polynomial is zero."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "VIRTUAL"
-
-
-VIRTUAL = _Virtual()
-
-
-def _walk(w: Perm) -> Iterator[Word]:
-    # Reduced words of w, built last letter first, depth first with the
-    # letters of each step ascending.  x is w^-1 (x[v] is the position of
-    # v, x[0] unused) as the letters in buf leave it: letter i can end a
-    # reduced word of what remains exactly when x has a descent at i, and
-    # taking it swaps x[i] and x[i+1].  buf is the walk's only stack.
-    n = len(w)
-    ell = sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
-    if not ell:
-        yield ()
-        return
-    x = [0] * (n + 1)
-    for j, v in enumerate(w, 1):
-        x[v] = j
-    buf: list[int] = []
-    i = 1
-    while True:
-        while i < n and x[i] < x[i + 1]:
-            i += 1
-        if i < n:
-            x[i], x[i + 1] = x[i + 1], x[i]
-            buf.append(i)
-            if len(buf) < ell:
-                i = 1
-                continue
-            yield tuple(reversed(buf))
-        elif not buf:
-            return
-        # Undo the last letter and resume after it.
-        i = buf.pop()
-        x[i], x[i + 1] = x[i + 1], x[i]
-        i += 1
-
 
 # Unread; it stays bound because perfbench/tracer.py reads its cache_info().
 _reduced_words = Memo(len)
@@ -102,9 +52,40 @@ def iter_reduced_words(w: Sequence[int]) -> Iterator[Word]:
     >>> list(iter_reduced_words((2, 1, 4, 3)))
     [(3, 1), (1, 3)]
     """
-    for word in _walk(canonical(w)):
+    # Built last letter first, depth first with the letters of each step
+    # ascending.  x is w^-1 (x[v] is the position of v, x[0] unused) as
+    # the letters in buf leave it: letter i can end a reduced word of what
+    # remains exactly when x has a descent at i, and taking it swaps x[i]
+    # and x[i+1].  buf is the walk's only stack.
+    w = canonical(w)
+    n = len(w)
+    ell = sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
+    if not ell:
         charge()
-        yield word
+        yield ()
+        return
+    x = [0] * (n + 1)
+    for j, v in enumerate(w, 1):
+        x[v] = j
+    buf: list[int] = []
+    i = 1
+    while True:
+        while i < n and x[i] < x[i + 1]:
+            i += 1
+        if i < n:
+            x[i], x[i + 1] = x[i + 1], x[i]
+            buf.append(i)
+            if len(buf) < ell:
+                i = 1
+                continue
+            charge()
+            yield tuple(reversed(buf))
+        elif not buf:
+            return
+        # Undo the last letter and resume after it.
+        i = buf.pop()
+        x[i], x[i + 1] = x[i + 1], x[i]
+        i += 1
 
 
 def run_decomposition(word: Sequence[int]) -> tuple[Word, ...]:

@@ -422,6 +422,9 @@ def test_json_round_trips(capsys, w, k, data):
 
 
 def test_all_names_the_public_surface():
+    # The oracle names are bound on first access; resolve them all first.
+    for name in schubcalc.__all__:
+        getattr(schubcalc, name)
     public = {
         name
         for name, value in vars(schubcalc).items()
@@ -442,6 +445,65 @@ def test_import_loads_no_heavy_stdlib_modules():
         [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=ENV
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+ORACLE_NAMES = {
+    "verify": ("SUITES", "CounterexampleError", "cross_identity_check"),
+    "words": (
+        "compatible_sequences", "greedy_compatible", "iter_reduced_words", "reduced_words",
+        "run_decomposition", "sequence_weight", "weak_descent_composition",
+    ),
+}
+
+
+def test_import_leaves_the_oracle_modules_unloaded():
+    # words and verify load on first use of a name they define.  The CLI
+    # imports verify for its --suite choices, but a command that walks no
+    # reduced word leaves words unloaded.
+    script = (
+        "import sys, schubcalc\n"
+        "def loaded():\n"
+        "    return [m for m in ('schubcalc.verify', 'schubcalc.words') if m in sys.modules]\n"
+        "print(sorted(m for m in sys.modules if m.startswith('schubcalc')))\n"
+        "from schubcalc import cli\n"
+        "print(cli.main(['schubert', '3,2,1']), loaded())\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=ENV
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == [
+        "['schubcalc', 'schubcalc._limits', 'schubcalc.perm', 'schubcalc.poly', "
+        "'schubcalc.schubert', 'schubcalc.transition']",
+        "x1^2*x2",
+        "0 ['schubcalc.verify']",
+    ]
+
+
+def test_oracle_names_resolve_to_their_modules():
+    script = (
+        "import json, sys, schubcalc\n"
+        "from schubcalc import poly\n"
+        f"names = {ORACLE_NAMES!r}\n"
+        "listed = set(dir(schubcalc)) >= set(schubcalc.__all__)\n"
+        "same = [getattr(schubcalc, name) is getattr(sys.modules['schubcalc.' + mod], name)\n"
+        "        for mod, group in names.items() for name in group]\n"
+        "from schubcalc import words\n"
+        "virtual = schubcalc.VIRTUAL is poly.VIRTUAL is words.VIRTUAL\n"
+        "try:\n"
+        "    schubcalc.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    missing = str(exc)\n"
+        "print(json.dumps([listed, same, virtual, missing]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=ENV
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    listed, same, virtual, missing = json.loads(proc.stdout)
+    assert listed and virtual
+    assert same == [True] * 10
+    assert missing == "module 'schubcalc' has no attribute 'no_such_name'"
 
 
 def test_plain_output_loads_neither_json_nor_shutil():
