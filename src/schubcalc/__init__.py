@@ -39,8 +39,6 @@ from .schubert import (
     NoSolutionError,
     schubert,
     schubert_expand,
-    schubert_via_compatible,
-    schubert_via_slides,
     schur,
     stanley,
 )
@@ -67,6 +65,8 @@ _LAZY = {
     "iter_reduced_words": "words",
     "reduced_words": "words",
     "run_decomposition": "words",
+    "schubert_via_compatible": "words",
+    "schubert_via_slides": "words",
     "sequence_weight": "words",
     "weak_descent_composition": "words",
 }

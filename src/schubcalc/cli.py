@@ -20,7 +20,7 @@ from collections.abc import Sequence
 from ._limits import TermBudgetExceeded, term_budget
 from .perm import _check_ints, check_partition, format_perm, parse_perm
 from .poly import Polynomial, fundamental_quasisym, slide_polynomial
-from .schubert import schubert, schubert_via_compatible, schubert_via_slides, schur, stanley
+from .schubert import schubert, schur, stanley
 from .transition import (
     lr_chains,
     lr_coefficient,
@@ -157,19 +157,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("schubert", parents=[common], help="Schubert polynomial of w")
     p.add_argument("perm", type=_perm)
-    p.add_argument(
-        "--method", choices=("transition", "slides", "compatible"), default="transition"
-    )
-    # The table is built per call: a name bound at import would miss a
-    # function swapped into this module's globals later.
-    p.set_defaults(
-        run=lambda a: {
-            "transition": schubert,
-            "slides": schubert_via_slides,
-            "compatible": schubert_via_compatible,
-        }[a.method](a.perm),
-        emit=_emit_poly,
-    )
+    p.set_defaults(run=lambda a: schubert(a.perm), emit=_emit_poly)
 
     p = sub.add_parser("stanley", parents=[common], help="Stanley polynomial of w in k variables")
     p.add_argument("perm", type=_perm)

@@ -5,13 +5,7 @@ schubert, stanley and schur compute by Lascoux–Schützenberger transition
 they hold.  Each validates its input once and makes one call of
 transition._node, which picks the memo by the last descent, so a hit is
 one find().  A Stanley symmetric polynomial comes from stability:
-F_v(x1..xk) = S_{1^k x v}(x1..xk, 0, ...).  The reduced-word
-constructors schubert_via_slides (slide polynomials of weak descent
-compositions) and schubert_via_compatible (compatible sequences) are
-independent oracles and are not used by the others.  The latter hands
-each walked word, valid already, to words._compatible unchecked.  Both
-import the words module when they run, so importing this module does
-not load it.
+F_v(x1..xk) = S_{1^k x v}(x1..xk, 0, ...).
 
 schubert_expand hands its pivots to poly._eliminate, which reads them
 from the _pivots memo by packed monomial: one read gives the exponent
@@ -29,7 +23,7 @@ from collections.abc import Sequence
 
 from ._limits import Memo
 from .perm import Perm, _check_int, _from_code, _grassmannian, canonical, check_partition, shift
-from .poly import VIRTUAL, NonExpandableError, Polynomial, _eliminate, _pivot_size, _slide
+from .poly import NonExpandableError, Polynomial, _eliminate, _pivot_size
 # _schubert and _stanley stay bound here, unused: perfbench/tracer.py
 # reads their cache_info() from this module.
 from .transition import _node, _schubert, _stanley  # noqa: F401
@@ -47,43 +41,6 @@ def schubert(w: Sequence[int]) -> Polynomial:
     """
     w = canonical(w)
     return _node(w, len(w))
-
-
-def schubert_via_slides(w: Sequence[int]) -> Polynomial:
-    """Schubert polynomial as a sum of slide polynomials over reduced words.
-
-    >>> str(schubert_via_slides((2, 1)))
-    'x1'
-    >>> str(schubert_via_slides((1, 3, 2)))
-    'x1 + x2'
-    """
-    from .words import iter_reduced_words, weak_descent_composition
-
-    acc: dict[tuple[int, ...], int] = {}
-    for word in iter_reduced_words(canonical(w)):
-        # A weak descent composition is stripped and nonnegative already.
-        comp = weak_descent_composition(word)
-        if comp is VIRTUAL:
-            continue
-        for e, c in _slide(comp).terms.items():
-            acc[e] = acc.get(e, 0) + c
-    return Polynomial(acc)
-
-
-def schubert_via_compatible(w: Sequence[int]) -> Polynomial:
-    """Schubert polynomial as a sum over compatible sequences.
-
-    Independent of the slide enumeration and of transition, which makes
-    it a useful cross-check.
-    """
-    from .words import _compatible, iter_reduced_words, sequence_weight
-
-    acc: dict[tuple[int, ...], int] = {}
-    for word in iter_reduced_words(canonical(w)):
-        for seq in _compatible(word[::-1]):
-            e = sequence_weight(seq)
-            acc[e] = acc.get(e, 0) + 1
-    return Polynomial(acc)
 
 
 def stanley(w: Sequence[int], k: int) -> Polynomial:

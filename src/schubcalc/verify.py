@@ -13,14 +13,7 @@ from itertools import permutations
 
 from .perm import Perm, _check_int, canonical, cross, last_descent, length
 from .poly import Polynomial, substitute_zero
-from .schubert import (
-    schubert,
-    schubert_expand,
-    schubert_via_compatible,
-    schubert_via_slides,
-    schur,
-    stanley,
-)
+from .schubert import schubert, schubert_expand, schur, stanley
 from .transition import (
     lr_chains,
     monk_multiply,
@@ -61,6 +54,10 @@ def basis_vector(k: int) -> Polynomial:
 
 def verify_slides(nmax: int = 4) -> int:
     """Transition, slides and compatible sequences agree on all of S_nmax."""
+    # Imported here: the CLI imports this module for every command, and
+    # only this suite walks reduced words.
+    from .words import schubert_via_compatible, schubert_via_slides
+
     _check_int(nmax, "nmax")
     count = 0
     for w in all_perms(nmax):

@@ -1,4 +1,4 @@
-"""Reduced words, their runs, and compatible sequences.
+"""Reduced words, their runs, compatible sequences, and two Schubert oracles.
 
 A word is a tuple of positive letters; letter i swaps the values i and
 i+1.  Words act left to right, so (4, 2, 1, 2, 3) builds (4, 2, 1, 5, 3)
@@ -19,6 +19,13 @@ length of a word is not bounded by Python's recursion limit.  Each
 reduced word and compatible sequence is charged one unit just before it
 is emitted; nothing here is cached.  VIRTUAL, the composition whose
 slide polynomial is zero, lives in poly and is imported from there.
+
+schubert_via_slides sums the slide polynomials of the weak descent
+compositions of the reduced words (Assaf and Searles, Adv. Math. 2017),
+and schubert_via_compatible counts their compatible sequences (Billey,
+Jockusch and Stanley, J. Algebraic Combin. 1993).  Both are oracles for
+the transition construction of the schubert module; their only caller
+in the library is the slides suite of verify.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from collections.abc import Iterator, Sequence
 
 from ._limits import Memo, charge
 from .perm import _check_ints, canonical
-from .poly import VIRTUAL, Composition, _Virtual
+from .poly import VIRTUAL, Composition, Polynomial, _slide, _Virtual
 
 Word = tuple[int, ...]
 
@@ -213,3 +220,36 @@ def sequence_weight(seq: Sequence[int]) -> Composition:
     for v in seq:
         comp[v - 1] += 1
     return tuple(comp)
+
+
+def schubert_via_slides(w: Sequence[int]) -> Polynomial:
+    """Schubert polynomial as a sum of slide polynomials over reduced words.
+
+    >>> str(schubert_via_slides((2, 1)))
+    'x1'
+    >>> str(schubert_via_slides((1, 3, 2)))
+    'x1 + x2'
+    """
+    acc: dict[tuple[int, ...], int] = {}
+    for word in iter_reduced_words(w):
+        # A weak descent composition is stripped and nonnegative already.
+        comp = weak_descent_composition(word)
+        if comp is VIRTUAL:
+            continue
+        for e, c in _slide(comp).terms.items():
+            acc[e] = acc.get(e, 0) + c
+    return Polynomial(acc)
+
+
+def schubert_via_compatible(w: Sequence[int]) -> Polynomial:
+    """Schubert polynomial as a sum over compatible sequences.
+
+    Independent of the slide enumeration and of transition, which makes
+    it a useful cross-check.
+    """
+    acc: dict[tuple[int, ...], int] = {}
+    for word in iter_reduced_words(w):
+        for seq in _compatible(word[::-1]):
+            e = sequence_weight(seq)
+            acc[e] = acc.get(e, 0) + 1
+    return Polynomial(acc)

@@ -4,11 +4,13 @@ Everything here recomputes from first definitions using only the stdlib:
 reduced words by exhaustive product search, Schubert polynomials by the
 compatible-sequence sum and (separately) by divided differences, Schur
 polynomials by tableau enumeration, slide/quasisymmetric polynomials by
-filtered exponent enumeration, and truncation chains by the alternating
-down/up recursion at the last-descent column.
+filtered exponent enumeration, truncation chains by the alternating
+down/up recursion at the last-descent column, Edelman–Greene tableaux by
+filtering reduced words, and standard tableaux by the hook length formula.
 """
 
 from itertools import product
+from math import factorial, prod
 
 
 def strip(t):
@@ -270,6 +272,44 @@ def grassmannian(lam, k):
     n = k + (lam[0] if lam else 0)
     rest = sorted(set(range(1, n + 1)) - set(front))
     return drop_fixed(front + tuple(rest))
+
+
+def edelman_greene(v, words=None):
+    """Edelman–Greene counts of v: shape lam -> number of its EG tableaux.
+
+    A reduced word of v (of v itself, in word_perm's convention, not of
+    v^-1) fills the shape lam of its length row by row, the bottom row
+    first, each row left to right.  The filling is an Edelman–Greene
+    tableau when it increases strictly along every row and down every
+    column.  words defaults to brute_reduced_words(v); pass the same set
+    found another way to skip the product search.  Shapes with no
+    tableau are left out.
+    """
+    if words is None:
+        words = brute_reduced_words(v)
+    counts = {}
+    for lam in partitions(inversions(drop_fixed(v))):
+        # Row r starts at starts[r] in the reading word.
+        starts = [sum(lam[r + 1 :]) for r in range(len(lam))]
+        n = sum(
+            all(
+                (c == 0 or word[starts[r] + c - 1] < word[starts[r] + c])
+                and (r == 0 or word[starts[r - 1] + c] < word[starts[r] + c])
+                for r in range(len(lam))
+                for c in range(lam[r])
+            )
+            for word in words
+        )
+        if n:
+            counts[lam] = n
+    return counts
+
+
+def hook_count(lam):
+    """f^lam, the number of standard tableaux of shape lam, by the hook length formula."""
+    conj = [sum(1 for part in lam if part > c) for c in range(lam[0] if lam else 0)]
+    hooks = prod(part - c + conj[c] - r - 1 for r, part in enumerate(lam) for c in range(part))
+    return factorial(sum(lam)) // hooks
 
 
 def last_descent(w):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import schubcalc
 from schubcalc import (
     Polynomial,
+    TermBudgetExceeded,
     canonical,
     compatible_sequences,
     format_perm,
@@ -23,9 +24,12 @@ from schubcalc import (
     run_decomposition,
     schubert,
     schubert_times_schur,
+    schubert_via_compatible,
+    schubert_via_slides,
     sequence_weight,
     slide_polynomial,
     stanley,
+    term_budget,
     weak_descent_composition,
 )
 from schubcalc import cli, verify
@@ -69,11 +73,20 @@ def test_schubert_plain():
 
 
 def test_schubert_methods_agree():
-    default = run("schubert", "153264")
-    assert default == run("schubert", "153264", "--method", "transition")
-    assert default == run("schubert", "153264", "--method", "slides")
-    assert default == run("schubert", "153264", "--method", "compatible")
-    assert default[0] == 0
+    # The command builds by transition; the reduced-word oracles are
+    # library calls, and verify --suite slides compares all three.
+    want = str(schubert_via_slides((1, 5, 3, 2, 6, 4)))
+    assert want == str(schubert_via_compatible((1, 5, 3, 2, 6, 4)))
+    assert run("schubert", "153264") == (0, want + "\n", "")
+
+
+def test_schubert_has_no_method_option(capsys):
+    with pytest.raises(SystemExit) as exited:
+        cli.main(["schubert", "153264", "--method", "slides"])
+    assert exited.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith("error: unrecognized arguments: --method slides\n")
 
 
 def test_schubert_json():
@@ -339,13 +352,13 @@ def test_deep_schubert_in_a_fresh_process():
 @pytest.mark.parametrize("method", ["slides", "compatible"])
 def test_budget_stops_a_reduced_word_walk_deeper_than_the_recursion_limit(method):
     # The first reduced word of the longest element of S46 is 1035
-    # letters long; the walk keeps its own stack, so the budget stops it.
-    w0 = ",".join(map(str, range(46, 0, -1)))
-    assert run("schubert", w0, "--timeout-terms", "10", "--method", method) == (
-        4,
-        "",
-        "error: term budget of 10 exceeded; partial results discarded\n",
-    )
+    # letters long; the walk keeps its own stack, so the budget stops it
+    # and no RecursionError escapes.
+    oracle = {"slides": schubert_via_slides, "compatible": schubert_via_compatible}[method]
+    with pytest.raises(TermBudgetExceeded) as raised:
+        with term_budget(10):
+            oracle(tuple(range(46, 0, -1)))
+    assert raised.value.limit == 10
 
 
 def test_closed_stdout_exits_quietly():
@@ -451,7 +464,8 @@ ORACLE_NAMES = {
     "verify": ("SUITES", "CounterexampleError", "cross_identity_check"),
     "words": (
         "compatible_sequences", "greedy_compatible", "iter_reduced_words", "reduced_words",
-        "run_decomposition", "sequence_weight", "weak_descent_composition",
+        "run_decomposition", "schubert_via_compatible", "schubert_via_slides",
+        "sequence_weight", "weak_descent_composition",
     ),
 }
 
@@ -502,7 +516,7 @@ def test_oracle_names_resolve_to_their_modules():
     assert (proc.returncode, proc.stderr) == (0, "")
     listed, same, virtual, missing = json.loads(proc.stdout)
     assert listed and virtual
-    assert same == [True] * 10
+    assert same == [True] * 12
     assert missing == "module 'schubcalc' has no attribute 'no_such_name'"
 
 

@@ -60,7 +60,6 @@ GOLDEN = {
         ' {"coeff": 1, "exponents": [3, 1, 0, 1]}]}\n',
     ),
     "schubert 153264": (S153264, S153264_JSON),
-    "schubert 153264 --method slides": (S153264, S153264_JSON),
     "stanley 42153 2": (
         "x1^3*x2^2 + x1^2*x2^3\n",
         '{"terms": [{"coeff": 1, "exponents": [3, 2]}, {"coeff": 1, "exponents": [2, 3]}]}\n',

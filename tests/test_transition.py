@@ -24,10 +24,12 @@ from schubcalc import (
     lr_chains,
     lr_coefficient,
     monk_multiply,
+    reduced_words,
     schubert,
     schubert_expand,
     schubert_times_schur,
     schur,
+    stanley,
     substitute_zero,
     term_budget,
     truncate_last_descent,
@@ -36,7 +38,16 @@ from schubcalc import (
 )
 from schubcalc.transition import _descent_data, _drain, _product_seed, truncated_schubert
 from schubcalc.verify import all_partitions, all_perms, basis_vector
-from oracles import alternating_chains, chain_end, last_descent, ssyt_schur
+from oracles import (
+    alternating_chains,
+    brute_reduced_words,
+    chain_end,
+    edelman_greene,
+    hook_count,
+    last_descent,
+    ssyt_schur,
+)
+from oracles import grassmannian as oracle_grassmannian
 
 PRODUCT_42153_21 = {
     (4, 2, 3, 5, 7, 1, 6): 1,
@@ -204,6 +215,41 @@ def test_drain_expands_every_truncation_on_s7():
             got = _drain(w, *_descent_data(w), k)
             assert got == schubert_expand(truncated_schubert(w, k)), (w, k)
             assert all(c > 0 for c in got.values()), (w, k)
+
+
+def test_drain_expands_schubert_times_stanley_on_s4():
+    # The title theorem for every v, not only v_lam: S_u F_v(x1..xk) is
+    # the truncation of S_{u x v} to x1..xk, which the drain expands
+    # positively.
+    count = 0
+    for u in all_perms(4):
+        for v in all_perms(4):
+            for k in range(last_descent(u) or 1, 5):
+                got = _drain(*_product_seed(u, v, k)[1:], k)
+                assert got == schubert_expand(schubert(u) * stanley(v, k)), (u, v, k)
+                assert all(c > 0 for c in got.values()), (u, v, k)
+                count += 1
+    assert count == 1536
+
+
+def test_drain_of_a_stanley_polynomial_counts_edelman_greene_tableaux():
+    # F_v(x1..xk) = sum of a_lam s_lam(x1..xk), a_lam the Edelman–Greene
+    # tableaux of shape lam (Edelman and Greene, Adv. Math. 1987); at
+    # k = len(v) no shape is too tall, and the sum of a_lam f^lam is the
+    # number of reduced words of v (Stanley, Europ. J. Combin. 1984).
+    # reduced_words is checked against the brute-force search on S4.
+    count = 0
+    for v in all_perms(5):
+        if not v:
+            continue
+        words = brute_reduced_words(v) if len(v) <= 4 else set(reduced_words(v))
+        eg = edelman_greene(v, words)
+        k = len(v)
+        got = _drain(*_product_seed((), v, k)[1:], k)
+        assert got == {oracle_grassmannian(lam, k): a for lam, a in eg.items()}, v
+        assert sum(a * hook_count(lam) for lam, a in eg.items()) == len(words), v
+        count += 1
+    assert count == 119
 
 
 def larger_to_the_left(w):
