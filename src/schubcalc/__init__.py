@@ -5,7 +5,7 @@ transition); the reduced-word oracles of words and the suites of verify
 load on first use of a name they define.
 """
 
-from ._limits import TermBudgetExceeded, term_budget
+from ._limits import CounterexampleError, TermBudgetExceeded, term_budget
 from .perm import (
     Perm,
     Transposition,
@@ -58,7 +58,6 @@ from .transition import (
 # module on first access (PEP 562) and binds the name here.
 _LAZY = {
     "SUITES": "verify",
-    "CounterexampleError": "verify",
     "cross_identity_check": "verify",
     "compatible_sequences": "words",
     "greedy_compatible": "words",

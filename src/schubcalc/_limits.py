@@ -22,6 +22,9 @@ as in CLOCK, Corbató 1968).
 So an entry that is stored and never read again, such as the result of
 a one-off construction, is evicted before the entries that lookups
 read, and a hit costs one dict read and a flag store.
+
+CounterexampleError, raised by the verify suites, lives here too, so
+that the CLI maps it to its exit code without importing them.
 """
 
 from __future__ import annotations
@@ -41,6 +44,10 @@ class TermBudgetExceeded(RuntimeError):
     def __init__(self, limit: int):
         super().__init__(f"term budget of {limit} exceeded")
         self.limit = limit
+
+
+class CounterexampleError(Exception):
+    """An exhaustive suite found an instance violating its identity."""
 
 
 _state: contextvars.ContextVar[list[int] | None] = contextvars.ContextVar(

@@ -26,10 +26,12 @@ truncate_last_descent alike.  The truncation kernel _paths and the chain
 walk of lr_chains run on explicit stacks, so their depth is bounded by
 memory, not by Python's recursion limit.
 
-A node whose truncation to the drain's k variables is zero has no leaf
-below it, and _paths drops such an endpoint unexpanded when it meets
-this criterion: S_w(x1..xk, 0, ...) = 0 when some value of w has more
-than k larger values to its left.  The sketch is Bergeron and Billey's
+A node whose truncation to k variables is zero has no leaf below it
+and no monomial.  Construction and truncation both skip such a node
+when it meets this criterion: S_w(x1..xk, 0, ...) = 0 when some value
+of w has more than k larger values to its left.  _node answers a
+_stanley miss that meets it with 0, and _paths drops an endpoint that
+meets it unexpanded.  The sketch is Bergeron and Billey's
 (RC-graphs and Schubert polynomials, Experimental Math. 1993).  The
 bottom pipe dream of w^-1 holds c_i crosses in row i, left-justified,
 where c is the code of w^-1: c_i counts the values of w larger than i
@@ -38,8 +40,8 @@ by ladder moves, and a ladder move takes a cross one column right, so
 none has all its crosses in columns 1..k when some c_i > k.
 Transposing the pipe dreams of w^-1 gives those of w, whose rows carry
 the variables, so no monomial of S_w lives in x1..xk.  The converse
-holds too on S1..S7, where the tests check both directions; the drop
-uses only this one.
+holds too on S1..S7, where the tests check both directions; both skips
+use only this one.
 """
 
 from __future__ import annotations
@@ -66,12 +68,14 @@ from .perm import (
 from .poly import Polynomial, _lift, _monomials, _width
 
 # _schubert holds S_w by w; _stanley holds S_w(x1..xk, 0, ...) by (w, k)
-# for the w whose last descent is beyond k, where truncation matters.
+# for the w whose last descent is beyond k, where truncation matters, and
+# that the module's criterion does not zero, so it holds no 0.
 # _node is their one reader: schubert, stanley, schur, truncated_schubert
 # and schubert_expand's pivots each validate and call it once.
 _schubert = Memo(_monomials)
 _stanley = Memo(_monomials)
 _ONE = Polynomial._raw({0: 1}, 8, 0)
+_ZERO = Polynomial._raw({}, 8, 0)
 
 
 def _node(w: Perm, k: int) -> Polynomial:
@@ -82,14 +86,17 @@ def _node(w: Perm, k: int) -> Polynomial:
     being computed, so its depth (the length of w for the longest
     element) is bounded by memory, not by Python's recursion limit.  A
     lookup is the identity's _ONE, or one find() in _schubert under w
-    when the last descent is at most k, else in _stanley under (w, k); a
-    miss charges one unit of budget, before its children, and starts the
-    node.  A node asks for its children one at a time and each is looked
-    up only when the one before it is complete, so memo hits, misses and
-    evictions come in depth-first order.  A child computed here goes to
-    its parent directly, not through find(), so it is stored unread at
-    the memo's cold end, first to be evicted, until a later lookup reads
-    it; the shared nodes that lookups do read are kept.
+    when the last descent is at most k, else in _stanley under (w, k).
+    A _stanley miss first scans w for the module's criterion, and one
+    that meets it is _ZERO, like a hit: neither charged, stored nor
+    expanded.  Any other miss charges one unit of budget, before its
+    children, and starts the node.  A node asks for its children one at
+    a time and each is looked up only when the one before it is
+    complete, so memo hits, misses and evictions come in depth-first
+    order.  A child computed here goes to its parent directly, not
+    through find(), so it is stored unread at the memo's cold end, first
+    to be evicted, until a later lookup reads it; the shared nodes that
+    lookups do read are kept.
     """
     stack: list[Generator[Perm, Polynomial, Polynomial]] = []
     while True:
@@ -102,6 +109,15 @@ def _node(w: Perm, k: int) -> Polynomial:
             else:
                 memo, key = _stanley, (w, k)
             p = memo.find(key)
+            if p is None and r > k:
+                # The module's criterion: seen holds the values met so far,
+                # and a value with more than k of them above it zeroes w.
+                seen = 0
+                for x in w:
+                    if (seen >> x).bit_count() > k:
+                        p = _ZERO
+                        break
+                    seen |= 1 << x
             if p is None:
                 charge()
                 stack.append(_transition(w, k, r, memo, key))

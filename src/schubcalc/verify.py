@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from itertools import permutations
 
+from ._limits import CounterexampleError
 from .perm import Perm, _check_int, canonical, cross, last_descent, length
 from .poly import Polynomial, substitute_zero
 from .schubert import schubert, schubert_expand, schur, stanley
@@ -21,10 +22,6 @@ from .transition import (
     truncate_last_descent,
     truncated_schubert,
 )
-
-
-class CounterexampleError(Exception):
-    """An exhaustive suite found an instance violating its identity."""
 
 
 def all_perms(n: int) -> Iterator[Perm]:
@@ -54,8 +51,7 @@ def basis_vector(k: int) -> Polynomial:
 
 def verify_slides(nmax: int = 4) -> int:
     """Transition, slides and compatible sequences agree on all of S_nmax."""
-    # Imported here: the CLI imports this module for every command, and
-    # only this suite walks reduced words.
+    # Imported here: only this suite walks reduced words.
     from .words import schubert_via_compatible, schubert_via_slides
 
     _check_int(nmax, "nmax")
@@ -208,12 +204,4 @@ SUITES = {
     "truncate": verify_truncate,
     "cross": verify_cross,
     "product": verify_product,
-}
-
-SUITE_UNITS = {
-    "slides": "permutations",
-    "monk": "cases",
-    "truncate": "permutations",
-    "cross": "cases",
-    "product": "products",
 }

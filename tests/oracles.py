@@ -2,14 +2,15 @@
 
 Everything here recomputes from first definitions using only the stdlib:
 reduced words by exhaustive product search, Schubert polynomials by the
-compatible-sequence sum and (separately) by divided differences, Schur
+compatible-sequence sum and (separately) by divided differences, Stanley
+polynomials by cutting reduced words into increasing runs, Schur
 polynomials by tableau enumeration, slide/quasisymmetric polynomials by
 filtered exponent enumeration, truncation chains by the alternating
 down/up recursion at the last-descent column, Edelman–Greene tableaux by
 filtering reduced words, and standard tableaux by the hook length formula.
 """
 
-from itertools import product
+from itertools import permutations, product
 from math import factorial, prod
 
 
@@ -90,6 +91,50 @@ def brute_schubert(w):
             key = strip(exps)
             terms[key] = terms.get(key, 0) + 1
     return terms
+
+
+def stanley_table(n, k):
+    """F_w(x1..xk) for every w in S_n, by drop_fixed(w): brute_schubert's sum for 1^k x w.
+
+    The reduced words of 1^k x w are those of w with every letter raised
+    by k, so in x1..xk the bound alpha_j <= rho_j always holds.  Read
+    along the word, alpha then weakly decreases, strictly at each descent
+    of the word, so the letters with alpha = j make an increasing run:
+    F_w(x1..xk) sums x1^m1 ... xk^mk over the reduced words of w cut into
+    k increasing runs of sizes mk, ..., m1.  An increasing word is fixed
+    by its letters, so runs are peeled from the right, the one of x1
+    first: a run removes last letters in decreasing order, each a letter
+    i whose value i + 1 sits left of i in what is left of w.  The table
+    for x1..xj comes from the one for j - 1 variables, one run per step.
+    """
+    perms = list(permutations(range(1, n + 1)))
+
+    def runs(q, top):
+        # (what is left, run size) for each run below top peeled off q.
+        yield q, 0
+        for i in range(top - 1, 0, -1):
+            a, b = q.index(i), q.index(i + 1)
+            if b < a:
+                r = list(q)
+                r[a], r[b] = i + 1, i
+                for left, m in runs(tuple(r), i):
+                    yield left, m + 1
+
+    peels = {q: list(runs(q, n)) for q in perms}
+    # table[q] maps the exponents of the variables used so far to counts.
+    table = {tuple(range(1, n + 1)): {(): 1}}
+    for _ in range(k):
+        new = {}
+        for q in perms:
+            out = {}
+            for left, m in peels[q]:
+                for e, c in table.get(left, {}).items():
+                    e = (m,) + e
+                    out[e] = out.get(e, 0) + c
+            if out:
+                new[q] = out
+        table = new
+    return {drop_fixed(q): {strip(e): c for e, c in p.items()} for q, p in table.items()}
 
 
 def dd_schubert(w, n=None):

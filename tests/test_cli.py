@@ -396,6 +396,9 @@ def test_term_budget_is_exact_for_a_cold_construction():
         assert plain[0] == 0 and nodes > 0, args
         assert run(*args, "--timeout-terms", str(nodes)) == plain, args
         assert run(*args, "--timeout-terms", str(nodes - 1))[0] == 4, args
+    # 3 has three larger values to its left in 1,2,6,5,4,3 = 1^2 x 4321, so
+    # the criterion zeroes F_4321(x1, x2) at the root: no node is computed.
+    assert run("stanley", "4321", "2", "--timeout-terms", "0") == (0, "0\n", "")
 
 
 def test_output_is_deterministic():
@@ -471,9 +474,8 @@ ORACLE_NAMES = {
 
 
 def test_import_leaves_the_oracle_modules_unloaded():
-    # words and verify load on first use of a name they define.  The CLI
-    # imports verify for its --suite choices, but a command that walks no
-    # reduced word leaves words unloaded.
+    # words and verify load on first use of a name they define, and a CLI
+    # command other than verify loads neither.
     script = (
         "import sys, schubcalc\n"
         "def loaded():\n"
@@ -490,8 +492,12 @@ def test_import_leaves_the_oracle_modules_unloaded():
         "['schubcalc', 'schubcalc._limits', 'schubcalc.perm', 'schubcalc.poly', "
         "'schubcalc.schubert', 'schubcalc.transition']",
         "x1^2*x2",
-        "0 ['schubcalc.verify']",
+        "0 []",
     ]
+
+
+def test_the_suite_choices_are_the_suites_in_order():
+    assert tuple(cli.SUITE_UNITS) == tuple(verify.SUITES)
 
 
 def test_oracle_names_resolve_to_their_modules():

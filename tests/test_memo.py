@@ -75,8 +75,17 @@ def test_cold_build_of_the_longest_element_of_s60():
     assert _schubert.cache_info().misses == len(w0) * (len(w0) - 1) // 2
 
 
+def vanishes(w, k):
+    """Whether some value of w has more than k larger values to its left."""
+    return any(sum(y > x for y in w[:i]) > k for i, x in enumerate(w))
+
+
 def recursive_node(w, k):
-    """_node's transition steps driven by plain recursion instead of a stack."""
+    """_node's transition steps driven by plain recursion instead of a stack.
+
+    A _stanley miss that the pipe-dream criterion zeroes is 0, neither
+    charged nor stored; the criterion is counted here, not by the kernel.
+    """
     if not w:
         return T._ONE
     r = _last_descent(w)
@@ -84,6 +93,8 @@ def recursive_node(w, k):
     p = memo.find(key)
     if p is not None:
         return p
+    if r > k and vanishes(w, k):
+        return Polynomial()
     charge()
     step = T._transition(w, k, r, memo, key)
     p = None

@@ -42,10 +42,12 @@ from oracles import (
     alternating_chains,
     brute_reduced_words,
     chain_end,
+    dd_schubert,
     edelman_greene,
     hook_count,
     last_descent,
     ssyt_schur,
+    stanley_table,
 )
 from oracles import grassmannian as oracle_grassmannian
 
@@ -266,6 +268,22 @@ def test_truncation_vanishes_exactly_when_a_value_has_too_many_larger_to_its_lef
             h = larger_to_the_left(w)
             for k in range(n):
                 assert bool(truncated_schubert(w, k).terms) == (h <= k), (w, k)
+
+
+def test_cold_truncations_match_the_oracles_and_store_no_zero_on_s6():
+    # _node answers a _stanley miss that the criterion zeroes with 0,
+    # neither built nor stored; every other node is built by transition.
+    # Every w of S1..S6 is the canonical form of one of S6.
+    stanleys = stanley_table(6, 6)
+    for w in all_perms(6):
+        schub = dd_schubert(w)
+        for k in range(len(w) + 1):
+            for call, want in ((truncated_schubert, schub), (stanley, stanleys[w])):
+                T._schubert.cache_clear()
+                T._stanley.cache_clear()
+                got = call(w, k).terms
+                assert got == {e: c for e, c in want.items() if len(e) <= k}, (call, w, k)
+                assert all(p for p, _ in T._stanley.values()), (call, w, k)
 
 
 def test_product_42153():
