@@ -1,9 +1,14 @@
 """Command-line front end.
 
 Every command prints either plain text (line-oriented, sorted) or JSON
-(schema-stable, sorted); output is byte-identical across runs.  Each
-subcommand binds `run`, one call into the library, and `emit`, which
-renders its result as text; stdout is written only once both succeed.
+(schema-stable, sorted); output is byte-identical across runs.  One
+table, `_COMMANDS`, gives each command its help, its positionals with
+their readers, its own options, `run`, one call into the library, and
+`emit`, which renders its result as text; stdout is written only once
+both succeed.  `_read` reads a well-formed command straight from that
+table; anything else, help included, goes to the argparse parser that
+`_build_parser` makes from the same table, so argparse is imported only
+to print help or to report malformed input.
 Exit codes: 0 success, 1 verification counterexample, 2 malformed input
 (argparse), 3 precondition violation, 4 term budget exceeded, 5 internal
 error.  Apart from argparse's 2, `main` alone maps exceptions to exit
@@ -12,10 +17,10 @@ codes.  A closed stdout is not an error: the run exits 0.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from collections.abc import Sequence
+from types import SimpleNamespace
 
 from ._limits import CounterexampleError, TermBudgetExceeded, term_budget
 from .perm import _check_ints, check_partition, format_perm, parse_perm
@@ -50,7 +55,11 @@ def _converter(parse):
         try:
             return parse(text)
         except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
+            # Imported here: only malformed input, which argparse reports,
+            # gets this far.
+            from argparse import ArgumentTypeError
+
+            raise ArgumentTypeError(str(exc)) from None
 
     return convert
 
@@ -59,6 +68,9 @@ _perm = _converter(parse_perm)
 
 
 def _ints(text: str) -> tuple[int, ...]:
+    """Comma-separated ints; the empty string is the empty sequence."""
+    if not text:
+        return ()
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
@@ -87,13 +99,13 @@ def _json(doc: dict) -> str:
     return json.dumps(doc)
 
 
-def _emit_poly(p: Polynomial, args: argparse.Namespace) -> str:
+def _emit_poly(p: Polynomial, args: SimpleNamespace) -> str:
     if args.format == "plain":
         return str(p)
     return _json({"terms": [{"coeff": c, "exponents": list(e)} for e, c in p.sorted_terms()]})
 
 
-def _emit_expansion(result: dict, args: argparse.Namespace) -> str:
+def _emit_expansion(result: dict, args: SimpleNamespace) -> str:
     # Under --chains, result is lr_chains': the witness chains of each term.
     chains = getattr(args, "chains", False)
     terms = []
@@ -111,11 +123,11 @@ def _emit_expansion(result: dict, args: argparse.Namespace) -> str:
     return "\n".join(lines) or "0"
 
 
-def _emit_coeff(c: int, args: argparse.Namespace) -> str:
+def _emit_coeff(c: int, args: SimpleNamespace) -> str:
     return str(c) if args.format == "plain" else _json({"coeff": c})
 
 
-def _run_suites(args: argparse.Namespace) -> dict[str, int]:
+def _run_suites(args: SimpleNamespace) -> dict[str, int]:
     # Imported here: only the verify command loads the suites.
     from .verify import SUITES
 
@@ -123,7 +135,7 @@ def _run_suites(args: argparse.Namespace) -> dict[str, int]:
     return {name: SUITES[name](args.nmax) for name in names}
 
 
-def _emit_counts(counts: dict[str, int], args: argparse.Namespace) -> str:
+def _emit_counts(counts: dict[str, int], args: SimpleNamespace) -> str:
     if args.suite == "all":
         return "OK" if args.format == "plain" else _json({"ok": True, "counts": counts})
     count = counts[args.suite]
@@ -132,101 +144,164 @@ def _emit_counts(counts: dict[str, int], args: argparse.Namespace) -> str:
     return _json({"ok": True, "suite": args.suite, "count": count})
 
 
-class _HelpFormatter(argparse.HelpFormatter):
-    """Wraps help and usage at 78 columns, whatever the terminal.
-
-    By default argparse sizes every formatter from
-    shutil.get_terminal_size(), and add_argument builds one per call, so
-    each process would import shutil (with zlib, bz2 and lzma) for help
-    text it rarely prints.  78 is the width argparse picks when stdout is
-    not a terminal.
-    """
-
-    def __init__(self, prog: str) -> None:
-        super().__init__(prog, width=78)
-
-
-class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser, and by inheritance each subparser, that uses _HelpFormatter."""
-
-    def __init__(self, **kwargs) -> None:
-        super().__init__(formatter_class=_HelpFormatter, **kwargs)
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument(
-        "--format", choices=("plain", "json"), default="plain", help="output format"
-    )
-    common.add_argument(
+# The options of every command, each as its flag and add_argument's
+# keywords.  _read takes an option's default from here, so a store_true
+# option states its default too.
+_COMMON = (
+    ("--format", {"choices": ("plain", "json"), "default": "plain", "help": "output format"}),
+    (
         "--timeout-terms",
-        type=int,
-        metavar="N",
-        help="abort with exit code 4 after enumerating N items",
-    )
+        {"type": int, "metavar": "N", "help": "abort with exit code 4 after enumerating N items"},
+    ),
+)
+
+# name -> (help, positionals as (name, reader), own options, run, emit).
+# Each run looks the library up in this module when it is called, so a
+# name patched here, by a test or a tracer, is the one that runs.
+_COMMANDS = {
+    "schubert": (
+        "Schubert polynomial of w", (("perm", _perm),), (), lambda a: schubert(a.perm), _emit_poly
+    ),
+    "stanley": (
+        "Stanley polynomial of w in k variables", (("perm", _perm), ("k", int)), (),
+        lambda a: stanley(a.perm, a.k), _emit_poly,
+    ),
+    "schur": (
+        "Schur polynomial of a partition in k variables", (("partition", _partition), ("k", int)),
+        (), lambda a: schur(a.partition, a.k), _emit_poly,
+    ),
+    "slide": (
+        "fundamental slide polynomial of a weak composition", (("comp", _weak_comp),), (),
+        lambda a: slide_polynomial(a.comp), _emit_poly,
+    ),
+    "fqs": (
+        "fundamental quasisymmetric polynomial in k variables",
+        (("comp", _strong_comp), ("k", int)), (),
+        lambda a: fundamental_quasisym(a.comp, a.k), _emit_poly,
+    ),
+    "multiply": (
+        "Schubert expansion of S_u times s_lam(x1..xk)",
+        (("perm", _perm), ("partition", _partition), ("k", int)),
+        (
+            (
+                "--chains",
+                {"action": "store_true", "default": False, "help": "list witness chains per term"},
+            ),
+        ),
+        lambda a: (lr_chains if a.chains else schubert_times_schur)(a.perm, a.partition, a.k),
+        _emit_expansion,
+    ),
+    "truncate": (
+        "expansion of S_w with its last descent variable set to 0", (("perm", _perm),), (),
+        lambda a: truncate_last_descent(a.perm), _emit_expansion,
+    ),
+    "monk": (
+        "expansion of S_w times (x1 + ... + xk)", (("perm", _perm), ("k", int)), (),
+        lambda a: monk_multiply(a.perm, a.k), _emit_expansion,
+    ),
+    "coeff": (
+        "one coefficient of the multiply expansion",
+        (("perm", _perm), ("partition", _partition), ("k", int), ("target", _perm)), (),
+        lambda a: lr_coefficient(a.perm, a.partition, a.k, a.target), _emit_coeff,
+    ),
+    "verify": (
+        "run exhaustive identity suites", (),
+        (
+            ("--suite", {"choices": (*SUITE_UNITS, "all"), "default": "all"}),
+            ("--nmax", {"type": int, "default": 4}),
+        ),
+        _run_suites, _emit_counts,
+    ),
+}
+
+
+def _read(argv: Sequence[str]) -> SimpleNamespace | None:
+    """What parse_args would return for a well-formed argv, else None.
+
+    Only the canonical shape is read: a command, its positionals in order,
+    then its options, each spelled out in full, at most once, with its
+    value as the next token.  No positional or value may start with "-".
+    Each value goes through the reader and choices that argparse applies.
+    Anything else, help included, is left to argparse, which alone prints
+    help and reports malformed input.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, positionals, options, run, emit = _COMMANDS[argv[0]]
+    if len(argv) <= len(positionals):
+        return None
+    unread = dict(_COMMON + options)
+    values = {"command": argv[0], "run": run, "emit": emit}
+    for flag, spec in unread.items():
+        values[flag[2:].replace("-", "_")] = spec.get("default")
+    # (dest, reader, choices, token) for every value, in argv order.
+    pending = [(dest, read, None, token) for (dest, read), token in zip(positionals, argv[1:])]
+    rest = iter(argv[len(positionals) + 1 :])
+    for flag in rest:
+        # None for an unknown, abbreviated, "="-joined or repeated option.
+        spec = unread.pop(flag, None)
+        if spec is None:
+            return None
+        dest = flag[2:].replace("-", "_")
+        if spec.get("action") == "store_true":
+            values[dest] = True
+        else:
+            # A missing value reads as "-", which is refused below.
+            token = next(rest, "-")
+            pending.append((dest, spec.get("type", str), spec.get("choices"), token))
+    for dest, read, choices, token in pending:
+        if token.startswith("-"):
+            return None
+        try:
+            value = read(token)
+        except Exception:  # argparse reads it again and reports it
+            return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    return SimpleNamespace(**values)
+
+
+def _build_parser():
+    """The argparse parser of the commands in _COMMANDS."""
+    # Imported here: a well-formed command never gets this far.
+    import argparse
+
+    class _HelpFormatter(argparse.HelpFormatter):
+        """Wraps help and usage at 78 columns, whatever the terminal.
+
+        By default argparse sizes every formatter from
+        shutil.get_terminal_size(), and add_argument builds one per call, so
+        each process would import shutil (with zlib, bz2 and lzma) for help
+        text it rarely prints.  78 is the width argparse picks when stdout is
+        not a terminal.
+        """
+
+        def __init__(self, prog: str) -> None:
+            super().__init__(prog, width=78)
+
+    class _Parser(argparse.ArgumentParser):
+        """An ArgumentParser, and by inheritance each subparser, that uses _HelpFormatter."""
+
+        def __init__(self, **kwargs) -> None:
+            super().__init__(formatter_class=_HelpFormatter, **kwargs)
+
+    common = _Parser(add_help=False)
+    for flag, spec in _COMMON:
+        common.add_argument(flag, **spec)
 
     parser = _Parser(
         prog="schubcalc",
         description="Exact Schubert-calculus polynomials and product expansions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("schubert", parents=[common], help="Schubert polynomial of w")
-    p.add_argument("perm", type=_perm)
-    p.set_defaults(run=lambda a: schubert(a.perm), emit=_emit_poly)
-
-    p = sub.add_parser("stanley", parents=[common], help="Stanley polynomial of w in k variables")
-    p.add_argument("perm", type=_perm)
-    p.add_argument("k", type=int)
-    p.set_defaults(run=lambda a: stanley(a.perm, a.k), emit=_emit_poly)
-
-    p = sub.add_parser("schur", parents=[common], help="Schur polynomial of a partition in k variables")
-    p.add_argument("partition", type=_partition)
-    p.add_argument("k", type=int)
-    p.set_defaults(run=lambda a: schur(a.partition, a.k), emit=_emit_poly)
-
-    p = sub.add_parser("slide", parents=[common], help="fundamental slide polynomial of a weak composition")
-    p.add_argument("comp", type=_weak_comp)
-    p.set_defaults(run=lambda a: slide_polynomial(a.comp), emit=_emit_poly)
-
-    p = sub.add_parser("fqs", parents=[common], help="fundamental quasisymmetric polynomial in k variables")
-    p.add_argument("comp", type=_strong_comp)
-    p.add_argument("k", type=int)
-    p.set_defaults(run=lambda a: fundamental_quasisym(a.comp, a.k), emit=_emit_poly)
-
-    p = sub.add_parser("multiply", parents=[common], help="Schubert expansion of S_u times s_lam(x1..xk)")
-    p.add_argument("perm", type=_perm)
-    p.add_argument("partition", type=_partition)
-    p.add_argument("k", type=int)
-    p.add_argument("--chains", action="store_true", help="list witness chains per term")
-    p.set_defaults(
-        run=lambda a: (lr_chains if a.chains else schubert_times_schur)(a.perm, a.partition, a.k),
-        emit=_emit_expansion,
-    )
-
-    p = sub.add_parser("truncate", parents=[common], help="expansion of S_w with its last descent variable set to 0")
-    p.add_argument("perm", type=_perm)
-    p.set_defaults(run=lambda a: truncate_last_descent(a.perm), emit=_emit_expansion)
-
-    p = sub.add_parser("monk", parents=[common], help="expansion of S_w times (x1 + ... + xk)")
-    p.add_argument("perm", type=_perm)
-    p.add_argument("k", type=int)
-    p.set_defaults(run=lambda a: monk_multiply(a.perm, a.k), emit=_emit_expansion)
-
-    p = sub.add_parser("coeff", parents=[common], help="one coefficient of the multiply expansion")
-    p.add_argument("perm", type=_perm)
-    p.add_argument("partition", type=_partition)
-    p.add_argument("k", type=int)
-    p.add_argument("target", type=_perm)
-    p.set_defaults(
-        run=lambda a: lr_coefficient(a.perm, a.partition, a.k, a.target), emit=_emit_coeff
-    )
-
-    p = sub.add_parser("verify", parents=[common], help="run exhaustive identity suites")
-    p.add_argument("--suite", choices=(*SUITE_UNITS, "all"), default="all")
-    p.add_argument("--nmax", type=int, default=4)
-    p.set_defaults(run=_run_suites, emit=_emit_counts)
-
+    for name, (text, positionals, options, run, emit) in _COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=text)
+        for dest, read in positionals:
+            p.add_argument(dest, type=read)
+        for flag, spec in options:
+            p.add_argument(flag, **spec)
+        p.set_defaults(run=run, emit=emit)
     return parser
 
 
@@ -244,7 +319,11 @@ def _write(text: str) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read(argv)
+    if args is None:
+        args = SimpleNamespace(**vars(_build_parser().parse_args(argv)))
     try:
         with term_budget(args.timeout_terms):
             text = args.emit(args.run(args), args)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import shutil
@@ -26,6 +27,7 @@ from schubcalc import (
     schubert_times_schur,
     schubert_via_compatible,
     schubert_via_slides,
+    schur,
     sequence_weight,
     slide_polynomial,
     stanley,
@@ -291,6 +293,22 @@ def test_more_parts_than_variables_is_zero():
     assert run("coeff", "21", "2,1", "1", "312") == (0, "0\n", "")
 
 
+def test_empty_partition_and_composition():
+    # '' is the empty partition or composition, as () is in the library.
+    for argv, want in (
+        (("schur", "", "2"), str(schur((), 2))),
+        (("fqs", "", "2"), str(fundamental_quasisym((), 2))),
+        (("slide", ""), str(slide_polynomial(()))),
+        (("multiply", "21", "", "3"), "\n".join(
+            f"{format_perm(w)}: {c}" for w, c in schubert_times_schur((2, 1), (), 3).items()
+        )),
+    ):
+        assert run(*argv) == (0, want + "\n", ""), argv
+    assert run("schur", "", "2", "--format", "json") == (
+        0, '{"terms": [{"coeff": 1, "exponents": []}]}\n', ""
+    )
+
+
 def test_exit_4_on_term_budget():
     code, out, err = run("schubert", "42153", "--timeout-terms", "1")
     assert code == 4
@@ -526,23 +544,59 @@ def test_oracle_names_resolve_to_their_modules():
     assert missing == "module 'schubcalc' has no attribute 'no_such_name'"
 
 
+# Each command with its positionals, and the options of its own.
+CANONICAL = {
+    "schubert": ["schubert", "21"],
+    "stanley": ["stanley", "321", "2"],
+    "schur": ["schur", "2,1", "2"],
+    "slide": ["slide", "0,1"],
+    "fqs": ["fqs", "1", "2"],
+    "multiply": ["multiply", "21", "1", "1"],
+    "truncate": ["truncate", "132"],
+    "monk": ["monk", "21", "1"],
+    "coeff": ["coeff", "21", "1", "1", "312"],
+    "verify": ["verify"],
+}
+OWN_OPTIONS = {"multiply": [["--chains"]], "verify": [["--suite", "monk"], ["--nmax", "2"]]}
+
+
+def canonical_argvs():
+    """Each command in canonical form, with every subset of its options."""
+    for command, argv in CANONICAL.items():
+        groups = [*OWN_OPTIONS.get(command, []), ["--format", "json"], ["--timeout-terms", "7"]]
+        for keep in itertools.product((False, True), repeat=len(groups)):
+            yield argv + [t for group, kept in zip(groups, keep) if kept for t in group]
+
+
 def test_plain_output_loads_neither_json_nor_shutil():
-    # json is imported only to render --format json, and the fixed-width
-    # help formatter keeps argparse from importing shutil.
+    # A well-formed command is read without argparse, which would load re,
+    # gettext and locale; json is imported only to render --format json,
+    # and the fixed-width help formatter keeps argparse from importing
+    # shutil when help is printed.
+    full = [argv + [t for group in OWN_OPTIONS.get(c, []) for t in group]
+            for c, argv in CANONICAL.items()]
     script = (
         "import sys\n"
         "from schubcalc import cli\n"
-        "cli.main(['schubert', '21'])\n"
-        "print(sorted(m for m in ('json', 'shutil') if m in sys.modules))\n"
+        "modules = ('argparse', 'gettext', 'locale', 're', 'json', 'shutil')\n"
+        "def loaded():\n"
+        "    return sorted(m for m in modules if m in sys.modules)\n"
+        f"for argv in {full!r}:\n"
+        "    cli.main(argv)\n"
+        "    cli.main([*argv, '--timeout-terms', '100'])\n"
+        "print(loaded())\n"
         "cli.main(['schubert', '21', '--format', 'json'])\n"
+        "print(loaded())\n"
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=ENV
     )
     assert (proc.returncode, proc.stderr) == (0, "")
-    plain, loaded, doc = proc.stdout.splitlines()
-    assert (plain, loaded) == ("x1", "[]")
+    *out, plain, doc, rendered = proc.stdout.splitlines()
+    assert out[:2] == ["x1", "x1"] and out[-1] == "OK (2 cases)"
+    assert plain == "[]"
     assert json.loads(doc) == {"terms": [{"coeff": 1, "exponents": [1]}]}
+    assert rendered == "['json', 're']"  # json imports re, but nothing imports argparse
 
 
 def exit_with(capsys, argv):
@@ -571,6 +625,90 @@ def test_help_does_not_depend_on_the_terminal(monkeypatch, capsys):
             seen.append(exit_with(capsys, argv))
         assert seen[0][0] == (0 if "--help" in argv else 2)
         assert seen[1] == seen[0] and seen[2] == seen[0], argv
+
+
+PARSER = cli._build_parser()
+
+# Tokens the reader equivalence test draws argv from: the commands and an
+# unknown one, valid and invalid perms, partitions and compositions, ints
+# that int() reads or rejects, option values, and options spelled out,
+# abbreviated, "="-joined, or not options of the command at all.
+COMMAND_TOKENS = (*SUBCOMMANDS, "bogus")
+VALUE_TOKENS = (
+    "42153", "21", "1", "1,1", "4215x", "", "2,1", "1,2", "0", "0,3,1", "3,0,1", "0,-1",
+    "5", "-1", " -1", "-1_0", "007", " 5", "1_0", "\u0663", "\u00b2", "x",
+    "plain", "json", "xml", "all", "monk", "slides",
+)
+OPTION_TOKENS = (
+    "--format", "--timeout-terms", "--chains", "--suite", "--nmax",
+    "--form", "--format=json", "--nmax=3", "-h", "--help", "--", "-",
+)
+# Tokens that every positional, or the options of some command, read.
+GOOD_VALUES = ("1", "21", "007", "\u0663")
+GOOD_OPTIONS = (
+    ["--format", "json"], ["--format", "plain"], ["--timeout-terms", "3"], ["--chains"],
+    ["--suite", "monk"], ["--nmax", "3"],
+)
+
+
+@st.composite
+def any_argv(draw):
+    if draw(st.integers(0, 3)) == 0:
+        tokens = st.sampled_from(COMMAND_TOKENS + VALUE_TOKENS + OPTION_TOKENS)
+        return draw(st.lists(tokens, max_size=8))
+    # A command and its own number of positionals, so that the reader
+    # accepts a good share of the draws.
+    command = draw(st.sampled_from(COMMAND_TOKENS))
+    size = len(cli._COMMANDS.get(command, ((), ()))[1])
+    values = st.sampled_from(GOOD_VALUES) | st.sampled_from(VALUE_TOKENS)
+    positionals = draw(st.lists(values, min_size=size, max_size=size))
+    option = st.sampled_from(GOOD_OPTIONS) | st.sampled_from(OPTION_TOKENS).flatmap(
+        lambda o: st.just([o]) | st.tuples(st.just(o), values).map(list)
+    )
+    options = draw(st.lists(option, max_size=3))
+    return [command, *positionals, *(token for option in options for token in option)]
+
+
+def test_the_reader_agrees_with_argparse():
+    # Whatever the reader reads, argparse reads the same way, down to the
+    # run and emit objects: the reader never accepts what argparse would
+    # reject or read otherwise.
+    read = []
+
+    @given(any_argv())
+    @settings(max_examples=1500, deadline=None, derandomize=True)
+    def check(argv):
+        args = cli._read(argv)
+        if args is not None:
+            read.append(argv)
+            assert vars(args) == vars(PARSER.parse_args(argv)), argv
+
+    check()
+    # Not a vacuous pass: 157 of the 1 500 draws are read.
+    assert len(read) >= 100, len(read)
+
+
+def test_canonical_commands_are_read_without_argparse():
+    argvs = list(canonical_argvs())
+    assert len(argvs) == 8 * 4 + 8 + 16
+    for argv in argvs:
+        args = cli._read(argv)
+        assert args is not None, argv
+        assert vars(args) == vars(PARSER.parse_args(argv)), argv
+
+
+def test_the_reader_leaves_other_spellings_to_argparse():
+    # argparse reads each of these as the canonical form it spells; the
+    # reader, which takes only that form, leaves them to argparse.
+    for argv in (
+        ["schubert", "21", "--form", "json"],
+        ["schubert", "21", "--format=json"],
+        ["schubert", "21", "--format", "json", "--format", "json"],
+        ["schubert", "--format", "json", "21"],
+        ["stanley", "21", "-1"],
+    ):
+        assert cli._read(argv) is None, argv
+        assert PARSER.parse_args(argv).format == ("plain" if argv[0] == "stanley" else "json")
 
 
 def test_environment_does_not_configure_the_import():

@@ -160,6 +160,17 @@ def test_readme_command_in_process(capsys, argv, code, out, err):
     assert (got, *capsys.readouterr()) == (code, out, err)
 
 
+def test_readme_commands_are_read_without_argparse():
+    # Each well-formed README command is read from the command table; only
+    # the malformed example goes to argparse, which reports it.
+    parser = cli._build_parser()
+    for argv, code, _, _ in cases():
+        args = cli._read(argv)
+        assert (args is None) == (code == 2), argv
+        if args is not None:
+            assert vars(args) == vars(parser.parse_args(argv)), argv
+
+
 SCRIPT = """\
 import contextlib, io, json, sys
 from schubcalc import cli

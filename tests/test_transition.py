@@ -260,14 +260,17 @@ def larger_to_the_left(w):
 
 
 def test_truncation_vanishes_exactly_when_a_value_has_too_many_larger_to_its_left():
-    # The criterion by which _paths drops a truncation endpoint:
-    # S_w(x1..xk, 0, ...) = 0 exactly when some value of w has more than k
-    # larger values to its left.  The drop relies on one direction only.
+    # The criterion by which _paths drops a truncation endpoint and _node
+    # zeroes a Stanley node: S_w(x1..xk, 0, ...) = 0 exactly when some value
+    # of w has more than k larger values to its left.  It is checked in both
+    # directions against substitution into schubert(w), which builds only
+    # _schubert nodes and so never applies the criterion.
     for n in range(1, 8):
         for w in all_perms(n):
             h = larger_to_the_left(w)
+            full = schubert(w)
             for k in range(n):
-                assert bool(truncated_schubert(w, k).terms) == (h <= k), (w, k)
+                assert bool(substitute_zero(full, k).terms) == (h <= k), (w, k)
 
 
 def test_cold_truncations_match_the_oracles_and_store_no_zero_on_s6():
