@@ -267,36 +267,25 @@ def _build_parser():
     # Imported here: a well-formed command never gets this far.
     import argparse
 
-    class _HelpFormatter(argparse.HelpFormatter):
-        """Wraps help and usage at 78 columns, whatever the terminal.
+    def formatter(prog: str) -> argparse.HelpFormatter:
+        # Help and usage wrap at 78 columns, whatever the terminal.  By
+        # default argparse sizes every formatter from
+        # shutil.get_terminal_size(), and add_argument builds one per call,
+        # so each process would import shutil (with zlib, bz2 and lzma) for
+        # help text it rarely prints.  78 is the width argparse picks when
+        # stdout is not a terminal.
+        return argparse.HelpFormatter(prog, width=78)
 
-        By default argparse sizes every formatter from
-        shutil.get_terminal_size(), and add_argument builds one per call, so
-        each process would import shutil (with zlib, bz2 and lzma) for help
-        text it rarely prints.  78 is the width argparse picks when stdout is
-        not a terminal.
-        """
-
-        def __init__(self, prog: str) -> None:
-            super().__init__(prog, width=78)
-
-    class _Parser(argparse.ArgumentParser):
-        """An ArgumentParser, and by inheritance each subparser, that uses _HelpFormatter."""
-
-        def __init__(self, **kwargs) -> None:
-            super().__init__(formatter_class=_HelpFormatter, **kwargs)
-
-    common = _Parser(add_help=False)
-    for flag, spec in _COMMON:
-        common.add_argument(flag, **spec)
-
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="schubcalc",
         description="Exact Schubert-calculus polynomials and product expansions.",
+        formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (text, positionals, options, run, emit) in _COMMANDS.items():
-        p = sub.add_parser(name, parents=[common], help=text)
+        p = sub.add_parser(name, help=text, formatter_class=formatter)
+        for flag, spec in _COMMON:
+            p.add_argument(flag, **spec)
         for dest, read in positionals:
             p.add_argument(dest, type=read)
         for flag, spec in options:

@@ -296,8 +296,10 @@ def _place(a: tuple[int, ...]) -> Polynomial:
             charge()
             out.append(key)
             continue
-        if npos - j < n - t:
-            continue
+        # No state runs out of positions: psum is at least a_1 + ... + a_j
+        # and part t still has rem > 0 to place, so t is at least the
+        # number of nonzero parts of a in positions 1..j, and the n - t
+        # parts left fit in the npos - j positions after j.
         lo = floor[j] - psum
         shift = bits * j
         for v in range(rem, max(lo, 1) - 1, -1):

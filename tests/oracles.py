@@ -7,7 +7,9 @@ polynomials by cutting reduced words into increasing runs, Schur
 polynomials by tableau enumeration, slide/quasisymmetric polynomials by
 filtered exponent enumeration, truncation chains by the alternating
 down/up recursion at the last-descent column, Edelman–Greene tableaux by
-filtering reduced words, and standard tableaux by the hook length formula.
+filtering reduced words, standard tableaux by the hook length formula,
+Schubert times a row or column Schur polynomial by Sottile's Pieri chains,
+and Littlewood–Richardson coefficients by counting lattice tableaux.
 """
 
 from itertools import permutations, product
@@ -396,3 +398,90 @@ def chain_end(w, steps):
     for a, b in steps:
         u = swap_positions(u, a, b)
     return u
+
+
+def covers(w, a, b):
+    """Whether w (a, b), for a < b, is one longer than w: w_a < w_b, none between."""
+    w = pad(w, b)
+    return w[a - 1] < w[b - 1] and not any(w[a - 1] < x < w[b - 1] for x in w[a : b - 1])
+
+
+def pieri(u, p, k, column=False):
+    """Sottile's Pieri rule: S_u s_lam(x1..xk) for lam = (p), or (1^p) when column.
+
+    Returns perm -> coefficient, the number of chains
+    u -> u (a_1 b_1) -> ... -> u (a_1 b_1) ... (a_p b_p), with the
+    transpositions applied on positions left to right, in which every
+    step is a covering (one longer than the step before) with
+    a_i <= k < b_i.  For the row (p): a_1 >= a_2 >= ... >= a_p and the
+    b_i are distinct.  For the column (1^p): b_1 <= b_2 <= ... <= b_p and
+    the a_i are distinct.  (Sottile, "Pieri's formula for flag manifolds
+    and Schubert polynomials", Ann. Inst. Fourier 1996.)
+    """
+    out = {}
+
+    def walk(w, steps):
+        if len(steps) == p:
+            out[w] = out.get(w, 0) + 1
+            return
+        for a in range(1, k + 1):
+            for b in range(k + 1, max(len(w), k) + 2):
+                if steps:
+                    last_a, last_b = steps[-1]
+                    if column:
+                        ok = b >= last_b and all(a != x for x, _ in steps)
+                    else:
+                        ok = a <= last_a and all(b != y for _, y in steps)
+                    if not ok:
+                        continue
+                if covers(w, a, b):
+                    walk(swap_positions(w, a, b), steps + [(a, b)])
+
+    walk(drop_fixed(u), [])
+    return out
+
+
+def lr_tableaux(nu, mu, lam, lattice=True):
+    """c^nu_{lam, mu}: the Littlewood–Richardson tableaux of shape nu/mu and content lam.
+
+    Counts the fillings of the skew shape nu/mu with lam_i entries i that
+    weakly increase along each row and strictly increase down each column,
+    and whose reading word (the rows from the top, each read right to left)
+    is a lattice word: every prefix holds at least as many i as i + 1.
+    lattice=False drops that last condition.  0 unless mu fits in nu.
+    """
+    mu = tuple(mu) + (0,) * (len(nu) - len(mu))
+    if len(mu) > len(nu) or any(m > n for m, n in zip(mu, nu)):
+        return 0
+    if sum(nu) != sum(mu) + sum(lam):
+        return 0
+    cells = [(r, c) for r in range(len(nu)) for c in range(mu[r], nu[r])]
+    filling = {}
+    count = 0
+
+    def fill(i, left):
+        nonlocal count
+        if i == len(cells):
+            word = [filling[r, c] for r in range(len(nu)) for c in range(nu[r] - 1, mu[r] - 1, -1)]
+            if not lattice or all(
+                word[:j].count(x) >= word[:j].count(x + 1)
+                for j in range(1, len(word) + 1)
+                for x in range(1, len(lam))
+            ):
+                count += 1
+            return
+        r, c = cells[i]
+        for x in range(1, len(lam) + 1):
+            if not left[x - 1]:
+                continue
+            if c > mu[r] and filling[r, c - 1] > x:
+                continue
+            if r > 0 and c < nu[r - 1] and c >= mu[r - 1] and filling[r - 1, c] >= x:
+                continue
+            filling[r, c] = x
+            left[x - 1] -= 1
+            fill(i + 1, left)
+            left[x - 1] += 1
+
+    fill(0, list(lam))
+    return count

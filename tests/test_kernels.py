@@ -168,9 +168,9 @@ def test_paths_kernel_equals_the_recursion_on_s8_and_s9(w):
 
 def test_paths_kernel_keeps_every_endpoint_that_survives_truncation_on_s7():
     # With low < k - 1, _paths drops an endpoint only when its truncation to
-    # x1..x_low vanishes.  The scan reads the values from the endpoint's last
-    # descent on, so it may keep a dead endpoint: on S7 it keeps 58 of the
-    # 17 297 dead ones over 21 581 (w, low) cases.
+    # x1..x_low vanishes.  The test reads only the value just after the
+    # endpoint's last descent, so it may keep a dead endpoint: on S7 it keeps
+    # 58 of the 17 297 dead ones over 21 581 (w, low) cases.
     missed = dead = 0
     for w in all_perms(7):
         if not w:

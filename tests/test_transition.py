@@ -46,6 +46,9 @@ from oracles import (
     edelman_greene,
     hook_count,
     last_descent,
+    lr_tableaux,
+    partitions,
+    pieri,
     ssyt_schur,
     stanley_table,
 )
@@ -371,7 +374,7 @@ def test_lr_coefficient_examples():
     assert lr_coefficient((4, 2, 1, 5, 3), (2, 1), 5, (4, 2, 3, 5, 7, 1, 6)) == 1
     assert lr_coefficient((4, 2, 1, 5, 3), (2, 1), 5, (4, 2, 1, 5, 3)) == 0
     assert lr_coefficient((2, 1), (1,), 1, (3, 1, 2)) == 1
-    assert lr_coefficient((1, 3, 5, 2, 4), (2, 1), 3, (2, 4, 6, 1, 3, 5)) == 2
+    assert lr_coefficient(grassmannian((2, 1), 3), (2, 1), 3, grassmannian((3, 2, 1), 3)) == 2
     # A malformed target is an input error, whatever budget is left.
     with pytest.raises(ValueError, match="not a permutation"):
         with term_budget(0):
@@ -554,6 +557,86 @@ def product_case(draw):
 @settings(max_examples=200, deadline=None)
 def test_lr_chains_equal_the_per_leaf_rewrite_on_s6_to_s8(case):
     assert lr_chains(*case) == lr_chains_rewriting_each_leaf(*case)
+
+
+def pieri_cases(n):
+    """(u, p, k) for every u in S_n, 1 <= p <= 3 and max(ld(u), 1) <= k <= n."""
+    for u in all_perms(n):
+        for k in range(max(last_descent(u) or 0, 1), n + 1):
+            for p in (1, 2, 3):
+                yield u, p, k
+
+
+def check_pieri(u, p, k, column):
+    lam = (1,) * p if column else (p,)
+    want = pieri(u, p, k, column)
+    assert schubert_times_schur(u, lam, k) == want, (u, lam, k)
+    assert {w: len(cs) for w, cs in lr_chains(u, lam, k).items()} == want, (u, lam, k)
+
+
+def test_product_equals_the_pieri_rule_on_s6():
+    # S6 holds S4 and S5 with fixed points appended, and their k up to 6.
+    for u, p, k in pieri_cases(6):
+        check_pieri(u, p, k, False)
+        check_pieri(u, p, k, True)
+
+
+@st.composite
+def pieri_case(draw):
+    n = draw(st.integers(8, 9))
+    u = canonical(draw(st.permutations(range(1, n + 1))))
+    k = draw(st.integers(max(last_descent(u) or 0, 1), n))
+    return u, draw(st.integers(1, 3)), k, draw(st.booleans())
+
+
+@given(pieri_case())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_product_equals_the_pieri_rule_on_s8_and_s9(case):
+    check_pieri(*case)
+
+
+def test_pieri_rule_with_rows_and_columns_swapped_disagrees_on_s4():
+    cases = wrong = 0
+    for u, p, k in pieri_cases(4):
+        for column in (False, True):
+            lam = (1,) * p if column else (p,)
+            cases += 1
+            wrong += pieri(u, p, k, not column) != schubert_times_schur(u, lam, k)
+    assert (wrong, cases) == (256, 384)
+
+
+def lr_rule(mu, lam, k, lattice=True):
+    """The product of S_{v_mu} with s_lam(x1..xk) by the Littlewood–Richardson rule."""
+    out = {}
+    for nu in partitions(sum(mu) + sum(lam)):
+        if len(nu) <= k and (c := lr_tableaux(nu, mu, lam, lattice)):
+            out[oracle_grassmannian(nu, k)] = c
+    return out
+
+
+def test_product_of_a_grassmannian_u_equals_the_littlewood_richardson_rule():
+    cases = 0
+    for size in range(9):
+        for mu_size in range(size + 1):
+            for mu in partitions(mu_size):
+                for lam in partitions(size - mu_size):
+                    for k in range(max(len(mu), 1), 6):
+                        u = grassmannian(mu, k)
+                        want = lr_rule(mu, lam, k)
+                        assert schubert_times_schur(u, lam, k) == want, (mu, lam, k)
+                        for nu in partitions(size):
+                            if len(nu) <= k:
+                                w = oracle_grassmannian(nu, k)
+                                assert lr_coefficient(u, lam, k, w) == want.get(w, 0)
+                        cases += 1
+    assert cases == 1675
+    assert lr_tableaux((3, 2, 1), (2, 1), (2, 1)) == 2
+    assert lr_coefficient(grassmannian((2, 1), 3), (2, 1), 3, grassmannian((3, 2, 1), 3)) == 2
+
+
+def test_littlewood_richardson_rule_without_the_lattice_condition_disagrees():
+    assert schubert_times_schur((), (1, 1), 1) == lr_rule((), (1, 1), 1) == {}
+    assert lr_rule((), (1, 1), 1, lattice=False) == {(3, 1, 2): 1}
 
 
 def test_cross_identity_examples():
