@@ -22,9 +22,11 @@ the structure constants.
 Every truncation endpoint has a smaller last descent than its node, so
 one drain, _drain, empties the tree level by level, by last descent, and
 expands each node once; it serves the product and the one-level
-truncate_last_descent alike.  The truncation kernel _paths and the chain
-walk of lr_chains run on explicit stacks, so their depth is bounded by
-memory, not by Python's recursion limit.
+truncate_last_descent alike.  No node carries its width, how far past
+its last descent the truncation reaches: the truncation kernel _paths,
+and the chain walk of lr_chains, read it when they expand the node.
+Both run on explicit stacks, so their depth is bounded by memory, not
+by Python's recursion limit.
 
 A node whose truncation to k variables is zero has no leaf below it
 and no monomial.  Construction and truncation both skip such a node
@@ -359,23 +361,30 @@ def monk_multiply(w: Sequence[int], k: int) -> dict[Perm, int]:
     return out
 
 
-def _descent_data(w: Perm) -> tuple[int, int]:
-    """Last descent k of canonical w and the width m with w_k > w_{k+m} maximal."""
+def _truncation_node(w: Sequence[int]) -> tuple[Perm, int]:
+    """Canonical w and its last descent k, where truncation starts; the identity has none."""
+    w = canonical(w)
     k = _last_descent(w)
     if not k:
         raise ValueError("the identity has no descent to truncate")
+    return w, k
+
+
+def _descent_width(w: Perm, k: int) -> int:
+    """The width m of canonical w at its last descent k: w_k > w_{k+m}, m maximal."""
     wk = w[k - 1]
     km = len(w)
     while w[km - 1] > wk:
         km -= 1
-    return k, km - k
+    return km - k
 
 
 def _start_word(w: Perm, k: int, m: int) -> list[int]:
     """w-hat of canonical w as a word of length len(w), checked against its definition.
 
-    w-hat is w (k, k+m) (k, k+m-1) ... (k, k+1): the value at k moves
-    just past the m values after it.
+    w-hat is w (k, k+m) (k, k+m-1) ... (k, k+1), with k the last descent
+    and m its _descent_width: the value at k moves just past the m values
+    after it.
     """
     what = [*w[: k - 1], *w[k : k + m], w[k - 1], *w[k + m :]]
     # Undo the transpositions in place on a copy: (k, k+1) ... (k, k+m)
@@ -394,8 +403,8 @@ def truncation_start(w: Sequence[int]) -> Perm:
     >>> truncation_start((5, 1, 7, 3, 8, 2, 4, 6))
     (5, 1, 7, 3, 2, 4, 6)
     """
-    w = canonical(w)
-    return _strip(_start_word(w, *_descent_data(w)))
+    w, k = _truncation_node(w)
+    return _strip(_start_word(w, k, _descent_width(w, k)))
 
 
 def truncation_paths(w: Sequence[int]) -> tuple[tuple[Perm, tuple[int, ...]], ...]:
@@ -408,27 +417,26 @@ def truncation_paths(w: Sequence[int]) -> tuple[tuple[Perm, tuple[int, ...]], ..
     >>> truncation_paths((1, 4, 2, 3))
     (((3, 1, 2), (1, 1)),)
     """
-    w = canonical(w)
-    k, m = _descent_data(w)
-    return tuple((e, cols) for e, cols, _, _ in _paths(w, k, m, k - 1))
+    w, k = _truncation_node(w)
+    return tuple((e, cols) for e, cols, _ in _paths(w, k, k - 1))
 
 
-def _paths(
-    w: Perm, k: int, m: int, low: int
-) -> list[tuple[Perm, tuple[int, ...], int, int]]:
-    """Kernel: truncation_paths of canonical w, whose _descent_data is (k, m).
+def _paths(w: Perm, k: int, low: int) -> list[tuple[Perm, tuple[int, ...], int]]:
+    """Kernel: truncation_paths of canonical w, whose last descent is k.
 
-    Each endpoint e comes as (e, columns, ld, m') with (ld, m') the
-    _descent_data of e, read off the same scan that strips it.  low < k
-    is the number of variables the caller truncates to: an endpoint with
-    ld > low is dropped, after it is charged, when its value just after
-    the last descent has more than low larger values to its left.  Of
-    the values from the last descent on, that one has the most, so the
-    test reads only it.  It is a lower bound on the largest such count
-    over all of e, so every endpoint whose truncation to x1..x_low is
-    nonzero is kept (the criterion in the module docstring), and a few
-    dead ones are too: 58 of the 17 297 on S7.  With low = k - 1 every
-    endpoint has ld <= low and none is dropped.
+    w's width m, its _descent_width, is read here, once per expanded
+    node; no endpoint carries one.  Each endpoint e comes as
+    (e, columns, ld) with ld the last descent of e, read off the same
+    scan that strips it.  low < k is the number of variables the caller
+    truncates to: an endpoint with ld > low is dropped, after it is
+    charged, when its value just after the last descent has more than
+    low larger values to its left.  Of the values from the last descent
+    on, that one has the most, so the test reads only it.  It is a lower
+    bound on the largest such count over all of e, so every endpoint
+    whose truncation to x1..x_low is nonzero is kept (the criterion in
+    the module docstring), and a few dead ones are too: 58 of the 17 297
+    on S7.  With low = k - 1 every endpoint has ld <= low and none is
+    dropped.
     """
     # One word, long enough for every column, swapped in place and
     # restored.  Column j works position b = k + j and holds p_b in pb
@@ -441,9 +449,10 @@ def _paths(
     # pa holds p_a of the row a being tried or swapped.  Once lo is
     # p_b - 1 no value lies strictly between them, so no further row can
     # cover: a is set to 0 and the column ends without trying the rest.
+    m = _descent_width(w, k)
     p = _start_word(w, k, m)
     n = len(p)
-    out: list[tuple[Perm, tuple[int, ...], int, int]] = []
+    out: list[tuple[Perm, tuple[int, ...], int]] = []
     emit = out.append
     cols = [0] * m
     last = m - 1
@@ -499,54 +508,48 @@ def _paths(
             raise RuntimeError(
                 f"truncation endpoint {tuple(p[:i])} keeps a descent at {ld} >= {k}"
             )
-        top = p[ld - 1]
-        t = ld
-        while t < i and p[t] < top:
-            t += 1
         # Past ld the values increase to the end, so p_q there has its
         # p_q - 1 smaller values to its left: q - p_q larger ones.  That
         # count falls as q moves right, so it is largest at q = ld + 1.
-        # top, and every larger value to its left, exceeds p_{ld+1}, so
-        # top's count is below that one too.  So the criterion reads
+        # p_ld, and every larger value to its left, exceeds p_{ld+1}, so
+        # p_ld's count is below that one too.  So the criterion reads
         # p_{ld+1}, which is p[ld]: more than low larger values to its
         # left make the endpoint's truncation to x1..x_low vanish.
         if ld <= low or ld - p[ld] < low:
-            emit((tuple(p[:i]), tuple(cols), ld, t - ld))
+            emit((tuple(p[:i]), tuple(cols), ld))
         p[a - 1] = pa
         p[b - 1] = pb
         lo = pa
         a -= 1
 
 
-def _drain(seed: Perm, top: int, m: int, k: int) -> dict[Perm, int]:
+def _drain(seed: Perm, k: int) -> dict[Perm, int]:
     """Kernel: Schubert expansion of S_seed(x1..xk, 0, ...), sorted, for k >= 0.
 
-    seed is canonical with _descent_data (top, m), or the identity with
-    (0, 0).  Truncation is drained by last descent, from top down to
-    k + 1: every endpoint's last descent is below its node's, so a level
-    is complete when it is reached, and each node is expanded once with
-    its coefficient summed over all its parents.  The leaves, the nodes
-    with last descent at most k, are the expansion; coefficients are
-    positive.  One unit of budget is charged per expanded node, and _paths
-    charges one per endpoint.  _paths drops an endpoint whose truncation
-    to x1..xk it sees vanish, by the module's criterion, so a node is
-    expanded only when a leaf may lie below it; a dropped endpoint is
-    charged but never expanded.
+    seed is canonical.  Truncation is drained by last descent, from the
+    seed's down to k + 1: every endpoint's last descent is below its
+    node's, so a level is complete when it is reached, and each node is
+    expanded once with its coefficient summed over all its parents.  The
+    leaves, the nodes with last descent at most k, are the expansion;
+    coefficients are positive.  One unit of budget is charged per
+    expanded node, and _paths charges one per endpoint.  _paths drops an
+    endpoint whose truncation to x1..xk it sees vanish, by the module's
+    criterion, so a node is expanded only when a leaf may lie below it;
+    a dropped endpoint is charged but never expanded.
     """
+    top = _last_descent(seed)
     if top <= k:
         return {seed: 1}
-    # levels[ld] maps each node with last descent ld to [coefficient, m].
-    levels: defaultdict[int, dict[Perm, list[int]]] = defaultdict(dict)
-    levels[top][seed] = [1, m]
+    # levels[ld] maps each node with last descent ld to its coefficient.
+    levels: defaultdict[int, dict[Perm, int]] = defaultdict(dict)
+    levels[top][seed] = 1
     done: dict[Perm, int] = {}
     for kk in range(top, k, -1):
-        for w, (c, m) in levels.pop(kk, {}).items():
+        for w, c in levels.pop(kk, {}).items():
             charge()
-            for p, _, ld, mp in _paths(w, kk, m, k):
-                if ld <= k:
-                    done[p] = done.get(p, 0) + c
-                else:
-                    levels[ld].setdefault(p, [0, mp])[0] += c
+            for p, _, ld in _paths(w, kk, k):
+                level = done if ld <= k else levels[ld]
+                level[p] = level.get(p, 0) + c
     return dict(sorted(done.items()))
 
 
@@ -561,41 +564,30 @@ def truncate_last_descent(w: Sequence[int]) -> dict[Perm, int]:
     >>> truncate_last_descent((1, 3, 2))
     {(2, 1): 1}
     """
-    w = canonical(w)
-    top, m = _descent_data(w)
-    out = _drain(w, top, m, top - 1)
+    w, top = _truncation_node(w)
+    out = _drain(w, top - 1)
     for p, c in out.items():
         if c != 1:
             raise RuntimeError(f"duplicate truncation endpoint {p}")
     return out
 
 
-def _product_seed(u: Sequence[int], v: Perm, k: int) -> tuple[Perm, Perm, int, int]:
-    """The one validated start of the product: canonical u, u x v, and its descent data.
+def _product_seed(u: Sequence[int], v: Perm, k: int) -> tuple[Perm, Perm]:
+    """The one validated start of the product: canonical u and the seed u x v.
 
     v must be canonical, as grassmannian returns it; u is validated here,
     once, and crossed with the trusted kernel.
 
     By the paper's first theorem S_u F_v(x1..xk) is the truncation of
     S_{u x v} to x1..xk, with v crossed above max(k, len(u)); a leaf of
-    the truncation tree has last descent at most k.  The descent data is
-    (0, 0) for the identity seed, which is already a leaf.
+    the truncation tree has last descent at most k.
     """
     u = canonical(u)
     _check_int(k, "k", 1)
     ld = _last_descent(u)
     if ld > k:
         raise ValueError(f"last descent of u is {ld}, beyond k={k}")
-    seed = _cross(u, v, max(k, len(u)))
-    return (u, seed, *(_descent_data(seed) if seed else (0, 0)))
-
-
-def _schur_seed(
-    u: Sequence[int], lam: Sequence[int], k: int
-) -> tuple[tuple[int, ...], Perm, Perm, int, int]:
-    """lam, checked once as a partition, then _product_seed of u and v_lam."""
-    lam = check_partition(lam)
-    return (lam, *_product_seed(u, _grassmannian(lam, len(lam)), k))
+    return u, _cross(u, v, max(k, len(u)))
 
 
 def schubert_times_schur(
@@ -612,8 +604,9 @@ def schubert_times_schur(
     >>> schubert_times_schur((), (2, 1), 2)
     {(2, 4, 1, 3): 1}
     """
-    _, _, seed, top, m = _schur_seed(u, lam, k)
-    return _drain(seed, top, m, k)
+    lam = check_partition(lam)
+    _, seed = _product_seed(u, _grassmannian(lam, len(lam)), k)
+    return _drain(seed, k)
 
 
 def lr_coefficient(
@@ -660,7 +653,8 @@ def lr_chains(
     >>> {w: [str(c) for c in cs] for w, cs in lr_chains((), (2, 1), 2).items()}
     {(2, 4, 1, 3): ['(2,3)(1,3)(2,4)']}
     """
-    lam, u, w0, kk, m = _schur_seed(u, lam, k)
+    lam = check_partition(lam)
+    u, w0 = _product_seed(u, _grassmannian(lam, len(lam)), k)
     size = sum(lam)
     ones = (1,) * size
     out: dict[Perm, list[Chain]] = {}
@@ -670,11 +664,11 @@ def lr_chains(
     # inherits (the rewritten up-steps, and the seed lowered by the
     # surviving down-steps), so no leaf rewrites its path from the root.
     # The tree is walked depth first on an explicit stack of
-    # (w, its descent data, its own ups list, base); a node's children
+    # (w, its last descent, its own ups list, base); a node's children
     # are pushed in reverse, so they are visited in _paths order.
-    stack = [(w0, kk, m, [], w0)]
+    stack = [(w0, _last_descent(w0), [], w0)]
     while stack:
-        w, kk, m, ups, base = stack.pop()
+        w, kk, ups, base = stack.pop()
         if kk <= k:
             if base != u:
                 raise RuntimeError(f"down-steps to {w} leave {base}, not u = {u}")
@@ -692,9 +686,9 @@ def lr_chains(
             out.setdefault(w, []).append(chain)
             continue
         # ups is this node's own list: its parent built it for this node.
-        for b in range(kk + m, kk, -1):
+        for b in range(kk + _descent_width(w, kk), kk, -1):
             if _push_down(ups, kk, b):
                 base = _swap(base, kk, b)
-        for p, cols, ld, mp in reversed(_paths(w, kk, m, k)):
-            stack.append((p, ld, mp, ups + [(a, kk + j) for j, a in enumerate(cols)], base))
+        for p, cols, ld in reversed(_paths(w, kk, k)):
+            stack.append((p, ld, ups + [(a, kk + j) for j, a in enumerate(cols)], base))
     return {w: tuple(cs) for w, cs in sorted(out.items())}

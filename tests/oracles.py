@@ -8,6 +8,7 @@ polynomials by tableau enumeration, slide/quasisymmetric polynomials by
 filtered exponent enumeration, truncation chains by the alternating
 down/up recursion at the last-descent column, Edelman–Greene tableaux by
 filtering reduced words, standard tableaux by the hook length formula,
+Schubert polynomials once more by reduced pipe dreams,
 Schubert times a row or column Schur polynomial by Sottile's Pieri chains,
 and Littlewood–Richardson coefficients by counting lattice tableaux.
 """
@@ -362,6 +363,74 @@ def hook_count(lam):
 def last_descent(w):
     w = drop_fixed(w)
     return max((i for i in range(1, len(w)) if w[i - 1] > w[i]), default=None)
+
+
+def pipe_dreams(w, rows=None):
+    """The reduced pipe dreams of w, each a tuple of its crosses (i, j), row i, column j.
+
+    Bergeron and Billey, "RC-graphs and Schubert polynomials",
+    Experimental Math. 1993.  With n = len(w), the cells are the (i, j)
+    with i + j <= n, read in order: rows from the top, each right to
+    left.  A cross at (i, j) is the letter a = i + j - 1 and contributes
+    x_i.  The convention: the crossed letters, applied in reading order
+    as s_a on positions (swapping the entries at a and a + 1) starting
+    from the identity, must make a reduced word of w itself, not of
+    w^-1.  Read backwards they are a reduced word of w in word_perm's
+    convention.  S_w is the sum over the dreams of the product of their
+    x_i.  With rows given, only the dreams with every cross in rows
+    1..rows are kept, and their sum is S_w(x1..x_rows, 0, ...).
+
+    The search walks the cells depth first and takes a cross only when
+    it lengthens the partial product u and the inversion it adds, a pair
+    of values, is an inversion of w too; so u stays below w in the weak
+    order, and the search stops at length(w), where u must be w.  Cells
+    past row i carry only letters above i, so once row i is done u must
+    already agree with w at position i.
+    """
+    w = pad(drop_fixed(w), 1)
+    n = len(w)
+    where = {x: i for i, x in enumerate(w)}
+    ell = inversions(w)
+    last = n - 1 if rows is None else min(rows, n - 1)
+    cells = [(i, j) for i in range(1, last + 1) for j in range(n - i, 0, -1)]
+    u = list(range(1, n + 1))
+    crosses = []
+    out = []
+
+    def go(t):
+        if len(crosses) == ell:
+            if tuple(u) == w:
+                out.append(tuple(crosses))
+            return
+        if len(cells) - t < ell - len(crosses):
+            return
+        i, j = cells[t]
+        if j == n - i and i > 1 and u[i - 2] != w[i - 2]:
+            return
+        a = i + j - 1
+        x, y = u[a - 1], u[a]
+        if x < y and where[y] < where[x]:
+            u[a - 1], u[a] = y, x
+            crosses.append((i, j))
+            go(t + 1)
+            crosses.pop()
+            u[a - 1], u[a] = x, y
+        go(t + 1)
+
+    go(0)
+    return out
+
+
+def dream_polynomial(dreams):
+    """The sum over dreams of the product of x_i over their crosses, as exponent tuples."""
+    out = {}
+    for dream in dreams:
+        exps = [0] * max((i for i, _ in dream), default=0)
+        for i, _ in dream:
+            exps[i - 1] += 1
+        key = tuple(exps)
+        out[key] = out.get(key, 0) + 1
+    return out
 
 
 def alternating_chains(w):

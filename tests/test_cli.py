@@ -275,6 +275,7 @@ def test_cli_int_sequences_share_the_library_check():
 def test_exit_3_on_precondition_violation():
     assert run("monk", "21", "0") == (3, "", "error: k must be positive, got 0\n")
     assert run("schur", "1", "-1") == (3, "", "error: k must be nonnegative, got -1\n")
+    assert run("truncate", "1") == (3, "", "error: the identity has no descent to truncate\n")
     code, _, err = run("multiply", "42153", "2,1", "2")
     assert code == 3 and err.startswith("error:")
     code, out, err = run("verify", "--suite", "slides", "--nmax", "-1")

@@ -36,4 +36,4 @@ def test_readme_library_examples():
     runner = doctest.DocTestRunner()
     for i, block in enumerate(blocks):
         runner.run(doctest.DocTestParser().get_doctest(block, {}, f"README[{i}]", str(README), 0))
-    assert (runner.failures, runner.tries) == (0, 5)
+    assert (runner.failures, runner.tries) == (0, 15)

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import schubcalc.poly as poly
+import schubcalc.transition as T
 from schubcalc import (
     apply_transposition,
     canonical,
@@ -34,7 +35,6 @@ from schubcalc._limits import Memo, remaining
 from schubcalc.perm import _covers, _cross, _from_code, _last_descent, _strip, _swap, pad
 from schubcalc.poly import _monomials
 from schubcalc.transition import (
-    _descent_data,
     _node,
     _paths,
     _start_word,
@@ -142,12 +142,30 @@ def recursive_paths(w, k, m):
     return out
 
 
+def brute_width(w, k):
+    """The width of w at its last descent k: the largest m with w_k > w_{k+m}."""
+    return max(m for m in range(1, len(w) - k + 1) if w[k - 1] > w[k + m - 1])
+
+
 def check_paths_kernel(w):
-    k, m = _descent_data(w)
-    got = _paths(w, k, m, k - 1)
-    assert [(e, cols) for e, cols, _, _ in got] == recursive_paths(w, k, m), w
-    for e, _, ld, mp in got:
-        assert (ld, mp) == _descent_data(e), (w, e)
+    k = _last_descent(w)
+    m = brute_width(w, k)
+    # The width _paths expands w with is the one it hands _start_word.
+    widths = []
+
+    def start_word(w, k, m):
+        widths.append(m)
+        return _start_word(w, k, m)
+
+    T._start_word = start_word
+    try:
+        got = _paths(w, k, k - 1)
+    finally:
+        T._start_word = _start_word
+    assert widths == [m], w
+    assert [(e, cols) for e, cols, _ in got] == recursive_paths(w, k, m), w
+    for e, _, ld in got:
+        assert ld == _last_descent(e), (w, e)
 
 
 def test_paths_kernel_equals_the_recursion_on_all_of_s8():
@@ -175,13 +193,13 @@ def test_paths_kernel_keeps_every_endpoint_that_survives_truncation_on_s7():
     for w in all_perms(7):
         if not w:
             continue
-        k, m = _descent_data(w)
-        every = _paths(w, k, m, k - 1)
+        k = _last_descent(w)
+        every = _paths(w, k, k - 1)
         for low in range(k - 1):
-            got = _paths(w, k, m, low)
-            kept = {e for e, _, _, _ in got}
+            got = _paths(w, k, low)
+            kept = {e for e, _, _ in got}
             assert got == [x for x in every if x[0] in kept], (w, low)
-            for e, _, _, _ in every:
+            for e, _, _ in every:
                 if truncated_schubert(e, low).terms:
                     assert e in kept, (w, low, e)
                 else:

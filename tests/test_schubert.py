@@ -29,12 +29,15 @@ from schubcalc import (
     substitute_zero,
     weak_descent_composition,
 )
+from schubcalc.transition import truncated_schubert
 from schubcalc.verify import all_partitions, all_perms
 from oracles import (
     brute_fqs,
     brute_reduced_words,
     brute_schubert,
     dd_schubert,
+    dream_polynomial,
+    pipe_dreams,
     ssyt_schur,
     strong_descent,
 )
@@ -450,3 +453,57 @@ def test_schubert_expand_round_trips_s4():
 def test_schubert_expand_integer_combination():
     p = schubert((3, 1, 2)) * 2 + schubert((2, 3, 1)) * 7
     assert schubert_expand(p) == {(2, 3, 1): 7, (3, 1, 2): 2}
+
+
+def in_rows(dreams, k):
+    return [d for d in dreams if all(i <= k for i, _ in d)]
+
+
+def shifted(w, k):
+    """1^k x w: w with k fixed points put in front."""
+    return (*range(1, k + 1), *(x + k for x in w))
+
+
+def check_pipe_dreams(w):
+    # S_w from its reduced pipe dreams, and S_w(x1..xk, 0, ...) from those
+    # with every cross in rows <= k, at every k below len(w).
+    dreams = pipe_dreams(w)
+    assert dream_polynomial(dreams) == schubert(w).terms, w
+    for k in range(len(w)):
+        assert dream_polynomial(in_rows(dreams, k)) == truncated_schubert(w, k).terms, (w, k)
+    return len(dreams)
+
+
+def test_pipe_dreams_give_schubert_and_every_truncation_on_s7():
+    assert sum(check_pipe_dreams(w) for w in all_perms(7)) == 150371
+
+
+def test_pipe_dreams_in_k_rows_give_stanley():
+    # F_w(x1..xk) = S_{1^k x w}(x1..xk, 0, ...), so the dreams of 1^k x w
+    # in rows <= k give stanley.  rows=k keeps just those dreams, as
+    # filtering the full set does.
+    for w in all_perms(6):
+        dreams = pipe_dreams(w)
+        for k in range(len(w) + 1):
+            assert pipe_dreams(w, k) == in_rows(dreams, k), (w, k)
+    for w in all_perms(5):
+        for k in range(6):
+            assert dream_polynomial(pipe_dreams(shifted(w, k), k)) == stanley(w, k).terms, (w, k)
+
+
+@given(st.integers(8, 9).flatmap(lambda n: st.permutations(range(1, n + 1))).map(tuple))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_pipe_dreams_agree_on_s8_and_s9(w):
+    check_pipe_dreams(w)
+    for k in (1, 2):
+        assert dream_polynomial(pipe_dreams(shifted(w, k), k)) == stanley(w, k).terms, (w, k)
+
+
+def test_pipe_dreams_of_the_inverse_mismatch_on_s5():
+    # The convention matters: the dreams read as words of w^-1 are those of
+    # w^-1, and S_{w^-1} = S_w only for the 26 involutions of S5.
+    mismatched = 0
+    for w in all_perms(5):
+        inverse = tuple(sorted(range(1, len(w) + 1), key=lambda i: w[i - 1]))
+        mismatched += dream_polynomial(pipe_dreams(inverse)) != schubert(w).terms
+    assert mismatched == 94

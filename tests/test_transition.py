@@ -36,7 +36,7 @@ from schubcalc import (
     truncation_paths,
     truncation_start,
 )
-from schubcalc.transition import _descent_data, _drain, _product_seed, truncated_schubert
+from schubcalc.transition import _drain, _product_seed, truncated_schubert
 from schubcalc.verify import all_partitions, all_perms, basis_vector
 from oracles import (
     alternating_chains,
@@ -169,8 +169,12 @@ def test_truncation_start_examples():
     assert truncation_start((5, 1, 7, 3, 8, 2, 4, 6)) == (5, 1, 7, 3, 2, 4, 6)
     assert truncation_start((1, 3, 2)) == ()
     assert truncation_start((2, 1)) == ()
-    with pytest.raises(ValueError):
-        truncation_start(())
+    # Each public entry to the truncation reads the last descent itself,
+    # and the identity, which has none, is refused alike by all three.
+    for fn in (truncation_start, truncation_paths, truncate_last_descent):
+        for w in ((), (1,), (1, 2, 3)):
+            with pytest.raises(ValueError, match="^the identity has no descent to truncate$"):
+                fn(w)
 
 
 def test_truncation_paths_51738246():
@@ -217,7 +221,7 @@ def test_drain_expands_every_truncation_on_s7():
             continue
         assert list(truncate_last_descent(w)) == sorted(truncate_last_descent(w)), w
         for k in range(top):
-            got = _drain(w, *_descent_data(w), k)
+            got = _drain(w, k)
             assert got == schubert_expand(truncated_schubert(w, k)), (w, k)
             assert all(c > 0 for c in got.values()), (w, k)
 
@@ -230,7 +234,7 @@ def test_drain_expands_schubert_times_stanley_on_s4():
     for u in all_perms(4):
         for v in all_perms(4):
             for k in range(last_descent(u) or 1, 5):
-                got = _drain(*_product_seed(u, v, k)[1:], k)
+                got = _drain(_product_seed(u, v, k)[1], k)
                 assert got == schubert_expand(schubert(u) * stanley(v, k)), (u, v, k)
                 assert all(c > 0 for c in got.values()), (u, v, k)
                 count += 1
@@ -250,7 +254,7 @@ def test_drain_of_a_stanley_polynomial_counts_edelman_greene_tableaux():
         words = brute_reduced_words(v) if len(v) <= 4 else set(reduced_words(v))
         eg = edelman_greene(v, words)
         k = len(v)
-        got = _drain(*_product_seed((), v, k)[1:], k)
+        got = _drain(_product_seed((), v, k)[1], k)
         assert got == {oracle_grassmannian(lam, k): a for lam, a in eg.items()}, v
         assert sum(a * hook_count(lam) for lam, a in eg.items()) == len(words), v
         count += 1
@@ -510,7 +514,7 @@ def lr_chains_rewriting_each_leaf(u, lam, k):
     node on its path, each followed by the up-steps of the chosen
     truncation columns; one push_downs_left per leaf sorts it.
     """
-    u, w0, _, _ = _product_seed(u, grassmannian(lam, len(lam)), k)
+    u, w0 = _product_seed(u, grassmannian(lam, len(lam)), k)
     out = {}
 
     def go(w, raw):
@@ -717,9 +721,9 @@ def test_product_expands_each_node_once(monkeypatch):
     expanded = []
     kernel = T._paths
 
-    def recording(w, k, m, low):
+    def recording(w, k, low):
         expanded.append(w)
-        return kernel(w, k, m, low)
+        return kernel(w, k, low)
 
     monkeypatch.setattr(T, "_paths", recording)
     cases = [((3, 1, 6, 2, 8, 5, 4, 7), (5, 4, 3, 2, 1), 7)]
@@ -776,7 +780,7 @@ def outcome(fn, *args, **patch):
 print(outcome(T.monk_multiply, (1, 3, 2), 2, _swap=lambda w, a, b: w))
 print(outcome(T.truncation_start, (5, 1, 7, 3, 8, 2, 4, 6), _strip=lambda w: tuple(w)[1:]))
 print(outcome(T.lr_chains, (), (1,), 1, _push_down=lambda ups, x, y: False))
-twice = lambda w, k, m, low: [((2, 1), (1,), 1, 1)] * 2
+twice = lambda w, k, low: [((2, 1), (1,), 1)] * 2
 print(outcome(T.truncate_last_descent, (1, 3, 2), _paths=twice))
 # Truncating from w instead of w-hat leaves endpoints with a descent at
 # or past the node's, which the endpoint scan of _paths must catch.
@@ -785,7 +789,7 @@ print(outcome(T.schubert_times_schur, (4, 2, 1, 5, 3), (2, 1), 5, _start_word=un
 print(outcome(T.lr_chains, (4, 2, 1, 5, 3), (2, 1), 5, _start_word=unshifted))
 # An up-step out of row 0 is not one of the chain's steps (a, b) with
 # 0 < a <= k < b, which the leaf check must catch.
-print(outcome(T.lr_chains, (1, 3, 2), (1,), 2, _paths=lambda w, k, m, low: [((2, 3, 1), (0,), 2, 1)]))
+print(outcome(T.lr_chains, (1, 3, 2), (1,), 2, _paths=lambda w, k, low: [((2, 3, 1), (0,), 2)]))
 """
     src = os.path.dirname(os.path.dirname(schubcalc.__file__))
     proc = subprocess.run(
