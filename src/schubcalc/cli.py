@@ -1,14 +1,16 @@
 """Command-line front end.
 
 Every command prints either plain text (line-oriented, sorted) or JSON
-(schema-stable, sorted); output is byte-identical across runs.  One
-table, `_COMMANDS`, gives each command its help, its positionals with
-their readers, its own options, `run`, one call into the library, and
-`emit`, which renders its result as text; stdout is written only once
-both succeed.  `_read` reads a well-formed command straight from that
-table; anything else, help included, goes to the argparse parser that
-`_build_parser` makes from the same table, so argparse is imported only
-to print help or to report malformed input.
+(schema-stable, sorted); output is byte-identical across runs.  `_json`
+writes the JSON byte for byte as json.dumps does with its defaults, so
+no command imports json or, with it, re.  One table, `_COMMANDS`, gives
+each command its help, its positionals with their readers, its own
+options, `run`, one call into the library, and `emit`, which renders its
+result as text; stdout is written only once both succeed.  `_read`
+reads a well-formed command straight from that table; anything else,
+help included, goes to the argparse parser that `_build_parser` makes
+from the same table, so argparse is imported only to print help or to
+report malformed input.
 Exit codes: 0 success, 1 verification counterexample, 2 malformed input
 (argparse), 3 precondition violation, 4 term budget exceeded, 5 internal
 error.  Apart from argparse's 2, `main` alone maps exceptions to exit
@@ -92,11 +94,57 @@ def _strong_comp(text: str) -> tuple[int, ...]:
     return _check_ints(_ints(text), "composition parts", 1)
 
 
-def _json(doc: dict) -> str:
-    # Imported here: plain output, the default, never pays for it.
-    import json
+# The characters json.dumps writes with a two-character escape.
+_SHORT_ESCAPES = {
+    '"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t", "\b": "\\b", "\f": "\\f"
+}
 
-    return json.dumps(doc)
+
+def _escape(c: str) -> str:
+    """One character of a JSON string as json.dumps writes it, ASCII only."""
+    if c in _SHORT_ESCAPES:
+        return _SHORT_ESCAPES[c]
+    if " " <= c <= "~":
+        return c
+    n = ord(c)
+    if n > 0xFFFF:
+        # Past the BMP: a UTF-16 surrogate pair.
+        n -= 0x10000
+        return f"\\u{0xD800 | n >> 10:04x}\\u{0xDC00 | n & 0x3FF:04x}"
+    return f"\\u{n:04x}"
+
+
+def _string(s: str) -> str:
+    if s.isascii() and s.isprintable():
+        # Only a quote or a backslash needs escaping.
+        return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return '"' + "".join(map(_escape, s)) + '"'
+
+
+def _json(doc) -> str:
+    """doc as json.dumps(doc) writes it, with every default.
+
+    Only what the CLI's documents hold is accepted: dicts with str keys,
+    lists, strs, ints and True; anything else raises TypeError.  True is
+    tested first, since bool is an int.
+    """
+    if doc is True:
+        return "true"
+    kind = type(doc)
+    if kind is int:
+        return int.__repr__(doc)
+    if kind is str:
+        return _string(doc)
+    if kind is list:
+        return "[" + ", ".join(map(_json, doc)) + "]"
+    if kind is dict:
+        items = []
+        for key, value in doc.items():
+            if type(key) is not str:
+                raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
+            items.append(f"{_string(key)}: {_json(value)}")
+        return "{" + ", ".join(items) + "}"
+    raise TypeError(f"cannot write {kind.__name__} as JSON")
 
 
 def _emit_poly(p: Polynomial, args: SimpleNamespace) -> str:

@@ -456,6 +456,54 @@ def test_json_round_trips(capsys, w, k, data):
     assert got == schubert_times_schur(w, lam, k)
 
 
+# Any code point, with the ones json.dumps escapes drawn often: quotes,
+# backslashes, controls, DEL, non-ASCII and astral characters, and lone
+# surrogates, too small a share of the code space to be drawn otherwise.
+JSON_TEXT = st.text(
+    st.characters(exclude_categories=())
+    | st.characters(categories=["Cs"])
+    | st.sampled_from('"\\/\x00\x08\x0c\n\r\t\x1f\x7f\x80\xe9\u2028\uffff\U0001f600')
+)
+JSON_DOCS = st.recursive(
+    st.just(True) | st.integers() | JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@given(JSON_DOCS)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_json_writer_matches_json_dumps(doc):
+    assert cli._json(doc) == json.dumps(doc)
+
+
+def test_json_writer_escapes_every_code_point_as_json_does():
+    text = "".join(map(chr, range(0x110000)))
+    assert cli._json(text) == json.dumps(text)
+
+
+def test_json_writer_matches_json_dumps_on_every_cli_document(capsys):
+    from test_readme_cli import GOLDEN
+
+    documents = [doc for _, doc in GOLDEN.values()]
+    for command, argv in CANONICAL.items():
+        own = [t for group in OWN_OPTIONS.get(command, []) for t in group]
+        assert cli.main([*argv, *own, "--format", "json"]) == 0
+        documents.append(capsys.readouterr().out)
+    assert len(documents) == len(GOLDEN) + len(CANONICAL)
+    for text in documents:
+        doc = json.loads(text)
+        assert cli._json(doc) == json.dumps(doc) == text[:-1]
+
+
+@pytest.mark.parametrize(
+    "doc", [1.5, (1, 2), {1: "one"}, {"terms": [{(1, 2): 1}]}, [0, [1.0]], False, None]
+)
+def test_json_writer_refuses_what_the_cli_never_writes(doc):
+    with pytest.raises(TypeError):
+        cli._json(doc)
+
+
 def test_all_names_the_public_surface():
     # The oracle names are bound on first access; resolve them all first.
     for name in schubcalc.__all__:
@@ -569,35 +617,31 @@ def canonical_argvs():
             yield argv + [t for group, kept in zip(groups, keep) if kept for t in group]
 
 
-def test_plain_output_loads_neither_json_nor_shutil():
+def test_commands_load_neither_argparse_nor_json():
     # A well-formed command is read without argparse, which would load re,
-    # gettext and locale; json is imported only to render --format json,
-    # and the fixed-width help formatter keeps argparse from importing
-    # shutil when help is printed.
+    # gettext and locale; --format json is written by cli._json, not by
+    # json, which would load re; and the fixed-width help formatter keeps
+    # argparse from importing shutil when help is printed.
     full = [argv + [t for group in OWN_OPTIONS.get(c, []) for t in group]
             for c, argv in CANONICAL.items()]
     script = (
         "import sys\n"
         "from schubcalc import cli\n"
         "modules = ('argparse', 'gettext', 'locale', 're', 'json', 'shutil')\n"
-        "def loaded():\n"
-        "    return sorted(m for m in modules if m in sys.modules)\n"
         f"for argv in {full!r}:\n"
         "    cli.main(argv)\n"
         "    cli.main([*argv, '--timeout-terms', '100'])\n"
-        "print(loaded())\n"
-        "cli.main(['schubert', '21', '--format', 'json'])\n"
-        "print(loaded())\n"
+        "    cli.main([*argv, '--format', 'json'])\n"
+        "print(sorted(m for m in modules if m in sys.modules))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=ENV
     )
     assert (proc.returncode, proc.stderr) == (0, "")
-    *out, plain, doc, rendered = proc.stdout.splitlines()
-    assert out[:2] == ["x1", "x1"] and out[-1] == "OK (2 cases)"
-    assert plain == "[]"
-    assert json.loads(doc) == {"terms": [{"coeff": 1, "exponents": [1]}]}
-    assert rendered == "['json', 're']"  # json imports re, but nothing imports argparse
+    *out, loaded = proc.stdout.splitlines()
+    assert out[:3] == ["x1", "x1", '{"terms": [{"coeff": 1, "exponents": [1]}]}']
+    assert out[-3:] == ["OK (2 cases)"] * 2 + ['{"ok": true, "suite": "monk", "count": 2}']
+    assert loaded == "[]"
 
 
 def exit_with(capsys, argv):
