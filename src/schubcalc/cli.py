@@ -115,9 +115,6 @@ def _escape(c: str) -> str:
 
 
 def _string(s: str) -> str:
-    if s.isascii() and s.isprintable():
-        # Only a quote or a backslash needs escaping.
-        return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
     return '"' + "".join(map(_escape, s)) + '"'
 
 
