@@ -3,7 +3,9 @@
 Every command prints either plain text (line-oriented, sorted) or JSON
 (schema-stable, sorted); output is byte-identical across runs.  `_json`
 writes the JSON byte for byte as json.dumps does with its defaults, so
-no command imports json or, with it, re.  One table, `_COMMANDS`, gives
+no command imports json or, with it, re.  Its strings are the ones a
+command writes, printable ASCII without a quote or backslash, which
+need no escape; it refuses any other.  One table, `_COMMANDS`, gives
 each command its help, its positionals with their readers, its own
 options, `run`, one call into the library, and `emit`, which renders its
 result as text; stdout is written only once both succeed.  `_read`
@@ -94,36 +96,21 @@ def _strong_comp(text: str) -> tuple[int, ...]:
     return _check_ints(_ints(text), "composition parts", 1)
 
 
-# The characters json.dumps writes with a two-character escape.
-_SHORT_ESCAPES = {
-    '"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t", "\b": "\\b", "\f": "\\f"
-}
-
-
-def _escape(c: str) -> str:
-    """One character of a JSON string as json.dumps writes it, ASCII only."""
-    if c in _SHORT_ESCAPES:
-        return _SHORT_ESCAPES[c]
-    if " " <= c <= "~":
-        return c
-    n = ord(c)
-    if n > 0xFFFF:
-        # Past the BMP: a UTF-16 surrogate pair.
-        n -= 0x10000
-        return f"\\u{0xD800 | n >> 10:04x}\\u{0xDC00 | n & 0x3FF:04x}"
-    return f"\\u{n:04x}"
-
-
 def _string(s: str) -> str:
-    return '"' + "".join(map(_escape, s)) + '"'
+    # Every string of a CLI document is a key, a suite name or a chain:
+    # printable ASCII without '"' or '\\', which json.dumps writes as is.
+    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+        return f'"{s}"'
+    raise TypeError(f"cannot write {s!r} as JSON: not a string the CLI writes")
 
 
 def _json(doc) -> str:
     """doc as json.dumps(doc) writes it, with every default.
 
     Only what the CLI's documents hold is accepted: dicts with str keys,
-    lists, strs, ints and True; anything else raises TypeError.  True is
-    tested first, since bool is an int.
+    lists, strs of printable ASCII without '"' or '\\', ints and True;
+    anything else raises TypeError.  True is tested first, since bool is
+    an int.
     """
     if doc is True:
         return "true"

@@ -1,11 +1,14 @@
 """Schubert, Stanley and Schur polynomials, and Schubert-basis expansion.
 
-schubert, stanley and schur compute by Lascoux–Schützenberger transition
-(see the transition module), through two memos bounded by the monomials
-they hold.  Each validates its input once and makes one call of
-transition._node, which picks the memo by the last descent, so a hit is
-one find().  A Stanley symmetric polynomial comes from stability:
-F_v(x1..xk) = S_{1^k x v}(x1..xk, 0, ...).
+schubert, stanley, schur and truncated_schubert compute by
+Lascoux–Schützenberger transition, whose recurrence and steps live in
+the transition module.  This module holds the walk of the transition
+tree, _node, and its two memos, bounded by the monomials they hold:
+which memo and key a node has, when the Bergeron–Billey criterion
+answers 0, and when a node is computed.  Each public function validates
+its input once and makes one call of _node, which picks the memo by the
+last descent, so a hit is one find().  A Stanley symmetric polynomial
+comes from stability: F_v(x1..xk) = S_{1^k x v}(x1..xk, 0, ...).
 
 schubert_expand hands its pivots to poly._eliminate, which reads them
 from the _pivots memo by packed monomial: one read gives the exponent
@@ -19,18 +22,85 @@ checked on the input's monomials, once, and never on a pivot.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Generator, Sequence
 
 from ._limits import Memo
 from .perm import Perm, _check_int, _from_code, _grassmannian, canonical, check_partition, shift
-from .poly import NonExpandableError, Polynomial, _eliminate, _pivot_size
-# _schubert and _stanley stay bound here, unused: perfbench/tracer.py
-# reads their cache_info() from this module.
-from .transition import _node, _schubert, _stanley  # noqa: F401
+from .poly import NonExpandableError, Polynomial, _eliminate, _monomials, _pivot_size
+from .transition import _transition
 
 
 class NoSolutionError(ValueError):
     """The polynomial has no Schubert expansion within the ambient bound."""
+
+
+# _schubert holds S_w by w; _stanley holds S_w(x1..xk, 0, ...) by (w, k)
+# for the w whose last descent is beyond k, where truncation matters, and
+# that the criterion does not zero, so it holds no 0.
+# _node is their one reader: schubert, stanley, schur, truncated_schubert
+# and schubert_expand's pivots each validate and call it once.
+_schubert = Memo(_monomials)
+_stanley = Memo(_monomials)
+_ONE = Polynomial._raw({0: 1}, 8, 0)
+_ZERO = Polynomial._raw({}, 8, 0)
+
+
+def _node(w: Perm, k: int) -> Polynomial:
+    """S_w(x1..xk, 0, ...) for canonical w, through the memos.
+
+    w is the first lookup of a depth-first walk of the transition tree,
+    on an explicit stack that holds one _transition generator per node
+    being computed, so its depth (the length of w for the longest
+    element) is bounded by memory, not by Python's recursion limit.  A
+    lookup is the identity's _ONE, or one find() in _schubert under w
+    when the last descent is at most k, else in _stanley under (w, k).
+    A _stanley miss first scans w for the Bergeron–Billey criterion,
+    stated and sketched in the transition module's docstring, and one
+    that meets it is _ZERO, like a hit: neither charged, stored nor
+    expanded.  Any other miss starts the node, a transition._transition
+    step, which charges one unit of budget before its children.  A node
+    asks for its children one at a time and each is looked up only when
+    the one before it is complete, so memo hits, misses and evictions
+    come in depth-first order.  A child computed here goes to its parent
+    directly, not through find(), so it is stored unread at the memo's
+    cold end, first to be evicted, until a later lookup reads it; the
+    shared nodes that lookups do read are kept.
+    """
+    stack: list[Generator[Perm, Polynomial, Polynomial]] = []
+    while True:
+        if w:
+            r = len(w) - 1
+            while w[r - 1] < w[r]:
+                r -= 1
+            if r <= k:
+                memo, key = _schubert, w
+            else:
+                memo, key = _stanley, (w, k)
+            p = memo.find(key)
+            if p is None and r > k:
+                # The criterion: seen holds the values met so far,
+                # and a value with more than k of them above it zeroes w.
+                seen = 0
+                for x in w:
+                    if (seen >> x).bit_count() > k:
+                        p = _ZERO
+                        break
+                    seen |= 1 << x
+            if p is None:
+                stack.append(_transition(w, k, r, memo, key))
+        else:
+            p = _ONE
+        # Hand p to the node that asked for it (None starts a new node),
+        # finishing nodes until one asks for another child.
+        while stack:
+            try:
+                w = stack[-1].send(p)
+                break
+            except StopIteration as done:
+                stack.pop()
+                p = done.value
+        else:
+            return p
 
 
 def schubert(w: Sequence[int]) -> Polynomial:
@@ -67,6 +137,20 @@ def schur(lam: Sequence[int], k: int) -> Polynomial:
     if _check_int(k, "k") < len(lam):
         return Polynomial()
     return _node(_grassmannian(lam, k), k)
+
+
+def truncated_schubert(w: Sequence[int], k: int) -> Polynomial:
+    """S_w(x1..xk, 0, 0, ...): the Schubert polynomial with x_{k+1}, ... set to 0.
+
+    Computed by transition, through two memos of MEMO_BOUND monomials each.
+
+    >>> str(truncated_schubert((1, 3, 2), 1))
+    'x1'
+    >>> str(truncated_schubert((4, 2, 1, 5, 3), 4))
+    'x1^3*x2^2 + x1^3*x2*x3 + x1^3*x2*x4'
+    """
+    _check_int(k, "k")
+    return _node(canonical(w), k)
 
 
 # The pivots of schubert_expand by (packed monomial, slot width), as

@@ -1,15 +1,19 @@
 """Transition, Monk multiplication, last-descent truncation, and products.
 
-Schubert polynomials are built by Lascoux–Schützenberger transition, the
-m = 1 case of last-descent truncation: with r the last descent of w, s
-the largest j > r with w_j < w_r, and v = w (r, s),
+This module holds the steps of the last-descent recurrences and the
+product they give; the schubert module walks the transition tree and
+keeps its memos.  Schubert polynomials are built by
+Lascoux–Schützenberger transition, the m = 1 case of last-descent
+truncation: with r the last descent of w, s the largest j > r with
+w_j < w_r, and v = w (r, s),
 
     S_w = x_r S_v + sum of S_{v (q, r)} over q < r where v (q, r) covers v.
 
 Every term on the right is shorter than w or lexicographically larger at
 the same length, so the recursion ends at the identity.  Setting x_{k+1},
 x_{k+2}, ... to zero drops the x_r S_v term whenever r > k, which gives
-Stanley polynomials through stability.
+Stanley polynomials through stability.  _transition is one step of it,
+and charges one unit of budget for the node it computes.
 
 Multiplying a Schubert polynomial by a Schur polynomial s_lam(x1..xk) is
 done without ever touching monomials: cross the permutation with the
@@ -31,20 +35,20 @@ by Python's recursion limit.
 A node whose truncation to k variables is zero has no leaf below it
 and no monomial.  Construction and truncation both skip such a node
 when it meets this criterion: S_w(x1..xk, 0, ...) = 0 when some value
-of w has more than k larger values to its left.  _node answers a
-_stanley miss that meets it with 0.  _paths reads it at one value of
-an endpoint, the one just after its last descent, and drops the
-endpoint unexpanded when that value meets it.  The sketch is Bergeron
-and Billey's (RC-graphs and Schubert polynomials, Experimental Math.
-1993).  The bottom pipe dream of w^-1 holds c_i crosses in row i,
-left-justified, where c is the code of w^-1: c_i counts the values of
-w larger than i to the left of i.  Every reduced pipe dream of w^-1 is
-reached from it by ladder moves, and a ladder move takes a cross one
-column right, so none has all its crosses in columns 1..k when some
-c_i > k.  Transposing the pipe dreams of w^-1 gives those of w, whose
-rows carry the variables, so no monomial of S_w lives in x1..xk.  The
-converse holds too on S1..S7, where the tests check both directions;
-both skips use only this one.
+of w has more than k larger values to its left.  schubert._node
+answers a _stanley miss that meets it with 0.  _paths reads it at one
+value of an endpoint, the one just after its last descent, and drops
+the endpoint unexpanded when that value meets it.  The sketch is
+Bergeron and Billey's (RC-graphs and Schubert polynomials,
+Experimental Math. 1993).  The bottom pipe dream of w^-1 holds c_i
+crosses in row i, left-justified, where c is the code of w^-1: c_i
+counts the values of w larger than i to the left of i.  Every reduced
+pipe dream of w^-1 is reached from it by ladder moves, and a ladder
+move takes a cross one column right, so none has all its crosses in
+columns 1..k when some c_i > k.  Transposing the pipe dreams of w^-1
+gives those of w, whose rows carry the variables, so no monomial of
+S_w lives in x1..xk.  The converse holds too on S1..S7, where the
+tests check both directions; both skips use only this one.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Generator, Sequence
 
-from ._limits import Memo, charge
+from ._limits import charge
 from .perm import (
     Perm,
     Transposition,
@@ -68,90 +72,26 @@ from .perm import (
     check_partition,
     pad,
 )
-from .poly import Polynomial, _lift, _monomials, _width
-
-# _schubert holds S_w by w; _stanley holds S_w(x1..xk, 0, ...) by (w, k)
-# for the w whose last descent is beyond k, where truncation matters, and
-# that the module's criterion does not zero, so it holds no 0.
-# _node is their one reader: schubert, stanley, schur, truncated_schubert
-# and schubert_expand's pivots each validate and call it once.
-_schubert = Memo(_monomials)
-_stanley = Memo(_monomials)
-_ONE = Polynomial._raw({0: 1}, 8, 0)
-_ZERO = Polynomial._raw({}, 8, 0)
-
-
-def _node(w: Perm, k: int) -> Polynomial:
-    """S_w(x1..xk, 0, ...) for canonical w, through the memos.
-
-    w is the first lookup of a depth-first walk of the transition tree,
-    on an explicit stack that holds one _transition generator per node
-    being computed, so its depth (the length of w for the longest
-    element) is bounded by memory, not by Python's recursion limit.  A
-    lookup is the identity's _ONE, or one find() in _schubert under w
-    when the last descent is at most k, else in _stanley under (w, k).
-    A _stanley miss first scans w for the module's criterion, and one
-    that meets it is _ZERO, like a hit: neither charged, stored nor
-    expanded.  Any other miss charges one unit of budget, before its
-    children, and starts the node.  A node asks for its children one at
-    a time and each is looked up only when the one before it is
-    complete, so memo hits, misses and evictions come in depth-first
-    order.  A child computed here goes to its parent directly, not
-    through find(), so it is stored unread at the memo's cold end, first
-    to be evicted, until a later lookup reads it; the shared nodes that
-    lookups do read are kept.
-    """
-    stack: list[Generator[Perm, Polynomial, Polynomial]] = []
-    while True:
-        if w:
-            r = len(w) - 1
-            while w[r - 1] < w[r]:
-                r -= 1
-            if r <= k:
-                memo, key = _schubert, w
-            else:
-                memo, key = _stanley, (w, k)
-            p = memo.find(key)
-            if p is None and r > k:
-                # The module's criterion: seen holds the values met so far,
-                # and a value with more than k of them above it zeroes w.
-                seen = 0
-                for x in w:
-                    if (seen >> x).bit_count() > k:
-                        p = _ZERO
-                        break
-                    seen |= 1 << x
-            if p is None:
-                charge()
-                stack.append(_transition(w, k, r, memo, key))
-        else:
-            p = _ONE
-        # Hand p to the node that asked for it (None starts a new node),
-        # finishing nodes until one asks for another child.
-        while stack:
-            try:
-                w = stack[-1].send(p)
-                break
-            except StopIteration as done:
-                stack.pop()
-                p = done.value
-        else:
-            return p
+from .poly import Polynomial, _lift, _width
 
 
 def _transition(
-    w: Perm, k: int, r: int, memo: Memo, key: Perm | tuple[Perm, int]
+    w: Perm, k: int, r: int, memo, key: Perm | tuple[Perm, int]
 ) -> Generator[Perm, Polynomial, Polynomial]:
-    """One transition step of _node: yields each child word, receives its polynomial.
+    """One step of schubert._node's walk: yields each child word, receives its polynomial.
 
-    Stores S_w(x1..xk, 0, ...) in memo under key and returns it; r is the
-    last descent of w.  The x_r child comes first, then the q-children
-    from q = r - 1 down, so memo hits, misses and evictions follow that
-    order.  Each q-child is swapped into v in place and back around its
-    yield.  The sum starts as a copy of the first q-child, whose keys need
-    no shift; the later q-children merge into it, and the x_r term, raised
-    by x_r, merges last.
+    Its first statement charges one unit of budget for the node, before
+    the first child is looked up, so each node the walk computes is
+    charged once, here.  It stores S_w(x1..xk, 0, ...) in memo, one of
+    schubert's two, under key and returns it; r is the last descent of
+    w.  The x_r child comes first, then the q-children from q = r - 1
+    down, so memo hits, misses and evictions follow that order.  Each
+    q-child is swapped into v in place and back around its yield.  The
+    sum starts as a copy of the first q-child, whose keys need no shift;
+    the later q-children merge into it, and the x_r term, raised by x_r,
+    merges last.
     """
+    charge()
     wr = w[r - 1]
     n = s = len(w)
     while w[s - 1] > wr:
@@ -190,7 +130,7 @@ def _transition(
                 bound = child._bound
             keys = child._keys if child._bits == bits else _lift(child, bits)
             if out is None:
-                # A copy: stored children, and _ONE, never change.
+                # A copy: stored children, and schubert._ONE, never change.
                 out = dict(keys)
                 get = out.get
             else:
@@ -213,20 +153,6 @@ def _transition(
     p = Polynomial._raw(out, bits, bound)
     memo.put(key, p)
     return p
-
-
-def truncated_schubert(w: Sequence[int], k: int) -> Polynomial:
-    """S_w(x1..xk, 0, 0, ...): the Schubert polynomial with x_{k+1}, ... set to 0.
-
-    Computed by transition, through two memos of MEMO_BOUND monomials each.
-
-    >>> str(truncated_schubert((1, 3, 2), 1))
-    'x1'
-    >>> str(truncated_schubert((4, 2, 1, 5, 3), 4))
-    'x1^3*x2^2 + x1^3*x2*x3 + x1^3*x2*x4'
-    """
-    _check_int(k, "k")
-    return _node(canonical(w), k)
 
 
 class Chain:

@@ -14,14 +14,8 @@ from itertools import permutations
 from ._limits import CounterexampleError
 from .perm import Perm, _check_int, canonical, cross, last_descent, length
 from .poly import Polynomial, substitute_zero
-from .schubert import schubert, schubert_expand, schur, stanley
-from .transition import (
-    lr_chains,
-    monk_multiply,
-    schubert_times_schur,
-    truncate_last_descent,
-    truncated_schubert,
-)
+from .schubert import schubert, schubert_expand, schur, stanley, truncated_schubert
+from .transition import lr_chains, monk_multiply, schubert_times_schur, truncate_last_descent
 
 
 def all_perms(n: int) -> Iterator[Perm]:

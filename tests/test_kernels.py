@@ -34,13 +34,8 @@ from schubcalc import (
 from schubcalc._limits import Memo, remaining
 from schubcalc.perm import _covers, _cross, _from_code, _last_descent, _strip, _swap, pad
 from schubcalc.poly import _monomials
-from schubcalc.transition import (
-    _node,
-    _paths,
-    _start_word,
-    _transition,
-    truncated_schubert,
-)
+from schubcalc.schubert import _node, truncated_schubert
+from schubcalc.transition import _paths, _start_word, _transition
 from schubcalc.verify import all_perms
 from oracles import dd_schubert, strip
 

@@ -1,7 +1,6 @@
 """The five memos: invisible in results, budgeted alike cold and warm,
 and bounded by the items they hold."""
 
-import importlib
 import sys
 import threading
 from itertools import permutations, product
@@ -36,14 +35,11 @@ from schubcalc import (
 )
 from schubcalc._limits import MEMO_BOUND, Memo, charge, remaining
 from schubcalc.perm import _last_descent
-from schubcalc.transition import _schubert, _stanley
+from schubcalc.schubert import _ONE, _node, _pivots, _schubert, _stanley, truncated_schubert
 from schubcalc.verify import all_partitions
 from oracles import dd_schubert
 
-# schubcalc.schubert as an attribute is the function, not the module.
-_pivots = importlib.import_module("schubcalc.schubert")._pivots
-
-# The transition memos, read by _node.
+# The construction memos, read by _node.
 MEMOS = (_schubert, _stanley)
 
 SAMPLE = [
@@ -85,9 +81,10 @@ def recursive_node(w, k):
 
     A _stanley miss that the pipe-dream criterion zeroes is 0, neither
     charged nor stored; the criterion is counted here, not by the kernel.
+    Any other miss starts a step, which charges the node itself.
     """
     if not w:
-        return T._ONE
+        return _ONE
     r = _last_descent(w)
     memo, key = (_schubert, w) if r <= k else (_stanley, (w, k))
     p = memo.find(key)
@@ -95,7 +92,6 @@ def recursive_node(w, k):
         return p
     if r > k and vanishes(w, k):
         return Polynomial()
-    charge()
     step = T._transition(w, k, r, memo, key)
     p = None
     try:
@@ -129,7 +125,7 @@ def test_stored_children_never_change():
         assert p.terms == dd_schubert(w), w
     for (w, k), (p, _) in _stanley.items():
         assert p.terms == {e: c for e, c in dd_schubert(w).items() if len(e) <= k}, (w, k)
-    assert T._ONE._keys == {0: 1}
+    assert _ONE._keys == {0: 1}
 
 
 def test_the_stack_keeps_the_memo_traffic_of_the_recursion(monkeypatch):
@@ -141,8 +137,8 @@ def test_the_stack_keeps_the_memo_traffic_of_the_recursion(monkeypatch):
     # Each public entry validates and makes one _node call, on these
     # arguments, so it makes the recursion's traffic too.
     entries = [
-        (T._node, items, lambda w, k: (w, k)),
-        (T.truncated_schubert, items, lambda w, k: (w, k)),
+        (_node, items, lambda w, k: (w, k)),
+        (truncated_schubert, items, lambda w, k: (w, k)),
         (schubert, [(w,) for w in perms], lambda w: (w, len(w))),
         (
             stanley,

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import schubcalc.poly as poly
-import schubcalc.transition as T
 from schubcalc import (
     Polynomial,
     schubert,
@@ -24,6 +23,7 @@ from schubcalc import (
     stanley,
     substitute_zero,
 )
+from schubcalc.schubert import _schubert, _stanley
 from oracles import strip
 
 # -- a tuple-keyed reference -------------------------------------------
@@ -168,8 +168,8 @@ EXPANSIONS = [
 
 
 def clear_caches():
-    T._schubert.cache_clear()
-    T._stanley.cache_clear()
+    _schubert.cache_clear()
+    _stanley.cache_clear()
     poly._placements.cache_clear()
 
 
@@ -184,11 +184,11 @@ def test_expansion_order_is_pinned_and_cache_independent():
 def test_reading_terms_leaves_the_memos_alone():
     clear_caches()
     built = [schubert((1, 5, 3, 2, 6, 4)), stanley((3, 1, 6, 5, 2, 4), 4), slide_polynomial((0, 3, 1))]
-    held = (T._schubert.held, T._stanley.held)
+    held = (_schubert.held, _stanley.held)
     assert held[0] > 0 and held[1] > 0
-    for p in built + [q for memo in (T._schubert, T._stanley) for q, _ in memo.values()]:
+    for p in built + [q for memo in (_schubert, _stanley) for q, _ in memo.values()]:
         p.terms
         p.sorted_terms()
         str(p)
-    assert (T._schubert.held, T._stanley.held) == held
-    assert T._schubert.held == sum(len(p.terms) for p, _ in T._schubert.values())
+    assert (_schubert.held, _stanley.held) == held
+    assert _schubert.held == sum(len(p.terms) for p, _ in _schubert.values())

@@ -35,7 +35,7 @@ from schubcalc import (
     to_partition,
 )
 from schubcalc.perm import _grassmannian, check_partition
-from schubcalc.transition import truncated_schubert
+from schubcalc.schubert import truncated_schubert
 from schubcalc.verify import SUITES
 from oracles import grassmannian as oracle_grassmannian
 from oracles import inversions, partitions

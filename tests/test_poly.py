@@ -92,6 +92,17 @@ def test_polynomial_arithmetic_examples():
     assert str(Polynomial({(1, 2): -1, (): 2})) == "-x1*x2^2 + 2"
 
 
+def test_polynomial_operators_refuse_other_operands():
+    # Each operator returns NotImplemented for an operand that is not a
+    # Polynomial (an int factor aside), so Python falls back: == compares
+    # identities, and the arithmetic raises TypeError.
+    p = Polynomial({(1,): 1})
+    assert (p == 1) is False
+    for op in (lambda: p + 1, lambda: p - 1, lambda: p * 1.5, lambda: 1.5 * p):
+        with pytest.raises(TypeError):
+            op()
+
+
 def test_polynomial_str_is_sorted_descending():
     p = Polynomial({(0, 2): 1, (2,): 1, (1, 1): 1})
     assert str(p) == "x1^2 + x1*x2 + x2^2"
@@ -360,6 +371,32 @@ def test_a_wrong_slide_pivot_is_refused_before_it_is_stored(flags):
     )
     refused = "pivot (1,) is not the largest monomial, with coefficient 1, of (1,) 0 0 0\n"
     assert (proc.returncode, proc.stdout) == (0, refused * 2), proc.stderr
+
+
+def test_a_stored_pivot_that_leaves_its_monomial_is_refused_under_optimize():
+    # A memo entry whose keys lack its own monomial clears nothing, so the
+    # same monomial is the largest again; elimination must raise, with
+    # assert statements stripped, instead of looping on it.
+    script = (
+        "import schubcalc.poly as m\n"
+        "x1 = m.Polynomial({(1,): 1})\n"
+        "memo = m.Memo(m._pivot_size)\n"
+        "memo.put((max(x1._keys), x1._bits), ((1,), 'x1', {}))\n"
+        "try:\n"
+        "    m._eliminate(x1, memo, None)\n"
+        "except m.NonExpandableError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(importlib.import_module("schubcalc").__file__))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    refused = "pivot (1,) did not clear the maximum\n"
+    assert (proc.returncode, proc.stdout) == (0, refused), proc.stderr
 
 
 @given(

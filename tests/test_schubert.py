@@ -29,7 +29,7 @@ from schubcalc import (
     substitute_zero,
     weak_descent_composition,
 )
-from schubcalc.transition import truncated_schubert
+from schubcalc.schubert import truncated_schubert
 from schubcalc.verify import all_partitions, all_perms
 from oracles import (
     brute_fqs,
@@ -328,7 +328,7 @@ def test_schubert_expand_rejects_a_wrong_pivot_polynomial(monkeypatch):
     p = Polynomial({(1,): 1, (0, 1): 1})
     # A pivot polynomial without its pivot monomial leaves the pivot behind;
     # one with a larger monomial does not have the pivot as its maximum.
-    # Pivots are looked up through transition._node on a _pivots miss, so
+    # Pivots are looked up through schubert._node on a _pivots miss, so
     # the memo starts cold.  A rejected pivot is never stored, and the
     # same memo then gives the right expansion.
     pivots = module._pivots

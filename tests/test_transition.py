@@ -36,7 +36,8 @@ from schubcalc import (
     truncation_paths,
     truncation_start,
 )
-from schubcalc.transition import _drain, _product_seed, truncated_schubert
+from schubcalc.schubert import _schubert, _stanley, truncated_schubert
+from schubcalc.transition import _drain, _product_seed
 from schubcalc.verify import all_partitions, all_perms, basis_vector
 from oracles import (
     alternating_chains,
@@ -289,11 +290,11 @@ def test_cold_truncations_match_the_oracles_and_store_no_zero_on_s6():
         schub = dd_schubert(w)
         for k in range(len(w) + 1):
             for call, want in ((truncated_schubert, schub), (stanley, stanleys[w])):
-                T._schubert.cache_clear()
-                T._stanley.cache_clear()
+                _schubert.cache_clear()
+                _stanley.cache_clear()
                 got = call(w, k).terms
                 assert got == {e: c for e, c in want.items() if len(e) <= k}, (call, w, k)
-                assert all(p for p, _ in T._stanley.values()), (call, w, k)
+                assert all(p for p, _ in _stanley.values()), (call, w, k)
 
 
 def test_product_42153():
@@ -762,7 +763,7 @@ def test_pinned_work_counts(fn, args, units):
 
 
 def test_guards_hold_under_optimize():
-    # Each guard is fed a wrong kernel or helper and must still raise with -O.
+    # Each guard is fed a wrong kernel, helper or child and must still raise with -O.
     script = """
 import schubcalc.transition as T
 
@@ -790,6 +791,16 @@ print(outcome(T.lr_chains, (4, 2, 1, 5, 3), (2, 1), 5, _start_word=unshifted))
 # An up-step out of row 0 is not one of the chain's steps (a, b) with
 # 0 < a <= k < b, which the leaf check must catch.
 print(outcome(T.lr_chains, (1, 3, 2), (1,), 2, _paths=lambda w, k, low: [((2, 3, 1), (0,), 2)]))
+# An x_r child of degree 255, raised by x_r, overflows the 8-bit slots of
+# a transition step on S2, which must raise before it stores anything.
+from schubcalc._limits import Memo
+from schubcalc.poly import _monomials
+memo = Memo(_monomials)
+def overflow():
+    step = T._transition((2, 1), 2, 1, memo, (2, 1))
+    next(step)
+    step.send(T.Polynomial({(255,): 1}))
+print(outcome(overflow), len(memo))
 """
     src = os.path.dirname(os.path.dirname(schubcalc.__file__))
     proc = subprocess.run(
@@ -800,9 +811,13 @@ print(outcome(T.lr_chains, (1, 3, 2), (1,), 2, _paths=lambda w, k, low: [((2, 3,
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert [line.split(":")[0] for line in lines] == ["RuntimeError"] * 7, proc.stdout
+    assert [line.split(":")[0] for line in lines] == ["RuntimeError"] * 8, proc.stdout
     assert "duplicate truncation endpoint" in lines[3], proc.stdout
     assert all("keeps a descent" in line for line in lines[4:6]), proc.stdout
     assert lines[6] == (
         "RuntimeError: up-steps [(0, 4)] to (2, 3, 1) do not cross k = 2 |lam| times"
     ), proc.stdout
+    assert lines[7] == (
+        "RuntimeError: S_(2, 1) has degree 256, too large for 8-bit slots 0"
+    ), proc.stdout
+
