@@ -8,11 +8,13 @@ command writes, printable ASCII without a quote or backslash, which
 need no escape; it refuses any other.  One table, `_COMMANDS`, gives
 each command its help, its positionals with their readers, its own
 options, `run`, one call into the library, and `emit`, which renders its
-result as text; stdout is written only once both succeed.  `_read`
-reads a well-formed command straight from that table; anything else,
-help included, goes to the argparse parser that `_build_parser` makes
-from the same table, so argparse is imported only to print help or to
-report malformed input.
+result as text, terms in the order the library returns them; stdout is
+written only once both succeed.  Each reader is a plain function, such
+as the library's parse_perm, that raises ValueError on bad input.
+`_read` reads a well-formed command straight from that table; anything
+else, help included, goes to the argparse parser that `_build_parser`
+makes from the same table.  argparse lives only in `_build_parser`,
+which is called only to print help or to report malformed input.
 Exit codes: 0 success, 1 verification counterexample, 2 malformed input
 (argparse), 3 precondition violation, 4 term budget exceeded, 5 internal
 error.  Apart from argparse's 2, `main` alone maps exceptions to exit
@@ -48,29 +50,6 @@ SUITE_UNITS = {
 }
 
 
-def _converter(parse):
-    """Wrap parse so that argparse reports its ValueError message as is.
-
-    argparse turns a bare ValueError into "invalid <function name> value",
-    which names a private helper and drops the message.
-    """
-
-    def convert(text: str):
-        try:
-            return parse(text)
-        except ValueError as exc:
-            # Imported here: only malformed input, which argparse reports,
-            # gets this far.
-            from argparse import ArgumentTypeError
-
-            raise ArgumentTypeError(str(exc)) from None
-
-    return convert
-
-
-_perm = _converter(parse_perm)
-
-
 def _ints(text: str) -> tuple[int, ...]:
     """Comma-separated ints; the empty string is the empty sequence."""
     if not text:
@@ -81,17 +60,14 @@ def _ints(text: str) -> tuple[int, ...]:
         raise ValueError(f"cannot read integers from {text!r}") from None
 
 
-@_converter
 def _partition(text: str) -> tuple[int, ...]:
     return check_partition(_ints(text))
 
 
-@_converter
 def _weak_comp(text: str) -> tuple[int, ...]:
     return _check_ints(_ints(text), "weak composition parts")
 
 
-@_converter
 def _strong_comp(text: str) -> tuple[int, ...]:
     return _check_ints(_ints(text), "composition parts", 1)
 
@@ -139,9 +115,10 @@ def _emit_poly(p: Polynomial, args: SimpleNamespace) -> str:
 
 def _emit_expansion(result: dict, args: SimpleNamespace) -> str:
     # Under --chains, result is lr_chains': the witness chains of each term.
+    # Terms come in the library's order, sorted by permutation.
     chains = getattr(args, "chains", False)
     terms = []
-    for w, c in sorted(result.items()):
+    for w, c in result.items():
         term: dict = {"perm": list(w), "coeff": len(c) if chains else c}
         if chains:
             term["chains"] = [str(chain) for chain in c]
@@ -192,10 +169,11 @@ _COMMON = (
 # name patched here, by a test or a tracer, is the one that runs.
 _COMMANDS = {
     "schubert": (
-        "Schubert polynomial of w", (("perm", _perm),), (), lambda a: schubert(a.perm), _emit_poly
+        "Schubert polynomial of w", (("perm", parse_perm),), (),
+        lambda a: schubert(a.perm), _emit_poly,
     ),
     "stanley": (
-        "Stanley polynomial of w in k variables", (("perm", _perm), ("k", int)), (),
+        "Stanley polynomial of w in k variables", (("perm", parse_perm), ("k", int)), (),
         lambda a: stanley(a.perm, a.k), _emit_poly,
     ),
     "schur": (
@@ -213,7 +191,7 @@ _COMMANDS = {
     ),
     "multiply": (
         "Schubert expansion of S_u times s_lam(x1..xk)",
-        (("perm", _perm), ("partition", _partition), ("k", int)),
+        (("perm", parse_perm), ("partition", _partition), ("k", int)),
         (
             (
                 "--chains",
@@ -224,16 +202,16 @@ _COMMANDS = {
         _emit_expansion,
     ),
     "truncate": (
-        "expansion of S_w with its last descent variable set to 0", (("perm", _perm),), (),
+        "expansion of S_w with its last descent variable set to 0", (("perm", parse_perm),), (),
         lambda a: truncate_last_descent(a.perm), _emit_expansion,
     ),
     "monk": (
-        "expansion of S_w times (x1 + ... + xk)", (("perm", _perm), ("k", int)), (),
+        "expansion of S_w times (x1 + ... + xk)", (("perm", parse_perm), ("k", int)), (),
         lambda a: monk_multiply(a.perm, a.k), _emit_expansion,
     ),
     "coeff": (
         "one coefficient of the multiply expansion",
-        (("perm", _perm), ("partition", _partition), ("k", int), ("target", _perm)), (),
+        (("perm", parse_perm), ("partition", _partition), ("k", int), ("target", parse_perm)), (),
         lambda a: lr_coefficient(a.perm, a.partition, a.k, a.target), _emit_coeff,
     ),
     "verify": (
@@ -308,6 +286,18 @@ def _build_parser():
         # stdout is not a terminal.
         return argparse.HelpFormatter(prog, width=78)
 
+    def reported(read):
+        # argparse would report a reader's ValueError as "invalid <function
+        # name> value", naming a private helper and dropping the message;
+        # int keeps argparse's own "invalid int value".
+        def convert(text: str):
+            try:
+                return read(text)
+            except ValueError as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from None
+
+        return convert
+
     parser = argparse.ArgumentParser(
         prog="schubcalc",
         description="Exact Schubert-calculus polynomials and product expansions.",
@@ -319,7 +309,7 @@ def _build_parser():
         for flag, spec in _COMMON:
             p.add_argument(flag, **spec)
         for dest, read in positionals:
-            p.add_argument(dest, type=read)
+            p.add_argument(dest, type=read if read is int else reported(read))
         for flag, spec in options:
             p.add_argument(flag, **spec)
         p.set_defaults(run=run, emit=emit)

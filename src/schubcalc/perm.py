@@ -81,7 +81,11 @@ def length(w: Sequence[int]) -> int:
     >>> length((4, 2, 1, 5, 3))
     5
     """
-    w = canonical(w)
+    return _length(canonical(w))
+
+
+def _length(w: Perm) -> int:
+    """Kernel: length of canonical w."""
     return sum(1 for i in range(len(w)) for j in range(i + 1, len(w)) if w[i] > w[j])
 
 

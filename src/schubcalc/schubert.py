@@ -194,9 +194,10 @@ def schubert_expand(
     if degree is not None and degs and degs != {degree}:
         raise ValueError(f"polynomial has degree {degs.pop()}, expected {degree}")
     if ambient is not None and p:
-        # The largest (values, e) names the same monomial of p whatever
-        # order its terms were built in.
-        n, e = max((len(_from_code(e)), e) for e in p.terms)
+        # x^e lies under the staircase of S_n for the least n = max(i + e_i).
+        # The largest (n, e) names the same monomial of p whatever order
+        # its terms were built in.
+        n, e = max((max((i + x for i, x in enumerate(e, 1)), default=0), e) for e in p.terms)
         if n > ambient:
             raise NoSolutionError(
                 f"monomial {e} needs a permutation of {n} values, ambient is {ambient}"

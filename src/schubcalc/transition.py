@@ -270,6 +270,8 @@ def format_chain(steps: Sequence[Sequence[int]]) -> str:
 def monk_multiply(w: Sequence[int], k: int) -> dict[Perm, int]:
     """Expansion of the product with x1 + ... + xk in the Schubert basis.
 
+    Sorted by permutation, as the product's is.
+
     >>> monk_multiply((), 1)
     {(2, 1): 1}
     """
@@ -284,7 +286,7 @@ def monk_multiply(w: Sequence[int], k: int) -> dict[Perm, int]:
                 if u in out:
                     raise RuntimeError(f"Monk term {u} reached by two transpositions")
                 out[u] = 1
-    return out
+    return dict(sorted(out.items()))
 
 
 def _truncation_node(w: Sequence[int]) -> tuple[Perm, int]:

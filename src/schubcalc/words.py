@@ -33,7 +33,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 
 from ._limits import Memo, charge
-from .perm import _check_ints, canonical
+from .perm import _check_ints, _length, canonical
 from .poly import VIRTUAL, Composition, Polynomial, _slide, _Virtual
 
 Word = tuple[int, ...]
@@ -66,7 +66,7 @@ def iter_reduced_words(w: Sequence[int]) -> Iterator[Word]:
     # and x[i+1].  buf is the walk's only stack.
     w = canonical(w)
     n = len(w)
-    ell = sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
+    ell = _length(w)
     if not ell:
         charge()
         yield ()

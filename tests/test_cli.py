@@ -208,7 +208,7 @@ def library_message(parse, arg):
 
 
 def test_exit_2_on_malformed_input():
-    # The message names what was wrong, not the private converter that saw it.
+    # The message names what was wrong, not the private reader that saw it.
     cases = [
         (("schubert", "4215x"), "perm", library_message(parse_perm, "4215x")),
         (("schubert", "1,1"), "perm", library_message(parse_perm, "1,1")),
@@ -221,6 +221,10 @@ def test_exit_2_on_malformed_input():
         assert (code, out) == (2, "")
         assert err.endswith(f": error: argument {dest}: {message}\n"), err
         assert "invalid" not in err and " _" not in err, err
+    # int is argparse's own reader, with argparse's own message.
+    code, out, err = run("stanley", "21", "x")
+    assert (code, out) == (2, "")
+    assert err.endswith(": error: argument k: invalid int value: 'x'\n"), err
 
 
 # Every entry point that takes a sequence of ints: the name its check
@@ -751,6 +755,28 @@ def test_canonical_commands_are_read_without_argparse():
         args = cli._read(argv)
         assert args is not None, argv
         assert vars(args) == vars(PARSER.parse_args(argv)), argv
+
+
+def test_argparse_stays_inside_build_parser():
+    # The readers are plain functions that raise ValueError, so reading
+    # malformed input returns None without loading argparse; only
+    # _build_parser imports it, to report that input.
+    script = (
+        "import sys\n"
+        "from schubcalc import cli\n"
+        "print(cli._read(['schubert', '1,1']), 'argparse' in sys.modules)\n"
+    )
+    assert run_python(script) == "None False\n"
+    readers = {read for _, positionals, *_ in cli._COMMANDS.values() for _, read in positionals}
+    assert {parse_perm, int} < readers
+    for read in readers - {int}:
+        assert isinstance(read, types.FunctionType) and "<locals>" not in read.__qualname__
+        with pytest.raises(ValueError):
+            read("1,x")
+    assert not [
+        name for name, obj in vars(cli).items()
+        if name == "argparse" or getattr(obj, "__module__", None) == "argparse"
+    ]
 
 
 def test_the_reader_leaves_other_spellings_to_argparse():

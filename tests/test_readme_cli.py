@@ -104,6 +104,11 @@ GOLDEN = {
         ' {"perm": [6, 2, 7, 4, 1, 3, 5], "coeff": 1}]}\n',
     ),
     "monk 21 1": ("312: 1\n", '{"terms": [{"perm": [3, 1, 2], "coeff": 1}]}\n'),
+    "monk 1432 2": (
+        "15324: 1\n2431: 1\n3412: 1\n",
+        '{"terms": [{"perm": [1, 5, 3, 2, 4], "coeff": 1}, {"perm": [2, 4, 3, 1], "coeff": 1},'
+        ' {"perm": [3, 4, 1, 2], "coeff": 1}]}\n',
+    ),
     "coeff 42153 2,1 5 4235716": ("1\n", '{"coeff": 1}\n'),
     "verify --suite all --nmax 4": (
         "OK\n",

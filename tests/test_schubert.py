@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import os
 import subprocess
 import sys
@@ -377,6 +378,17 @@ def test_ambient_holds_exactly_under_the_staircase():
                 else:
                     with pytest.raises(NoSolutionError):
                         schubert_expand(p, ambient=n)
+    # Each monomial on its own: x^e expands within S_N exactly when
+    # i + e_i <= N for every e_i > 0 (e may end in zeros, which p drops).
+    for size in range(5):
+        for e in itertools.product(range(5), repeat=size):
+            p = Polynomial({e: 1})
+            for n in range(9):
+                if any(x and i + x > n for i, x in enumerate(e, 1)):
+                    with pytest.raises(NoSolutionError):
+                        schubert_expand(p, ambient=n)
+                else:
+                    assert all(len(w) <= n for w in schubert_expand(p, ambient=n)), (e, n)
 
 
 def test_ambient_names_one_monomial_however_p_was_built():
