@@ -60,10 +60,8 @@ _LAZY = {
     "SUITES": "verify",
     "cross_identity_check": "verify",
     "compatible_sequences": "words",
-    "greedy_compatible": "words",
     "iter_reduced_words": "words",
     "reduced_words": "words",
-    "run_decomposition": "words",
     "schubert_via_compatible": "words",
     "schubert_via_slides": "words",
     "sequence_weight": "words",
@@ -112,7 +110,6 @@ __all__ = [
     "from_code",
     "fundamental_quasisym",
     "grassmannian",
-    "greedy_compatible",
     "inverse",
     "is_covering",
     "iter_reduced_words",
@@ -123,7 +120,6 @@ __all__ = [
     "monk_multiply",
     "parse_perm",
     "reduced_words",
-    "run_decomposition",
     "schubert",
     "schubert_expand",
     "schubert_times_schur",

@@ -157,18 +157,19 @@ def inverse(w: Sequence[int]) -> Perm:
     return tuple(inv)
 
 
-def _check_int(value: int, name: str, least: int = 0) -> int:
-    """value, if it is an int (a bool counts) and at least least, 0 or 1.
+def _check_int(value: int, name: str) -> int:
+    """value, if it is a nonnegative int (a bool counts).
 
-    The one check of the counts that public functions take: k, m, nmax.
-    A value that is not an int raises ValueError("<name> must be an int,
-    got <value>"); one below least raises ValueError("<name> must be
-    nonnegative, got <value>"), or "positive" when least is 1.
+    The one check of the counts that public functions take: k, m, n,
+    nmax, ambient and the term budget; every count may be 0.  A value
+    that is not an int raises ValueError("<name> must be an int, got
+    <value>"); a negative one raises ValueError("<name> must be
+    nonnegative, got <value>").
     """
     if not isinstance(value, int):
         raise ValueError(f"{name} must be an int, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be {'positive' if least else 'nonnegative'}, got {value}")
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative, got {value}")
     return value
 
 

@@ -166,33 +166,26 @@ def _schubert_pivot(e: tuple[int, ...]) -> tuple[Perm, Polynomial]:
     return w, _node(w, len(w))
 
 
-def schubert_expand(
-    p: Polynomial, *, degree: int | None = None, ambient: int | None = None
-) -> dict[Perm, int]:
+def schubert_expand(p: Polynomial, *, ambient: int | None = None) -> dict[Perm, int]:
     """Expand a homogeneous polynomial in the Schubert basis.
 
     Repeatedly clears the largest monomial, comparing exponents from the
     last variable back; it is the code of exactly one permutation and
     the largest monomial of that permutation's Schubert polynomial in the
-    same order.  degree, when given, is checked against the polynomial.
-    With ambient=N, a monomial of p above the staircase (x_i to a power
-    above N - i) needs a permutation of more than N values and raises
-    NoSolutionError before any pivot is read.  A pivot whose Schubert
+    same order, so every permutation in the expansion has p's degree as
+    its length.  With ambient=N, a monomial of p above the staircase (x_i
+    to a power above N - i) needs a permutation of more than N values and
+    raises NoSolutionError before any pivot is read.  A pivot whose Schubert
     polynomial lacks it as its largest monomial with coefficient 1
     raises NonExpandableError when it is first built, and is not stored.
 
     >>> schubert_expand(Polynomial({(1,): 1, (0, 1): 1}))
     {(1, 3, 2): 1}
     """
-    if degree is not None:
-        _check_int(degree, "degree")
     if ambient is not None:
         _check_int(ambient, "ambient")
-    degs = p.degrees()
-    if len(degs) > 1:
+    if len(p.degrees()) > 1:
         raise ValueError("Schubert expansion needs a homogeneous polynomial")
-    if degree is not None and degs and degs != {degree}:
-        raise ValueError(f"polynomial has degree {degs.pop()}, expected {degree}")
     if ambient is not None and p:
         # x^e lies under the staircase of S_n for the least n = max(i + e_i).
         # The largest (n, e) names the same monomial of p whatever order

@@ -270,13 +270,13 @@ def format_chain(steps: Sequence[Sequence[int]]) -> str:
 def monk_multiply(w: Sequence[int], k: int) -> dict[Perm, int]:
     """Expansion of the product with x1 + ... + xk in the Schubert basis.
 
-    Sorted by permutation, as the product's is.
+    Sorted by permutation, as the product's is; empty at k = 0.
 
     >>> monk_multiply((), 1)
     {(2, 1): 1}
     """
     w = canonical(w)
-    n = max(len(w), _check_int(k, "k", 1))
+    n = max(len(w), _check_int(k, "k"))
     p = pad(w, n + 1)
     out: dict[Perm, int] = {}
     for a in range(1, k + 1):
@@ -511,7 +511,7 @@ def _product_seed(u: Sequence[int], v: Perm, k: int) -> tuple[Perm, Perm]:
     the truncation tree has last descent at most k.
     """
     u = canonical(u)
-    _check_int(k, "k", 1)
+    _check_int(k, "k")
     ld = _last_descent(u)
     if ld > k:
         raise ValueError(f"last descent of u is {ld}, beyond k={k}")
@@ -523,11 +523,12 @@ def schubert_times_schur(
 ) -> dict[Perm, int]:
     """Schubert expansion of the product with s_lam(x1..xk).
 
-    Requires the last descent of u to be at most k; the expansion is
-    then finite, positive, and supported on permutations with last
-    descent at most k.  s_lam(x1..xk) = F_{v_lam}(x1..xk), so the product
-    is the truncation of S_{u x v_lam}, drained to k variables; a lam
-    with more than k rows gives a tree with no leaf, and the product 0.
+    Requires the last descent of u to be at most k, so k = 0 takes only
+    the identity; the expansion is then finite, positive, and supported
+    on permutations with last descent at most k.  s_lam(x1..xk) =
+    F_{v_lam}(x1..xk), so the product is the truncation of S_{u x v_lam},
+    drained to k variables; a lam with more than k rows gives a tree
+    with no leaf, and the product 0.
 
     >>> schubert_times_schur((), (2, 1), 2)
     {(2, 4, 1, 3): 1}

@@ -1,4 +1,4 @@
-"""Reduced words, their runs, compatible sequences, and two Schubert oracles.
+"""Reduced words, compatible sequences, and two Schubert oracles.
 
 A word is a tuple of positive letters; letter i swaps the values i and
 i+1.  Words act left to right, so (4, 2, 1, 2, 3) builds (4, 2, 1, 5, 3)
@@ -9,9 +9,8 @@ The public functions check their input once; the kernels behind them
 trust it.  iter_reduced_words runs w through canonical() and walks the
 result; reduced_words sorts what it walks.  The word functions and
 sequence_weight check their entries through perm._check_ints;
-greedy_compatible and compatible_sequences then hand the reversed word
-to _greedy and _compatible, which schubert_via_compatible calls on the
-walk's words directly.
+compatible_sequences then hands the reversed word to _compatible, which
+schubert_via_compatible calls on the walk's words directly.
 
 The walk holds w^-1 in one list and its letters as its only stack, and
 _compatible keeps only the sequence it builds.  Neither recurses, so the
@@ -95,21 +94,6 @@ def iter_reduced_words(w: Sequence[int]) -> Iterator[Word]:
         i += 1
 
 
-def run_decomposition(word: Sequence[int]) -> tuple[Word, ...]:
-    """Split into maximal strictly increasing runs, leftmost first.
-
-    >>> run_decomposition((4, 2, 1, 2, 3))
-    ((4,), (2,), (1, 2, 3))
-    """
-    runs: list[list[int]] = []
-    for x in _check_ints(word, "word letters", 1):
-        if runs and runs[-1][-1] < x:
-            runs[-1].append(x)
-        else:
-            runs.append([x])
-    return tuple(tuple(r) for r in runs)
-
-
 def weak_descent_composition(word: Sequence[int]) -> Composition | _Virtual:
     """Run sizes placed at the largest feasible positions.
 
@@ -143,38 +127,24 @@ def weak_descent_composition(word: Sequence[int]) -> Composition | _Virtual:
     return tuple(comp)
 
 
-def _greedy(rev: Sequence[int]) -> tuple[int, ...] | _Virtual:
-    # greedy_compatible of the word whose reversal is rev, a checked word.
+def _compatible(rev: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    # compatible_sequences of the word whose reversal is rev, a checked
+    # word.  caps is the entrywise-largest compatible sequence: each
+    # entry is capped by rev and by the next cap, less one where rev
+    # increases; a cap below 1 leaves no sequence.  Depth first, smallest
+    # entry first: seq holds the entries placed so far and v the next
+    # candidate at position len(seq); a dead end pops the last entry and
+    # tries it plus one.
+    if not rev:
+        charge()
+        return ((),)
     caps = list(rev)
     for j in range(len(rev) - 2, -1, -1):
         cap = caps[j + 1] - (rev[j] < rev[j + 1])
         if cap < caps[j]:
             if cap < 1:
-                return VIRTUAL
+                return ()
             caps[j] = cap
-    return tuple(caps)
-
-
-def greedy_compatible(word: Sequence[int]) -> tuple[int, ...] | _Virtual:
-    """The entrywise-largest compatible sequence, or VIRTUAL if none exists.
-
-    >>> greedy_compatible((4, 2, 1, 2, 3))
-    (1, 1, 1, 2, 4)
-    """
-    return _greedy(_check_ints(word, "word letters", 1)[::-1])
-
-
-def _compatible(rev: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    # compatible_sequences of the word whose reversal is rev, a checked
-    # word.  Depth first, smallest entry first: seq holds the entries
-    # placed so far and v the next candidate at position len(seq); a dead
-    # end pops the last entry and tries it plus one.
-    caps = _greedy(rev)
-    if caps is VIRTUAL:
-        return ()
-    if not rev:
-        charge()
-        return ((),)
     last = len(rev) - 1
     out: list[tuple[int, ...]] = []
     seq: list[int] = []

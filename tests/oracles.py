@@ -10,7 +10,8 @@ down/up recursion at the last-descent column, Edelman–Greene tableaux by
 filtering reduced words, standard tableaux by the hook length formula,
 Schubert polynomials once more by reduced pipe dreams,
 Schubert times a row or column Schur polynomial by Sottile's Pieri chains,
-and Littlewood–Richardson coefficients by counting lattice tableaux.
+Littlewood–Richardson coefficients by counting lattice tableaux, and
+Schubert times any Schur polynomial by Jacobi–Trudi over those chains.
 """
 
 from itertools import permutations, product
@@ -554,3 +555,41 @@ def lr_tableaux(nu, mu, lam, lattice=True):
 
     fill(0, list(lam))
     return count
+
+
+def jacobi_trudi(u, lam, k, column=False):
+    """S_u s_lam(x1..xk) for any partition lam, by Jacobi–Trudi over the Pieri rule.
+
+    s_lam = det[h_{lam_i - i + j}] with h_p = s_(p), h_0 = 1 and h_p = 0
+    for p < 0 (Macdonald, Symmetric Functions and Hall Polynomials, I
+    (3.4)), so the product is the sum over sigma in S_l of
+    sgn(sigma) S_u h_{lam_1 - 1 + sigma(1)} ... h_{lam_l - l + sigma(l)}.
+    Each h_p is applied to each term by pieri, cached per (w, p); the
+    signs cancel exactly, and a zero coefficient is dropped.  column=True
+    applies e_p = s_(1^p) in place of h_p, which gives the product with
+    s_lam' for lam' the conjugate of lam instead.
+    """
+    cache = {}
+
+    def times_h(poly, p):
+        out = {}
+        for w, c in poly.items():
+            if (w, p) not in cache:
+                cache[w, p] = pieri(w, p, k, column)
+            for x, d in cache[w, p].items():
+                out[x] = out.get(x, 0) + c * d
+        return out
+
+    ell = len(lam)
+    total = {}
+    for sigma in permutations(range(1, ell + 1)):
+        degrees = [lam[i] - (i + 1) + sigma[i] for i in range(ell)]
+        if min(degrees, default=0) < 0:
+            continue
+        sign = (-1) ** inversions(sigma)
+        poly = {drop_fixed(u): 1}
+        for p in degrees:
+            poly = times_h(poly, p)
+        for w, c in poly.items():
+            total[w] = total.get(w, 0) + sign * c
+    return {w: c for w, c in sorted(total.items()) if c}

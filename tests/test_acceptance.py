@@ -200,10 +200,9 @@ def test_2c_monk_rule_on_s4():
     with criterion("2c Monk's rule vs expansion oracle, S4"):
         for w in all_perms(4):
             for k in range(1, 4):
-                want = schubert_expand(
-                    schubert(w) * basis_vector(k), degree=length(w) + 1
-                )
-                assert monk_multiply(w, k) == want, (w, k)
+                p = schubert(w) * basis_vector(k)
+                assert p.degrees() == {length(w) + 1}, (w, k)
+                assert monk_multiply(w, k) == schubert_expand(p), (w, k)
 
 
 def test_2d_truncation_equals_substitution_on_s5():
@@ -239,10 +238,9 @@ def test_2f_schur_products_on_s4():
                     if len(lam) > k:
                         continue
                     got = schubert_times_schur(u, lam, k)
-                    want = schubert_expand(
-                        schubert(u) * schur(lam, k), degree=length(u) + sum(lam)
-                    )
-                    assert got == want, (u, lam, k)
+                    p = schubert(u) * schur(lam, k)
+                    assert p.degrees() == {length(u) + sum(lam)}, (u, lam, k)
+                    assert got == schubert_expand(p), (u, lam, k)
                     for w, c in got.items():
                         assert c > 0 and length(w) == length(u) + sum(lam)
 

@@ -19,10 +19,8 @@ from schubcalc import (
     format_perm,
     from_code,
     fundamental_quasisym,
-    greedy_compatible,
     last_descent,
     parse_perm,
-    run_decomposition,
     schubert,
     schubert_times_schur,
     schubert_via_compatible,
@@ -234,9 +232,7 @@ INT_SEQUENCES = {
     "sequence_weight": (sequence_weight, "sequence entries", 1),
     "slide_polynomial": (slide_polynomial, "weak composition parts", 0),
     "fundamental_quasisym": (lambda a: fundamental_quasisym(a, 3), "composition parts", 1),
-    "run_decomposition": (run_decomposition, "word letters", 1),
     "weak_descent_composition": (weak_descent_composition, "word letters", 1),
-    "greedy_compatible": (greedy_compatible, "word letters", 1),
     "compatible_sequences": (compatible_sequences, "word letters", 1),
     "Polynomial": (lambda e: Polynomial({e: 1}), "exponents", 0),
 }
@@ -277,7 +273,7 @@ def test_cli_int_sequences_share_the_library_check():
 
 
 def test_exit_3_on_precondition_violation():
-    assert run("monk", "21", "0") == (3, "", "error: k must be positive, got 0\n")
+    assert run("monk", "21", "-1") == (3, "", "error: k must be nonnegative, got -1\n")
     assert run("schur", "1", "-1") == (3, "", "error: k must be nonnegative, got -1\n")
     assert run("truncate", "1") == (3, "", "error: the identity has no descent to truncate\n")
     code, _, err = run("multiply", "42153", "2,1", "2")
@@ -296,6 +292,15 @@ def test_more_parts_than_variables_is_zero():
     assert run("multiply", "21", "2,1", "1", "--format", "json") == (0, '{"terms": []}\n', "")
     assert run("multiply", "21", "2,1", "1", "--chains") == (0, "0\n", "")
     assert run("coeff", "21", "2,1", "1", "312") == (0, "0\n", "")
+
+
+def test_k_zero_is_no_variables():
+    # x1 + ... + xk is 0, and s_lam() is 1 for lam = () and 0 otherwise;
+    # only a u with a descent is refused, its last descent being past k.
+    assert run("monk", "21", "0") == (0, "0\n", "")
+    assert run("multiply", "1", "1", "0") == (0, "0\n", "")
+    assert run("coeff", "1", "", "0", "1") == (0, "1\n", "")
+    assert run("multiply", "21", "", "0") == (3, "", "error: last descent of u is 1, beyond k=0\n")
 
 
 def test_empty_partition_and_composition():
@@ -548,9 +553,9 @@ def test_import_loads_no_heavy_stdlib_modules():
 ORACLE_NAMES = {
     "verify": ("SUITES", "CounterexampleError", "cross_identity_check"),
     "words": (
-        "compatible_sequences", "greedy_compatible", "iter_reduced_words", "reduced_words",
-        "run_decomposition", "schubert_via_compatible", "schubert_via_slides",
-        "sequence_weight", "weak_descent_composition",
+        "compatible_sequences", "iter_reduced_words", "reduced_words",
+        "schubert_via_compatible", "schubert_via_slides", "sequence_weight",
+        "weak_descent_composition",
     ),
 }
 
@@ -604,7 +609,7 @@ def test_oracle_names_resolve_to_their_modules():
     assert (proc.returncode, proc.stderr) == (0, "")
     listed, same, virtual, missing = json.loads(proc.stdout)
     assert listed and virtual
-    assert same == [True] * 12
+    assert same == [True] * 10
     assert missing == "module 'schubcalc' has no attribute 'no_such_name'"
 
 

@@ -21,6 +21,7 @@ from schubcalc import (
     last_descent,
     length,
     lr_chains,
+    lr_coefficient,
     monk_multiply,
     parse_perm,
     reduced_words,
@@ -210,8 +211,8 @@ def budgeted(x):
         return reduced_words((2, 1))
 
 
-# Each public call that takes a count (k, m, n, nmax, degree, ambient or
-# a term budget), as a function of it.
+# Each public call that takes a count (k, m, n, nmax, ambient or a term
+# budget), as a function of it.
 COUNTED = {
     "stanley": lambda x: stanley((2, 1), x),
     "schur": lambda x: schur((2, 1), x),
@@ -220,11 +221,11 @@ COUNTED = {
     "monk_multiply": lambda x: monk_multiply((2, 1), x),
     "schubert_times_schur": lambda x: schubert_times_schur((2, 1), (1,), x),
     "lr_chains": lambda x: lr_chains((2, 1), (1,), x),
+    "lr_coefficient": lambda x: lr_coefficient((2, 1), (1,), x, (3, 1, 2)),
     "shift": lambda x: shift((2, 1), x),
     "cross": lambda x: cross((), (2, 1), x),
     "truncated_schubert": lambda x: truncated_schubert((2, 1), x),
     "substitute_zero": lambda x: substitute_zero(schubert((2, 1)), x),
-    "schubert_expand_degree": lambda x: schubert_expand(schubert((2, 1)), degree=x),
     "schubert_expand_ambient": lambda x: schubert_expand(Polynomial({(): 1}), ambient=x),
     "cross_identity_check_k": lambda x: cross_identity_check((), (2, 1), x, 2),
     "cross_identity_check_n": lambda x: cross_identity_check((), (2, 1), 1, x),
@@ -239,6 +240,9 @@ def test_a_count_must_be_an_int(call):
             call(x)
     # A bool is an int: True counts as 1.
     assert call(True) == call(1)
+    # Every count may be 0; only a negative one is refused.
+    with pytest.raises(ValueError, match=r" must be nonnegative, got -1$"):
+        call(-1)
 
 
 def test_cross_identity_check_names_the_count_it_rejects():

@@ -9,6 +9,7 @@ import glob
 import json
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -52,7 +53,8 @@ MULTIPLY_PERMS = (
 )
 CHAINS = ("(4,6)(5,6)(5,7)", "(4,6)(5,6)(4,7)", "(5,6)(3,6)(5,7)", "(5,6)(2,6)(5,7)", "(4,6)(1,6)(4,7)")
 
-# README command (without "schubcalc" and "--format json") -> (plain, JSON) stdout.
+# README command (without "schubcalc" and "--format json", quoted as the
+# shell reads it) -> (plain, JSON) stdout.
 GOLDEN = {
     "schubert 42153": (
         "x1^3*x2^2 + x1^3*x2*x3 + x1^3*x2*x4\n",
@@ -109,6 +111,8 @@ GOLDEN = {
         '{"terms": [{"perm": [1, 5, 3, 2, 4], "coeff": 1}, {"perm": [2, 4, 3, 1], "coeff": 1},'
         ' {"perm": [3, 4, 1, 2], "coeff": 1}]}\n',
     ),
+    "monk 21 0": ("0\n", '{"terms": []}\n'),
+    "multiply 1 '' 0": ("1: 1\n", '{"terms": [{"perm": [], "coeff": 1}]}\n'),
     "coeff 42153 2,1 5 4235716": ("1\n", '{"coeff": 1}\n'),
     "verify --suite all --nmax 4": (
         "OK\n",
@@ -122,13 +126,13 @@ def readme_commands():
     block = re.search(r"^## CLI\n+```sh\n(.*?)^```$", README, re.M | re.S).group(1)
     commands = []
     for line in block.splitlines():
-        words = line.split("#")[0].split()
+        words = shlex.split(line.split("#")[0])
         assert words[0] == "schubcalc", line
         if "--format" in words:
             i = words.index("--format")
             assert words[i + 1] == "json", line
             del words[i : i + 2]
-        commands.append(" ".join(words[1:]))
+        commands.append(shlex.join(words[1:]))
     return commands
 
 
@@ -142,8 +146,8 @@ def cases():
     """(argv, exit code, stdout, stderr) for every golden command."""
     out = []
     for command, (plain, doc) in GOLDEN.items():
-        out.append((command.split(), 0, plain, ""))
-        out.append((command.split() + ["--format", "json"], 0, doc, ""))
+        out.append((shlex.split(command), 0, plain, ""))
+        out.append((shlex.split(command) + ["--format", "json"], 0, doc, ""))
     argv, err = readme_exit_2()
     out.append((argv, 2, "", err))
     return out
@@ -155,7 +159,7 @@ def test_goldens_cover_the_readme_block():
 
 
 @pytest.mark.parametrize(
-    "argv, code, out, err", [pytest.param(*case, id=" ".join(case[0])) for case in cases()]
+    "argv, code, out, err", [pytest.param(*case, id=shlex.join(case[0])) for case in cases()]
 )
 def test_readme_command_in_process(capsys, argv, code, out, err):
     try:

@@ -46,6 +46,7 @@ from oracles import (
     dd_schubert,
     edelman_greene,
     hook_count,
+    jacobi_trudi,
     last_descent,
     lr_tableaux,
     partitions,
@@ -148,22 +149,46 @@ def test_monk_examples():
     assert monk_multiply((2, 1), 1) == {(3, 1, 2): 1}
     assert monk_multiply((), 1) == {(2, 1): 1}
     assert monk_multiply((), 2) == {(1, 3, 2): 1}
-    with pytest.raises(ValueError):
-        monk_multiply((2, 1), 0)
+    # x1 + ... + xk is 0 at k = 0.
+    assert monk_multiply((2, 1), 0) == {}
 
 
 def test_monk_42153_against_oracle():
     w = (4, 2, 1, 5, 3)
     p = schubert(w) * basis_vector(2)
-    assert monk_multiply(w, 2) == schubert_expand(p, degree=6)
+    assert p.degrees() == {6}
+    assert monk_multiply(w, 2) == schubert_expand(p)
 
 
 def test_monk_matches_oracle_on_s4():
     for w in all_perms(4):
         for k in range(1, 4):
             p = schubert(w) * basis_vector(k)
-            want = schubert_expand(p, degree=length(w) + 1)
-            assert monk_multiply(w, k) == want, (w, k)
+            assert p.degrees() == {length(w) + 1}, (w, k)
+            assert monk_multiply(w, k) == schubert_expand(p), (w, k)
+
+
+def test_k_zero_is_no_variables():
+    # Every count is k >= 0.  In no variables x1 + ... + xk is 0, s_()
+    # is 1 and every other s_lam is 0, as schur and schubert_expand say;
+    # a u with a descent is refused, its last descent being past k.
+    # S5 holds S1 to S4 with fixed points appended.
+    for w in all_perms(5):
+        assert monk_multiply(w, 0) == {} == schubert_expand(schubert(w) * basis_vector(0)), w
+    for lam in ((), *all_partitions(4)):
+        want = schubert_expand(schur(lam, 0))
+        assert schubert_times_schur((), lam, 0) == want == ({(): 1} if not lam else {})
+        assert {w: len(cs) for w, cs in lr_chains((), lam, 0).items()} == want
+        assert lr_coefficient((), lam, 0, ()) == want.get((), 0)
+    assert [str(c) for c in lr_chains((), (), 0)[()]] == [""]
+    for u in ((2, 1), (1, 3, 2), (4, 2, 1, 5, 3)):
+        message = f"^last descent of u is {last_descent(u)}, beyond k=0$"
+        for lam in ((), (1,), (2, 1)):
+            for product in (schubert_times_schur, lr_chains):
+                with pytest.raises(ValueError, match=message):
+                    product(u, lam, 0)
+            with pytest.raises(ValueError, match=message):
+                lr_coefficient(u, lam, 0, u)
 
 
 def test_every_expansion_is_sorted_by_permutation_on_s5():
@@ -173,11 +198,11 @@ def test_every_expansion_is_sorted_by_permutation_on_s5():
         if w:
             got = truncate_last_descent(w)
             assert list(got) == sorted(got), w
-        for k in range(1, 7):
+        for k in range(7):
             got = monk_multiply(w, k)
             assert list(got) == sorted(got), (w, k)
         for lam in ((), *all_partitions(3)):
-            for k in range(last_descent(w) or 1, 6):
+            for k in range(last_descent(w) or 0, 6):
                 for product in (schubert_times_schur, lr_chains):
                     got = product(w, lam, k)
                     assert list(got) == sorted(got), (product.__name__, w, lam, k)
@@ -379,10 +404,9 @@ def test_product_matches_oracle_on_s4():
                 if len(lam) > k:
                     continue
                 got = schubert_times_schur(u, lam, k)
-                want = schubert_expand(
-                    schubert(u) * schur(lam, k), degree=length(u) + sum(lam)
-                )
-                assert got == want, (u, lam, k)
+                p = schubert(u) * schur(lam, k)
+                assert p.degrees() == {length(u) + sum(lam)}, (u, lam, k)
+                assert got == schubert_expand(p), (u, lam, k)
                 for w, c in got.items():
                     assert c > 0
                     assert length(w) == length(u) + sum(lam)
@@ -627,6 +651,63 @@ def test_pieri_rule_with_rows_and_columns_swapped_disagrees_on_s4():
     assert (wrong, cases) == (256, 384)
 
 
+def check_jacobi_trudi(u, lam, k):
+    want = jacobi_trudi(u, lam, k)
+    assert schubert_times_schur(u, lam, k) == want, (u, lam, k)
+    assert {w: len(cs) for w, cs in lr_chains(u, lam, k).items()} == want, (u, lam, k)
+
+
+def test_product_equals_jacobi_trudi_on_s6():
+    # Every u with the four lam of at most 4 boxes that have two rows, at
+    # the least k the product takes.
+    cases = 0
+    for u in all_perms(6):
+        for lam in ((2, 1), (3, 1), (2, 2), (2, 1, 1)):
+            k = max(last_descent(u) or 0, len(lam))
+            assert schubert_times_schur(u, lam, k) == jacobi_trudi(u, lam, k), (u, lam, k)
+            cases += 1
+    assert cases == 2880
+
+
+# The lam of 3 to 6 boxes with at least two rows and two columns: neither
+# Pieri rule covers them, and the LR test covers only a Grassmannian u.
+BOXES = [lam for size in range(3, 7) for lam in partitions(size) if len(lam) > 1 and lam[0] > 1]
+
+
+@st.composite
+def jacobi_trudi_case(draw):
+    n = draw(st.integers(10, 12))
+    u = canonical(draw(st.permutations(range(1, n + 1))))
+    lam = draw(st.sampled_from(BOXES))
+    k = max(last_descent(u) or 0, len(lam))
+    return u, lam, draw(st.integers(k, k + 1))
+
+
+@given(jacobi_trudi_case())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_product_equals_jacobi_trudi_on_s10_to_s12(case):
+    check_jacobi_trudi(*case)
+
+
+def test_jacobi_trudi_with_column_pieri_gives_the_conjugate_on_s4():
+    # e_p in place of h_p turns det[h_{lam_i - i + j}] into s_lam', so only
+    # a lam that is not its own conjugate tells the conventions apart.
+    for lam, conjugate, wrong in (
+        ((2, 1), (2, 1), 0),
+        ((2, 2), (2, 2), 0),
+        ((3, 1), (2, 1, 1), 24),
+        ((2, 1, 1), (3, 1), 24),
+        ((3, 2), (2, 2, 1), 24),
+    ):
+        mismatches = 0
+        for u in all_perms(4):
+            k = max(last_descent(u) or 0, len(lam))
+            got = jacobi_trudi(u, lam, k, column=True)
+            assert got == schubert_times_schur(u, conjugate, k), (u, lam, k)
+            mismatches += got != schubert_times_schur(u, lam, k)
+        assert mismatches == wrong, lam
+
+
 def lr_rule(mu, lam, k, lattice=True):
     """The product of S_{v_mu} with s_lam(x1..xk) by the Littlewood–Richardson rule."""
     out = {}
@@ -808,6 +889,11 @@ print(outcome(T.lr_chains, (4, 2, 1, 5, 3), (2, 1), 5, _start_word=unshifted))
 # An up-step out of row 0 is not one of the chain's steps (a, b) with
 # 0 < a <= k < b, which the leaf check must catch.
 print(outcome(T.lr_chains, (1, 3, 2), (1,), 2, _paths=lambda w, k, low: [((2, 3, 1), (0,), 2)]))
+# An endpoint that its columns do not lead to is not where the chain
+# ends, which the last leaf check must catch.
+paths = T._paths
+elsewhere = lambda w, k, low: [((3, 1, 2), cols, ld) for _, cols, ld in paths(w, k, low)]
+print(outcome(T.lr_chains, (), (1,), 1, _paths=elsewhere))
 # An x_r child of degree 255, raised by x_r, overflows the 8-bit slots of
 # a transition step on S2, which must raise before it stores anything.
 from schubcalc._limits import Memo
@@ -828,13 +914,14 @@ print(outcome(overflow), len(memo))
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert [line.split(":")[0] for line in lines] == ["RuntimeError"] * 8, proc.stdout
+    assert [line.split(":")[0] for line in lines] == ["RuntimeError"] * 9, proc.stdout
     assert "duplicate truncation endpoint" in lines[3], proc.stdout
     assert all("keeps a descent" in line for line in lines[4:6]), proc.stdout
     assert lines[6] == (
         "RuntimeError: up-steps [(0, 4)] to (2, 3, 1) do not cross k = 2 |lam| times"
     ), proc.stdout
-    assert lines[7] == (
+    assert lines[7] == "RuntimeError: chain (1,2) ends at (2, 1), not (3, 1, 2)", proc.stdout
+    assert lines[8] == (
         "RuntimeError: S_(2, 1) has degree 256, too large for 8-bit slots 0"
     ), proc.stdout
 

@@ -7,11 +7,9 @@ from schubcalc import (
     VIRTUAL,
     canonical,
     compatible_sequences,
-    greedy_compatible,
     iter_reduced_words,
     length,
     reduced_words,
-    run_decomposition,
     sequence_weight,
     shift,
     weak_descent_composition,
@@ -112,9 +110,6 @@ def recursive_reduced_words(u, buf=()):
 
 def recursive_compatible(word):
     """compatible_sequences by plain recursion over positions, smallest entry first."""
-    caps = greedy_compatible(word)
-    if caps is VIRTUAL:
-        return ()
     rev = tuple(reversed(word))
     out = []
 
@@ -124,7 +119,7 @@ def recursive_compatible(word):
             out.append(seq)
             return
         lo = 1 if j == 0 else seq[-1] + (rev[j - 1] < rev[j])
-        for v in range(lo, caps[j] + 1):
+        for v in range(lo, rev[j] + 1):
             place(seq + (v,))
 
     place(())
@@ -148,28 +143,6 @@ def test_word_count_is_shift_invariant_on_s4():
             assert set(shifted) == {
                 tuple(x + m for x in rho) for rho in reduced_words(w)
             }
-
-
-def test_run_decomposition():
-    assert run_decomposition(()) == ()
-    assert run_decomposition((1, 2, 3)) == ((1, 2, 3),)
-    assert run_decomposition((4, 2, 1, 2, 3)) == ((4,), (2,), (1, 2, 3))
-    assert run_decomposition((5, 6, 3, 4, 5, 7, 3, 1, 4, 2, 3, 6)) == (
-        (5, 6),
-        (3, 4, 5, 7),
-        (3,),
-        (1, 4),
-        (2, 3, 6),
-    )
-
-
-def test_runs_reassemble_and_break_at_weak_descents():
-    for w in S5:
-        for rho in reduced_words(w):
-            runs = run_decomposition(rho)
-            assert sum(runs, ()) == rho
-            assert all(r[i] < r[i + 1] for r in runs for i in range(len(r) - 1))
-            assert all(a[-1] >= b[0] for a, b in zip(runs, runs[1:]))
 
 
 def test_weak_descent_composition_examples():
@@ -234,8 +207,6 @@ def test_compatible_sequences_match_brute_force_on_every_word():
     for word in words:
         want = sorted(brute_compatible(word))
         assert compatible_sequences(word) == tuple(want), word
-        best = tuple(map(max, zip(*want))) if want else VIRTUAL
-        assert greedy_compatible(word) == best, word
 
 
 def test_virtual_iff_no_compatible_sequence_on_s5():
@@ -245,10 +216,16 @@ def test_virtual_iff_no_compatible_sequence_on_s5():
             assert has_seq == (weak_descent_composition(rho) is not VIRTUAL)
 
 
+def greedy(word):
+    """The entrywise-largest compatible sequence of word, or VIRTUAL if it has none."""
+    seqs = compatible_sequences(word)
+    return tuple(map(max, zip(*seqs))) if seqs else VIRTUAL
+
+
 def test_greedy_compatible():
-    assert greedy_compatible((4, 2, 1, 2, 3)) == (1, 1, 1, 2, 4)
-    assert greedy_compatible(()) == ()
-    assert greedy_compatible((1, 4, 2, 3, 1)) is VIRTUAL
+    assert greedy((4, 2, 1, 2, 3)) == (1, 1, 1, 2, 4)
+    assert greedy(()) == ()
+    assert greedy((1, 4, 2, 3, 1)) is VIRTUAL
 
 
 def test_greedy_weight_is_weak_descent_composition_on_s5():
@@ -256,9 +233,9 @@ def test_greedy_weight_is_weak_descent_composition_on_s5():
         for rho in reduced_words(w):
             des = weak_descent_composition(rho)
             if des is VIRTUAL:
-                assert greedy_compatible(rho) is VIRTUAL
+                assert greedy(rho) is VIRTUAL
                 continue
-            best = greedy_compatible(rho)
+            best = greedy(rho)
             seqs = compatible_sequences(rho)
             assert best in seqs
             assert all(
