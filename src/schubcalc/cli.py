@@ -128,7 +128,8 @@ def _emit_expansion(result: dict, args: SimpleNamespace) -> str:
     lines = []
     for term in terms:
         lines.append(f"{format_perm(term['perm'])}: {term['coeff']}")
-        lines += ["  " + chain for chain in term.get("chains", ())]
+        # A chain with no steps, the identity's, has no text to indent.
+        lines += ["  " + chain for chain in term.get("chains", ()) if chain]
     return "\n".join(lines) or "0"
 
 

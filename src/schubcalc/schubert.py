@@ -5,19 +5,25 @@ Lascoux–Schützenberger transition, whose recurrence and steps live in
 the transition module.  This module holds the walk of the transition
 tree, _node, and its two memos, bounded by the monomials they hold:
 which memo and key a node has, when the Bergeron–Billey criterion
-answers 0, and when a node is computed.  Each public function validates
-its input once and makes one call of _node, which picks the memo by the
-last descent, so a hit is one find().  A Stanley symmetric polynomial
+answers 0, and when a node is computed.  _node is the walk's reader and
+the memos' only writer; each public function validates its input once
+and makes at most one call of it, which picks the memo by the last
+descent.  schubert and schur know their memo and key from the input
+alone, w past its last descent and a grassmannian permutation at its
+descent k, so they read _schubert once themselves and call _node only
+on a miss: a warm read is one find().  A Stanley symmetric polynomial
 comes from stability: F_v(x1..xk) = S_{1^k x v}(x1..xk, 0, ...).
 
 schubert_expand hands its pivots to poly._eliminate, which reads them
 from the _pivots memo by packed monomial: one read gives the exponent
 tuple, the permutation and its Schubert polynomial's keys.  A miss
 builds the permutation from the monomial's exponents, its code, and
-looks the polynomial up with _node.  The Schubert polynomials of S_N
-are a basis of the polynomials under the staircase x_i^(N-i)
-(Macdonald, Notes on Schubert Polynomials, (4.11)), so ambient=N is
-checked on the input's monomials, once, and never on a pivot.
+looks the polynomial up with _node.  The Schubert polynomials are a
+basis of all polynomials, in every degree at once, and those of S_N a
+basis of the polynomials under the staircase x_i^(N-i) (Macdonald,
+Notes on Schubert Polynomials, (4.11)), so any polynomial expands, and
+ambient=N is checked on the input's monomials, once, and never on a
+pivot.
 """
 
 from __future__ import annotations
@@ -37,8 +43,9 @@ class NoSolutionError(ValueError):
 # _schubert holds S_w by w; _stanley holds S_w(x1..xk, 0, ...) by (w, k)
 # for the w whose last descent is beyond k, where truncation matters, and
 # that the criterion does not zero, so it holds no 0.
-# _node is their one reader: schubert, stanley, schur, truncated_schubert
-# and schubert_expand's pivots each validate and call it once.
+# _node is their one writer: stanley, truncated_schubert and
+# schubert_expand's pivots each validate and call it once; schubert and
+# schur find() in _schubert first and call it on a miss.
 _schubert = Memo(_monomials)
 _stanley = Memo(_monomials)
 _ONE = Polynomial._raw({0: 1}, 8, 0)
@@ -110,7 +117,8 @@ def schubert(w: Sequence[int]) -> Polynomial:
     'x1^3*x2^2 + x1^3*x2*x3 + x1^3*x2*x4'
     """
     w = canonical(w)
-    return _node(w, len(w))
+    p = _schubert.find(w)
+    return _node(w, len(w)) if p is None else p
 
 
 def stanley(w: Sequence[int], k: int) -> Polynomial:
@@ -136,7 +144,9 @@ def schur(lam: Sequence[int], k: int) -> Polynomial:
     lam = check_partition(lam)
     if _check_int(k, "k") < len(lam):
         return Polynomial()
-    return _node(_grassmannian(lam, k), k)
+    w = _grassmannian(lam, k)
+    p = _schubert.find(w)
+    return _node(w, k) if p is None else p
 
 
 def truncated_schubert(w: Sequence[int], k: int) -> Polynomial:
@@ -167,25 +177,27 @@ def _schubert_pivot(e: tuple[int, ...]) -> tuple[Perm, Polynomial]:
 
 
 def schubert_expand(p: Polynomial, *, ambient: int | None = None) -> dict[Perm, int]:
-    """Expand a homogeneous polynomial in the Schubert basis.
+    """Expand any polynomial in the Schubert basis.
 
     Repeatedly clears the largest monomial, comparing exponents from the
-    last variable back; it is the code of exactly one permutation and
-    the largest monomial of that permutation's Schubert polynomial in the
-    same order, so every permutation in the expansion has p's degree as
-    its length.  With ambient=N, a monomial of p above the staircase (x_i
-    to a power above N - i) needs a permutation of more than N values and
-    raises NoSolutionError before any pivot is read.  A pivot whose Schubert
-    polynomial lacks it as its largest monomial with coefficient 1
-    raises NonExpandableError when it is first built, and is not stored.
+    last variable back, over all degrees at once; it is the code of
+    exactly one permutation and the largest monomial of that
+    permutation's Schubert polynomial in the same order, so the
+    expansion is unique and each permutation in it has as its length
+    the degree of the monomial it clears.  With ambient=N, a monomial of
+    p above the staircase (x_i to a power above N - i) needs a
+    permutation of more than N values and raises NoSolutionError before
+    any pivot is read.  A pivot whose Schubert polynomial lacks it as its
+    largest monomial with coefficient 1 raises NonExpandableError when it
+    is first built, and is not stored.
 
     >>> schubert_expand(Polynomial({(1,): 1, (0, 1): 1}))
     {(1, 3, 2): 1}
+    >>> schubert_expand(Polynomial({(1,): 1, (2,): 1}))
+    {(2, 1): 1, (3, 1, 2): 1}
     """
     if ambient is not None:
         _check_int(ambient, "ambient")
-    if len(p.degrees()) > 1:
-        raise ValueError("Schubert expansion needs a homogeneous polynomial")
     if ambient is not None and p:
         # x^e lies under the staircase of S_n for the least n = max(i + e_i).
         # The largest (n, e) names the same monomial of p whatever order

@@ -59,11 +59,11 @@ def verify_slides(nmax: int = 4) -> int:
 
 
 def verify_monk(nmax: int = 4) -> int:
-    """Covering-transposition expansion matches the expansion oracle."""
+    """Covering-transposition expansion matches the expansion oracle, k = 0 included."""
     _check_int(nmax, "nmax")
     count = 0
     for w in all_perms(nmax):
-        for k in range(1, nmax):
+        for k in range(nmax):
             got = monk_multiply(w, k)
             want = schubert_expand(schubert(w) * basis_vector(k))
             if got != want:
@@ -149,13 +149,15 @@ def verify_product(nmax: int = 4) -> int:
     """Transition expansion matches the oracle, positively, degree-correct.
 
     Each case also checks lr_chains: as many chains end at each term as its
-    coefficient, and each starts at u and ends at that term.
+    coefficient, and each starts at u and ends at that term.  The empty
+    partition runs at every k from ld(u), 0 included, where the product is
+    S_u itself with one chain of no steps.
     """
     _check_int(nmax, "nmax")
     count = 0
     for u in all_perms(nmax):
         ld = last_descent(u)
-        for lam in all_partitions(3):
+        for lam in ((), *all_partitions(3)):
             for k in range(len(lam), nmax):
                 if ld is not None and ld > k:
                     continue

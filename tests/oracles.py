@@ -8,7 +8,8 @@ polynomials by tableau enumeration, slide/quasisymmetric polynomials by
 filtered exponent enumeration, truncation chains by the alternating
 down/up recursion at the last-descent column, Edelman–Greene tableaux by
 filtering reduced words, standard tableaux by the hook length formula,
-Schubert polynomials once more by reduced pipe dreams,
+Schubert polynomials once more by reduced pipe dreams, all of S_n at once
+by the nil-Coxeter generating function,
 Schubert times a row or column Schur polynomial by Sottile's Pieri chains,
 Littlewood–Richardson coefficients by counting lattice tableaux, and
 Schubert times any Schur polynomial by Jacobi–Trudi over those chains.
@@ -432,6 +433,32 @@ def dream_polynomial(dreams):
         key = tuple(exps)
         out[key] = out.get(key, 0) + 1
     return out
+
+
+def nil_coxeter(n):
+    """S_w for every w in S_n, as {w: exponent tuples}, by the nil-Coxeter algebra.
+
+    Fomin and Stanley, "Schubert polynomials and the nil-Coxeter
+    algebra", Adv. Math. 1994: the product over i = 1..n-1, and within
+    it over j = n-1 down to i, of (1 + x_i u_j) is the sum of S_w u_w
+    over w in S_n.  A term u_w times u_j swaps positions j and j + 1 of
+    w when w_j < w_{j+1}, and is 0 otherwise.  The factors are taken
+    left to right; the terms that u_j reaches ascend at j and those it
+    makes descend there, so each factor updates the table in place.
+    """
+    table = {tuple(range(1, n + 1)): {(): 1}}
+    for i in range(1, n):
+        for j in range(n - 1, i - 1, -1):
+            for w, poly in list(table.items()):
+                if w[j - 1] > w[j]:
+                    continue
+                v = w[: j - 1] + (w[j], w[j - 1]) + w[j + 1 :]
+                out = table.setdefault(v, {})
+                for e, c in poly.items():
+                    e = e + (0,) * (i - len(e))
+                    e = e[: i - 1] + (e[i - 1] + 1,) + e[i:]
+                    out[e] = out.get(e, 0) + c
+    return {drop_fixed(w): poly for w, poly in table.items()}
 
 
 def alternating_chains(w):

@@ -163,7 +163,7 @@ def test_verify_single_suites():
         "OK (120 permutations)\n",
         "",
     )
-    assert run("verify", "--suite", "monk", "--nmax", "4") == (0, "OK (72 cases)\n", "")
+    assert run("verify", "--suite", "monk", "--nmax", "4") == (0, "OK (96 cases)\n", "")
     assert run("verify", "--suite", "truncate", "--nmax", "5") == (
         0,
         "OK (119 permutations)\n",
@@ -172,7 +172,7 @@ def test_verify_single_suites():
     assert run("verify", "--suite", "cross", "--nmax", "4") == (0, "OK (168 cases)\n", "")
     assert run("verify", "--suite", "product", "--nmax", "4") == (
         0,
-        "OK (216 products)\n",
+        "OK (257 products)\n",
         "",
     )
 
@@ -181,7 +181,7 @@ def test_verify_all_and_json():
     assert run("verify", "--suite", "all", "--nmax", "3") == (0, "OK\n", "")
     code, out, err = run("verify", "--suite", "monk", "--nmax", "4", "--format", "json")
     assert (code, err) == (0, "")
-    assert json.loads(out) == {"ok": True, "suite": "monk", "count": 72}
+    assert json.loads(out) == {"ok": True, "suite": "monk", "count": 96}
     code, out, _ = run("verify", "--suite", "all", "--nmax", "3", "--format", "json")
     doc = json.loads(out)
     assert code == 0 and doc["ok"] is True
@@ -660,7 +660,7 @@ def test_commands_load_neither_argparse_nor_json():
     assert (proc.returncode, proc.stderr) == (0, "")
     *out, loaded = proc.stdout.splitlines()
     assert out[:3] == ["x1", "x1", '{"terms": [{"coeff": 1, "exponents": [1]}]}']
-    assert out[-3:] == ["OK (2 cases)"] * 2 + ['{"ok": true, "suite": "monk", "count": 2}']
+    assert out[-3:] == ["OK (4 cases)"] * 2 + ['{"ok": true, "suite": "monk", "count": 4}']
     assert loaded == "[]"
 
 

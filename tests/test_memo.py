@@ -1,6 +1,7 @@
 """The five memos: invisible in results, budgeted alike cold and warm,
 and bounded by the items they hold."""
 
+import importlib
 import sys
 import threading
 from itertools import permutations, product
@@ -409,6 +410,36 @@ def test_cache_info_counts_hits_and_misses():
         call()
         after = [(m.hits - reads * (m is memo), m.misses) for m in memos]
         assert after == before
+
+
+def test_a_warm_schubert_or_schur_is_one_read(monkeypatch):
+    # schubert and schur know their memo and key from the input, so a
+    # warm call is one find() in _schubert and never reaches _node.
+    module = importlib.import_module("schubcalc.schubert")
+    w, lam, k = (4, 2, 1, 5, 3), (2, 1), 3
+    g = grassmannian(lam, k)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _node(*args)
+
+    def refuse(*args):
+        raise AssertionError(f"_node{args} on a warm read")
+
+    clear()
+    monkeypatch.setattr(module, "_node", counting)
+    cold = {w: schubert(w), g: schur(lam, k)}
+    assert calls == [(w, len(w)), (g, k)]
+    monkeypatch.setattr(module, "_node", refuse)
+    for key, call in ((w, lambda: schubert(w)), (g, lambda: schur(lam, k))):
+        hits, misses = _schubert.hits, _schubert.misses
+        assert call() is _schubert[key][0] is cold[key]
+        assert (_schubert.hits, _schubert.misses) == (hits + 1, misses)
+    monkeypatch.undo()
+    clear()
+    assert (schubert(w), schur(lam, k)) == (cold[w], cold[g])
+    assert cold[w].terms == dd_schubert(w)
 
 
 def test_a_slide_and_the_equal_quasisymmetric_share_one_placement():

@@ -113,11 +113,15 @@ GOLDEN = {
     ),
     "monk 21 0": ("0\n", '{"terms": []}\n'),
     "multiply 1 '' 0": ("1: 1\n", '{"terms": [{"perm": [], "coeff": 1}]}\n'),
+    "multiply 1 '' 0 --chains": (
+        "1: 1\n",
+        '{"terms": [{"perm": [], "coeff": 1, "chains": [""]}]}\n',
+    ),
     "coeff 42153 2,1 5 4235716": ("1\n", '{"coeff": 1}\n'),
     "verify --suite all --nmax 4": (
         "OK\n",
-        '{"ok": true, "counts": {"slides": 24, "monk": 72, "truncate": 23,'
-        ' "cross": 168, "product": 216}}\n',
+        '{"ok": true, "counts": {"slides": 24, "monk": 96, "truncate": 23,'
+        ' "cross": 168, "product": 257}}\n',
     ),
 }
 

@@ -6,7 +6,7 @@ import sys
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from schubcalc import (
@@ -26,6 +26,7 @@ from schubcalc import (
     schur,
     shift,
     slide_expand,
+    slide_polynomial,
     stanley,
     substitute_zero,
     weak_descent_composition,
@@ -38,6 +39,7 @@ from oracles import (
     brute_schubert,
     dd_schubert,
     dream_polynomial,
+    nil_coxeter,
     pipe_dreams,
     ssyt_schur,
     strong_descent,
@@ -318,12 +320,44 @@ def test_schubert_expand_monk_product():
 
 
 def test_schubert_expand_rejects_bad_input():
-    with pytest.raises(ValueError):
-        schubert_expand(Polynomial({(1,): 1, (2,): 1}))
+    assert schubert_expand(Polynomial({(1,): 1, (2,): 1})) == {(2, 1): 1, (3, 1, 2): 1}
     # ambient is the only keyword: the degree is read off the polynomial.
     with pytest.raises(TypeError):
         schubert_expand(Polynomial({(1,): 1, (0, 1): 1}), degree=3)
     assert schubert_expand(Polynomial()) == {}
+
+
+S1_TO_S5 = list(all_perms(5))
+
+
+@given(
+    st.dictionaries(
+        st.sampled_from(S1_TO_S5),
+        st.integers(-9, 9).filter(bool),
+        min_size=1,
+        max_size=8,
+    )
+)
+@example({(): 3, (2, 1): -1, (3, 1, 2): 2, (1, 4, 3, 2): -5, (5, 4, 3, 2, 1): 1})
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_any_polynomial_expands(coeffs):
+    # The S_w are a basis of all polynomials, in every degree at once
+    # (Macdonald, Notes on Schubert Polynomials, (4.11)), so a sum of them
+    # with mixed lengths comes back term for term, in code order.
+    p = Polynomial()
+    for w, c in coeffs.items():
+        p = p + Polynomial(dd_schubert(w)) * c
+    want = {w: coeffs[w] for w in sorted(coeffs, key=code)}
+    got = schubert_expand(p)
+    assert list(got.items()) == list(want.items())
+    assert list(schubert_expand(p, ambient=5).items()) == list(want.items())
+    slides = Polynomial()
+    for a, c in slide_expand(p).items():
+        slides = slides + slide_polynomial(a) * c
+    assert slides == p
+    # x1^5 lies above the staircase of S5, whatever the degrees around it.
+    with pytest.raises(NoSolutionError, match="needs a permutation of 6 values, ambient is 5"):
+        schubert_expand(p + Polynomial({(5,): 1}), ambient=5)
 
 
 def test_schubert_expand_rejects_a_wrong_pivot_polynomial(monkeypatch):
@@ -479,6 +513,10 @@ def shifted(w, k):
     return (*range(1, k + 1), *(x + k for x in w))
 
 
+def inverse(w):
+    return tuple(sorted(range(1, len(w) + 1), key=lambda i: w[i - 1]))
+
+
 def check_pipe_dreams(w):
     # S_w from its reduced pipe dreams, and S_w(x1..xk, 0, ...) from those
     # with every cross in rows <= k, at every k below len(w).
@@ -519,6 +557,28 @@ def test_pipe_dreams_of_the_inverse_mismatch_on_s5():
     # w^-1, and S_{w^-1} = S_w only for the 26 involutions of S5.
     mismatched = 0
     for w in all_perms(5):
-        inverse = tuple(sorted(range(1, len(w) + 1), key=lambda i: w[i - 1]))
-        mismatched += dream_polynomial(pipe_dreams(inverse)) != schubert(w).terms
+        mismatched += dream_polynomial(pipe_dreams(inverse(w))) != schubert(w).terms
     assert mismatched == 94
+
+
+def test_nil_coxeter_gives_every_schubert_polynomial_of_s7_cold_and_warm(monkeypatch):
+    # The memos start empty and hold all of S7, so the first pass builds
+    # every S_w and the second reads each once from _schubert: hits only.
+    module = importlib.import_module("schubcalc.schubert")
+    table = nil_coxeter(7)
+    assert (len(table), sum(map(len, table.values()))) == (5040, 123013)
+    module._schubert.cache_clear()
+    module._stanley.cache_clear()
+    monkeypatch.setattr(module._schubert, "bound", 1 << 20)
+    assert [w for w in all_perms(7) if schubert(w).terms != table[w]] == []
+    hits, misses = module._schubert.hits, module._schubert.misses
+    assert [w for w in all_perms(7) if schubert(w).terms != table[w]] == []
+    # The identity is _ONE, never stored.
+    assert (module._schubert.hits, module._schubert.misses) == (hits + 5039, misses)
+
+
+def test_nil_coxeter_read_at_the_inverse_mismatches_on_s5():
+    # Reading u_w as u_{w^-1} gives S_{w^-1}, which is S_w only for the
+    # 26 involutions of S5.
+    table = nil_coxeter(5)
+    assert sum(table[inverse(w)] != schubert(w).terms for w in all_perms(5)) == 94
