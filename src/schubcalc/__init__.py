@@ -36,7 +36,6 @@ from .poly import (
     substitute_zero,
 )
 from .schubert import (
-    NoSolutionError,
     schubert,
     schubert_expand,
     schur,
@@ -93,7 +92,6 @@ __all__ = [
     "Chain",
     "VIRTUAL",
     "NonExpandableError",
-    "NoSolutionError",
     "CounterexampleError",
     "TermBudgetExceeded",
     "SUITES",

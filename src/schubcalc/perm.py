@@ -161,7 +161,7 @@ def _check_int(value: int, name: str) -> int:
     """value, if it is a nonnegative int (a bool counts).
 
     The one check of the counts that public functions take: k, m, n,
-    nmax, ambient and the term budget; every count may be 0.  A value
+    nmax and the term budget; every count may be 0.  A value
     that is not an int raises ValueError("<name> must be an int, got
     <value>"); a negative one raises ValueError("<name> must be
     nonnegative, got <value>").

@@ -127,10 +127,6 @@ class Polynomial:
         self._bound = bound
 
     @classmethod
-    def monomial(cls, exp: Sequence[int], coeff: int = 1) -> Polynomial:
-        return cls({tuple(exp): coeff})
-
-    @classmethod
     def _raw(cls, keys: dict[int, int], bits: int, bound: int) -> Polynomial:
         # Internal: keys packed with slots of bits bits, values nonzero,
         # and no degree above bound < 2**bits.
@@ -209,15 +205,6 @@ class Polynomial:
         return Polynomial._raw(out, bits, bound)
 
     __rmul__ = __mul__
-
-    def degrees(self) -> set[int]:
-        bits = self._bits
-        mask = (1 << bits) - 1
-        if self._bound < mask:
-            # A key is congruent to the sum of its slots modulo 2^B - 1,
-            # and every degree is below that modulus.
-            return {e % mask for e in self._keys}
-        return {sum(_unpack(e, bits)) for e in self._keys}
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         """Terms ordered by decreasing exponent tuple (padded lexicographic)."""

@@ -19,11 +19,8 @@ from the _pivots memo by packed monomial: one read gives the exponent
 tuple, the permutation and its Schubert polynomial's keys.  A miss
 builds the permutation from the monomial's exponents, its code, and
 looks the polynomial up with _node.  The Schubert polynomials are a
-basis of all polynomials, in every degree at once, and those of S_N a
-basis of the polynomials under the staircase x_i^(N-i) (Macdonald,
-Notes on Schubert Polynomials, (4.11)), so any polynomial expands, and
-ambient=N is checked on the input's monomials, once, and never on a
-pivot.
+basis of all polynomials, in every degree at once (Macdonald, Notes on
+Schubert Polynomials, (4.11)), so any polynomial expands.
 """
 
 from __future__ import annotations
@@ -34,10 +31,6 @@ from ._limits import Memo
 from .perm import Perm, _check_int, _from_code, _grassmannian, canonical, check_partition, shift
 from .poly import NonExpandableError, Polynomial, _eliminate, _monomials, _pivot_size
 from .transition import _transition
-
-
-class NoSolutionError(ValueError):
-    """The polynomial has no Schubert expansion within the ambient bound."""
 
 
 # _schubert holds S_w by w; _stanley holds S_w(x1..xk, 0, ...) by (w, k)
@@ -176,7 +169,7 @@ def _schubert_pivot(e: tuple[int, ...]) -> tuple[Perm, Polynomial]:
     return w, _node(w, len(w))
 
 
-def schubert_expand(p: Polynomial, *, ambient: int | None = None) -> dict[Perm, int]:
+def schubert_expand(p: Polynomial) -> dict[Perm, int]:
     """Expand any polynomial in the Schubert basis.
 
     Repeatedly clears the largest monomial, comparing exponents from the
@@ -184,27 +177,17 @@ def schubert_expand(p: Polynomial, *, ambient: int | None = None) -> dict[Perm, 
     exactly one permutation and the largest monomial of that
     permutation's Schubert polynomial in the same order, so the
     expansion is unique and each permutation in it has as its length
-    the degree of the monomial it clears.  With ambient=N, a monomial of
-    p above the staircase (x_i to a power above N - i) needs a
-    permutation of more than N values and raises NoSolutionError before
-    any pivot is read.  A pivot whose Schubert polynomial lacks it as its
-    largest monomial with coefficient 1 raises NonExpandableError when it
-    is first built, and is not stored.
+    the degree of the monomial it clears.  Every permutation in it lies
+    in S_N exactly when p lies under the staircase x_i^(N-i).  A pivot
+    whose Schubert polynomial lacks it as its largest monomial with
+    coefficient 1 raises NonExpandableError when it is first built, and
+    is not stored.
 
     >>> schubert_expand(Polynomial({(1,): 1, (0, 1): 1}))
     {(1, 3, 2): 1}
     >>> schubert_expand(Polynomial({(1,): 1, (2,): 1}))
     {(2, 1): 1, (3, 1, 2): 1}
+    >>> schubert_expand(Polynomial({(0, 0, 1): 1})) == {(1, 2, 4, 3): 1, (1, 3, 2): -1}
+    True
     """
-    if ambient is not None:
-        _check_int(ambient, "ambient")
-    if ambient is not None and p:
-        # x^e lies under the staircase of S_n for the least n = max(i + e_i).
-        # The largest (n, e) names the same monomial of p whatever order
-        # its terms were built in.
-        n, e = max((max((i + x for i, x in enumerate(e, 1)), default=0), e) for e in p.terms)
-        if n > ambient:
-            raise NoSolutionError(
-                f"monomial {e} needs a permutation of {n} values, ambient is {ambient}"
-            )
     return _eliminate(p, _pivots, _schubert_pivot)

@@ -135,7 +135,7 @@ def verify_cross(nmax: int = 4) -> int:
     for u in all_perms(nmax - 1):
         m = len(u)
         for v in all_perms(nmax - 1):
-            for k in range(max(m, 1), nmax + 1):
+            for k in range(m, nmax + 1):
                 for n in range(k, nmax + 1):
                     if not cross_identity_check(u, v, k, n):
                         raise CounterexampleError(

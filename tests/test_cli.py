@@ -169,7 +169,7 @@ def test_verify_single_suites():
         "OK (119 permutations)\n",
         "",
     )
-    assert run("verify", "--suite", "cross", "--nmax", "4") == (0, "OK (168 cases)\n", "")
+    assert run("verify", "--suite", "cross", "--nmax", "4") == (0, "OK (198 cases)\n", "")
     assert run("verify", "--suite", "product", "--nmax", "4") == (
         0,
         "OK (257 products)\n",

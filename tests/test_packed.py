@@ -95,8 +95,8 @@ def test_packed_arithmetic_matches_the_tuple_reference(a, b, k):
     assert (p * q).terms == (q * p).terms == ref_mul(rp, rq)
     assert (p * 3).terms == ref_mul(rp, {(): 3})
     assert substitute_zero(p, k).terms == {e: c for e, c in rp.items() if len(e) <= k}
-    assert p.degrees() == {sum(e) for e in rp}
-    assert (p * q).degrees() == {sum(e) for e in ref_mul(rp, rq)}
+    assert {sum(e) for e in p.terms} == {sum(e) for e in rp}
+    assert {sum(e) for e in (p * q).terms} == {sum(e) for e in ref_mul(rp, rq)}
     assert p.sorted_terms() == sorted(rp.items(), reverse=True)
     assert str(p) == ref_str(rp)
     assert str(p * q) == ref_str(ref_mul(rp, rq))
@@ -105,7 +105,7 @@ def test_packed_arithmetic_matches_the_tuple_reference(a, b, k):
 
 def test_slot_limit_and_repack():
     top = Polynomial({(0, 255): 1})
-    assert top._bits == 8 and top.degrees() == {255}
+    assert top._bits == 8 and {sum(e) for e in top.terms} == {255}
     assert str(top) == "x2^255"
     assert Polynomial({(256,): 1})._bits == 16
     # 255 + 1 would carry out of an 8-bit slot: the product repacks first.
@@ -115,7 +115,7 @@ def test_slot_limit_and_repack():
     assert product._bits == 16
     assert product.terms == {(0, 256): 1}
     assert str(product) == "x2^256"
-    assert product.degrees() == {256}
+    assert {sum(e) for e in product.terms} == {256}
     assert substitute_zero(product, 1) == Polynomial()
     # Equal polynomials compare equal whatever their slot widths.
     wide = product - product + x2
@@ -131,7 +131,7 @@ def test_many_variables():
     assert square.terms[(0,) * (n - 1) + (2,)] == 1
     assert square.terms[(1,) + (0,) * (n - 2) + (1,)] == 2
     assert substitute_zero(square, 2) == Polynomial({(2,): 1, (1, 1): 2, (0, 2): 1})
-    assert square.degrees() == {2}
+    assert {sum(e) for e in square.terms} == {2}
 
 
 def test_terms_is_a_fresh_view():

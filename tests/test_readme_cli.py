@@ -121,7 +121,7 @@ GOLDEN = {
     "verify --suite all --nmax 4": (
         "OK\n",
         '{"ok": true, "counts": {"slides": 24, "monk": 96, "truncate": 23,'
-        ' "cross": 168, "product": 257}}\n',
+        ' "cross": 198, "product": 257}}\n',
     ),
 }
 

@@ -156,7 +156,7 @@ def test_monk_examples():
 def test_monk_42153_against_oracle():
     w = (4, 2, 1, 5, 3)
     p = schubert(w) * basis_vector(2)
-    assert p.degrees() == {6}
+    assert {sum(e) for e in p.terms} == {6}
     assert monk_multiply(w, 2) == schubert_expand(p)
 
 
@@ -164,7 +164,7 @@ def test_monk_matches_oracle_on_s4():
     for w in all_perms(4):
         for k in range(1, 4):
             p = schubert(w) * basis_vector(k)
-            assert p.degrees() == {length(w) + 1}, (w, k)
+            assert {sum(e) for e in p.terms} == {length(w) + 1}, (w, k)
             assert monk_multiply(w, k) == schubert_expand(p), (w, k)
 
 
@@ -405,7 +405,7 @@ def test_product_matches_oracle_on_s4():
                     continue
                 got = schubert_times_schur(u, lam, k)
                 p = schubert(u) * schur(lam, k)
-                assert p.degrees() == {length(u) + sum(lam)}, (u, lam, k)
+                assert {sum(e) for e in p.terms} == {length(u) + sum(lam)}, (u, lam, k)
                 assert got == schubert_expand(p), (u, lam, k)
                 for w, c in got.items():
                     assert c > 0

@@ -63,6 +63,14 @@ def test_cross_suite_sees_the_identity_fail(monkeypatch):
     fails(verify.verify_cross, 3, "cross identity fails for u=(), v=(2, 1), k=1, n=1")
 
 
+def test_cross_suite_reaches_k_0(monkeypatch):
+    # F_v in no variables is 0 for v other than the identity; x1 in its
+    # place fails at the suite's first case of v = (2, 1).
+    real = verify.stanley
+    monkeypatch.setattr(verify, "stanley", planted(real, ((2, 1), 0), lambda p: X1))
+    fails(verify.verify_cross, 3, "cross identity fails for u=(), v=(2, 1), k=0, n=0")
+
+
 # The product suite's first case, and its expansion.
 FIRST = ((), (1,), 1)
 
