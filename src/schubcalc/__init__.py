@@ -26,8 +26,6 @@ from .perm import (
     to_partition,
 )
 from .poly import (
-    VIRTUAL,
-    NonExpandableError,
     Polynomial,
     flatten,
     fundamental_quasisym,
@@ -43,7 +41,6 @@ from .schubert import (
 )
 from .transition import (
     Chain,
-    format_chain,
     lr_chains,
     lr_coefficient,
     monk_multiply,
@@ -90,8 +87,6 @@ __all__ = [
     "Transposition",
     "Polynomial",
     "Chain",
-    "VIRTUAL",
-    "NonExpandableError",
     "CounterexampleError",
     "TermBudgetExceeded",
     "SUITES",
@@ -103,7 +98,6 @@ __all__ = [
     "cross_identity_check",
     "descent_set",
     "flatten",
-    "format_chain",
     "format_perm",
     "from_code",
     "fundamental_quasisym",

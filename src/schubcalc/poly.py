@@ -44,27 +44,6 @@ from .perm import _check_int, _check_ints, _strip_zeros
 Composition = tuple[int, ...]
 
 
-class _Virtual:
-    """Sentinel composition whose slide polynomial is zero."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "VIRTUAL"
-
-
-VIRTUAL = _Virtual()
-
-
-class NonExpandableError(RuntimeError):
-    """A positional-basis elimination met a pivot that does not clear its monomial."""
-
-
 def _width(bound: int) -> int:
     """The narrowest slot width, a multiple of 8 bits, that holds bound."""
     return max(8, (bound.bit_length() + 7) & ~7)
@@ -316,21 +295,19 @@ def _pivot_size(entry: tuple[tuple[int, ...], object, Mapping[int, int]]) -> int
 _slide_pivots = Memo(_pivot_size)
 
 
-def slide_polynomial(a: Sequence[int] | _Virtual) -> Polynomial:
+def slide_polynomial(a: Sequence[int]) -> Polynomial:
     """Sum of x^b over b dominating a whose nonzero parts refine those of a.
 
     The index a is a weak composition; trailing zeros do not change the
-    result, and VIRTUAL gives the zero polynomial.  The monomial x^a
-    itself is the unique smallest term in lexicographic order, and the
-    largest when exponents are compared from the last variable back.
+    result.  The monomial x^a itself is the unique smallest term in
+    lexicographic order, and the largest when exponents are compared from
+    the last variable back.
 
     >>> str(slide_polynomial((1, 2)))
     'x1*x2^2'
     >>> str(slide_polynomial((0, 2)))
     'x1^2 + x1*x2 + x2^2'
     """
-    if a is VIRTUAL:
-        return Polynomial._raw({}, 8, 0)
     return _slide(_strip_zeros(_check_ints(a, "weak composition parts")))
 
 
@@ -385,14 +362,14 @@ def _eliminate(
     while work:
         m = max(work)
         if last is not None and m >= last:
-            raise NonExpandableError(f"pivot {_unpack(last, bits)} did not clear the maximum")
+            raise RuntimeError(f"pivot {_unpack(last, bits)} did not clear the maximum")
         entry = find((m, bits))
         if entry is None:
             e = _unpack(m, bits)
             label, element = build(e)
             keys = _lift(element, bits)
             if max(keys, default=-1) != m or keys[m] != 1:
-                raise NonExpandableError(
+                raise RuntimeError(
                     f"pivot {e} is not the largest monomial, with coefficient 1, of {label}"
                 )
             entry = (e, label, keys)

@@ -5,14 +5,14 @@ Lascoux–Schützenberger transition, whose recurrence and steps live in
 the transition module.  This module holds the walk of the transition
 tree, _node, and its two memos, bounded by the monomials they hold:
 which memo and key a node has, when the Bergeron–Billey criterion
-answers 0, and when a node is computed.  _node is the walk's reader and
-the memos' only writer; each public function validates its input once
-and makes at most one call of it, which picks the memo by the last
-descent.  schubert and schur know their memo and key from the input
-alone, w past its last descent and a grassmannian permutation at its
-descent k, so they read _schubert once themselves and call _node only
-on a miss: a warm read is one find().  A Stanley symmetric polynomial
-comes from stability: F_v(x1..xk) = S_{1^k x v}(x1..xk, 0, ...).
+answers 0, and when a node is computed.  _node picks each node's memo
+and key by the last descent; the _transition step it starts stores the
+result there.  Each public function validates its input once and calls
+_node at most once.  schubert and schur know their memo and key from
+the input alone, w past its last descent and a grassmannian permutation
+at its descent k, so they read _schubert once themselves and call _node
+only on a miss: a warm read is one find().  A Stanley symmetric
+polynomial comes from stability: F_v(x1..xk) = S_{1^k x v}(x1..xk, 0, ...).
 
 schubert_expand hands its pivots to poly._eliminate, which reads them
 from the _pivots memo by packed monomial: one read gives the exponent
@@ -29,16 +29,17 @@ from collections.abc import Generator, Sequence
 
 from ._limits import Memo
 from .perm import Perm, _check_int, _from_code, _grassmannian, canonical, check_partition, shift
-from .poly import NonExpandableError, Polynomial, _eliminate, _monomials, _pivot_size
+from .poly import Polynomial, _eliminate, _monomials, _pivot_size
 from .transition import _transition
 
 
 # _schubert holds S_w by w; _stanley holds S_w(x1..xk, 0, ...) by (w, k)
 # for the w whose last descent is beyond k, where truncation matters, and
 # that the criterion does not zero, so it holds no 0.
-# _node is their one writer: stanley, truncated_schubert and
-# schubert_expand's pivots each validate and call it once; schubert and
-# schur find() in _schubert first and call it on a miss.
+# _node picks each node's memo and key, and the _transition step it
+# starts puts the result there.  stanley, truncated_schubert and
+# schubert_expand's pivots call _node once; schubert and schur call it
+# on a _schubert miss.
 _schubert = Memo(_monomials)
 _stanley = Memo(_monomials)
 _ONE = Polynomial._raw({0: 1}, 8, 0)
@@ -180,8 +181,8 @@ def schubert_expand(p: Polynomial) -> dict[Perm, int]:
     the degree of the monomial it clears.  Every permutation in it lies
     in S_N exactly when p lies under the staircase x_i^(N-i).  A pivot
     whose Schubert polynomial lacks it as its largest monomial with
-    coefficient 1 raises NonExpandableError when it is first built, and
-    is not stored.
+    coefficient 1 raises RuntimeError when it is first built, and is not
+    stored.
 
     >>> schubert_expand(Polynomial({(1,): 1, (0, 1): 1}))
     {(1, 3, 2): 1}

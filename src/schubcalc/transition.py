@@ -260,11 +260,7 @@ class Chain:
         return tuple(out)
 
     def __str__(self) -> str:
-        return format_chain(self.steps)
-
-
-def format_chain(steps: Sequence[Sequence[int]]) -> str:
-    return "".join(f"({a},{b})" for a, b in steps)
+        return "".join(f"({a},{b})" for a, b in self.steps)
 
 
 def monk_multiply(w: Sequence[int], k: int) -> dict[Perm, int]:

@@ -16,8 +16,8 @@ The walk holds w^-1 in one list and its letters as its only stack, and
 _compatible keeps only the sequence it builds.  Neither recurses, so the
 length of a word is not bounded by Python's recursion limit.  Each
 reduced word and compatible sequence is charged one unit just before it
-is emitted; nothing here is cached.  VIRTUAL, the composition whose
-slide polynomial is zero, lives in poly and is imported from there.
+is emitted; nothing here is cached.  A virtual word's weak descent
+composition is None, and schubert_via_slides leaves the word out.
 
 schubert_via_slides sums the slide polynomials of the weak descent
 compositions of the reduced words (Assaf and Searles, Adv. Math. 2017),
@@ -33,7 +33,7 @@ from collections.abc import Iterator, Sequence
 
 from ._limits import Memo, charge
 from .perm import _check_ints, _length, canonical
-from .poly import VIRTUAL, Composition, Polynomial, _slide, _Virtual
+from .poly import Composition, Polynomial, _slide
 
 Word = tuple[int, ...]
 
@@ -94,20 +94,20 @@ def iter_reduced_words(w: Sequence[int]) -> Iterator[Word]:
         i += 1
 
 
-def weak_descent_composition(word: Sequence[int]) -> Composition | _Virtual:
+def weak_descent_composition(word: Sequence[int]) -> Composition | None:
     """Run sizes placed at the largest feasible positions.
 
     The leftmost run of a reduced word sits at the position given by its
     first letter; each later run sits at its own first letter, capped one
     below the run to its left.  If a run is forced below position 1 the
-    word is virtual and contributes nothing.
+    word is virtual and the result is None.
 
     >>> weak_descent_composition((4, 2, 1, 2, 3))
     (3, 1, 0, 1)
     >>> weak_descent_composition((2, 4, 1, 2, 3))
     (3, 2)
-    >>> weak_descent_composition((5, 6, 3, 4, 5, 7, 3, 1, 4, 2, 3, 6))
-    VIRTUAL
+    >>> weak_descent_composition((5, 6, 3, 4, 5, 7, 3, 1, 4, 2, 3, 6)) is None
+    True
     """
     word = _check_ints(word, "word letters", 1)
     if not word:
@@ -121,7 +121,7 @@ def weak_descent_composition(word: Sequence[int]) -> Composition | _Virtual:
         if x <= prev:
             slot = min(x, slot - 1)
             if slot < 1:
-                return VIRTUAL
+                return None
         comp[slot - 1] += 1
         prev = x
     return tuple(comp)
@@ -204,7 +204,7 @@ def schubert_via_slides(w: Sequence[int]) -> Polynomial:
     for word in iter_reduced_words(w):
         # A weak descent composition is stripped and nonnegative already.
         comp = weak_descent_composition(word)
-        if comp is VIRTUAL:
+        if comp is None:
             continue
         for e, c in _slide(comp).terms.items():
             acc[e] = acc.get(e, 0) + c

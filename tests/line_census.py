@@ -58,7 +58,7 @@ ALLOWED = {
     # only the python -O subprocesses of test_guards_hold_under_optimize
     # and test_schubert_expand_guard_holds_under_optimization reach them.
     ("poly", "_eliminate",
-     'raise NonExpandableError(f"pivot {_unpack(last, bits)} did not clear the maximum")'),
+     'raise RuntimeError(f"pivot {_unpack(last, bits)} did not clear the maximum")'),
     ("transition", "_transition",
      'raise RuntimeError(f"S_{w} has degree {bound}, too large for {bits}-bit slots")'),
     ("transition", "monk_multiply",

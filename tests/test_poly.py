@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 
 import schubcalc.poly as poly
 from schubcalc import (
-    VIRTUAL,
-    NonExpandableError,
     Polynomial,
     flatten,
     fundamental_quasisym,
@@ -181,7 +179,6 @@ def test_slide_polynomial_examples():
     assert set(got.terms) == SLIDE_03101
     assert set(got.terms.values()) == {1}
     assert slide_polynomial((0, 0, 0)) == Polynomial({(): 1})
-    assert slide_polynomial(VIRTUAL) == Polynomial()
     assert slide_polynomial(()) == Polynomial({(): 1})
     with pytest.raises(ValueError):
         slide_polynomial((1, -1))
@@ -358,7 +355,7 @@ def test_a_wrong_slide_pivot_is_refused_before_it_is_stored(flags):
         "    m._slide = lambda a: wrong\n"
         "    try:\n"
         "        m.slide_expand(x1)\n"
-        "    except m.NonExpandableError as exc:\n"
+        "    except RuntimeError as exc:\n"
         "        pivots = m._slide_pivots\n"
         "        print(exc, len(pivots), pivots.held, pivots.misses)\n"
     )
@@ -384,7 +381,7 @@ def test_a_stored_pivot_that_leaves_its_monomial_is_refused_under_optimize():
         "memo.put((max(x1._keys), x1._bits), ((1,), 'x1', {}))\n"
         "try:\n"
         "    m._eliminate(x1, memo, None)\n"
-        "except m.NonExpandableError as exc:\n"
+        "except RuntimeError as exc:\n"
         "    print(exc)\n"
     )
     src = os.path.dirname(os.path.dirname(importlib.import_module("schubcalc").__file__))

@@ -18,7 +18,6 @@ from schubcalc import (
     apply_transposition,
     canonical,
     cross_identity_check,
-    format_chain,
     grassmannian,
     length,
     lr_chains,
@@ -96,6 +95,7 @@ def test_chain_walk_and_endpoint():
     assert c.endpoint == (3, 1, 2)
     assert str(c) == "(2,4)(1,2)"
     assert Chain((), (), ()).endpoint == ()
+    assert str(Chain((), (), ())) == ""
 
 
 def test_chain_rejects_bad_steps():
@@ -138,11 +138,6 @@ def test_chain_is_an_immutable_value():
     with pytest.raises(AttributeError):
         del c.base
     assert c.endpoint == (3, 1, 2)
-
-
-def test_format_chain():
-    assert format_chain(((5, 8), (4, 5))) == "(5,8)(4,5)"
-    assert format_chain(()) == ""
 
 
 def test_monk_examples():

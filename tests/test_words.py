@@ -4,7 +4,6 @@ from itertools import permutations, product
 import pytest
 
 from schubcalc import (
-    VIRTUAL,
     canonical,
     compatible_sequences,
     iter_reduced_words,
@@ -153,7 +152,7 @@ def test_weak_descent_composition_examples():
         weak_descent_composition((6, 7, 4, 5, 6, 8, 4, 2, 5, 3, 4, 7))
         == (3, 2, 1, 4, 0, 2)
     )
-    assert weak_descent_composition((5, 6, 3, 4, 5, 7, 3, 1, 4, 2, 3, 6)) is VIRTUAL
+    assert weak_descent_composition((5, 6, 3, 4, 5, 7, 3, 1, 4, 2, 3, 6)) is None
 
 
 def test_weak_descent_composition_matches_its_definition_on_every_word():
@@ -161,14 +160,14 @@ def test_weak_descent_composition_matches_its_definition_on_every_word():
     assert len(words) == 21845
     for word in words:
         comp = weak_descent_composition(word)
-        assert (None if comp is VIRTUAL else comp) == weak_descent(word), word
+        assert comp == weak_descent(word), word
 
 
 def test_flat_of_weak_equals_strong_on_s5():
     for w in S5:
         for rho in reduced_words(w):
             des = weak_descent_composition(rho)
-            if des is VIRTUAL:
+            if des is None:
                 continue
             assert flatten(des) == strong_descent(rho)
 
@@ -177,7 +176,7 @@ def test_weak_descent_composition_of_shifted_word_on_s4():
     for w in S4:
         for rho in reduced_words(w):
             des = weak_descent_composition(rho)
-            if des is VIRTUAL:
+            if des is None:
                 continue
             for m in (1, 2, 3):
                 lifted = tuple(x + m for x in rho)
@@ -213,27 +212,27 @@ def test_virtual_iff_no_compatible_sequence_on_s5():
     for w in S5:
         for rho in reduced_words(w):
             has_seq = bool(compatible_sequences(rho))
-            assert has_seq == (weak_descent_composition(rho) is not VIRTUAL)
+            assert has_seq == (weak_descent_composition(rho) is not None)
 
 
 def greedy(word):
-    """The entrywise-largest compatible sequence of word, or VIRTUAL if it has none."""
+    """The entrywise-largest compatible sequence of word, or None if it has none."""
     seqs = compatible_sequences(word)
-    return tuple(map(max, zip(*seqs))) if seqs else VIRTUAL
+    return tuple(map(max, zip(*seqs))) if seqs else None
 
 
 def test_greedy_compatible():
     assert greedy((4, 2, 1, 2, 3)) == (1, 1, 1, 2, 4)
     assert greedy(()) == ()
-    assert greedy((1, 4, 2, 3, 1)) is VIRTUAL
+    assert greedy((1, 4, 2, 3, 1)) is None
 
 
 def test_greedy_weight_is_weak_descent_composition_on_s5():
     for w in S5:
         for rho in reduced_words(w):
             des = weak_descent_composition(rho)
-            if des is VIRTUAL:
-                assert greedy(rho) is VIRTUAL
+            if des is None:
+                assert greedy(rho) is None
                 continue
             best = greedy(rho)
             seqs = compatible_sequences(rho)
@@ -265,7 +264,7 @@ def test_virtual_word_for_41758236():
     w = word_perm(rho, 8)
     assert w == (4, 1, 7, 5, 8, 2, 3, 6)
     assert inversions(w) == len(rho)
-    assert weak_descent_composition(rho) is VIRTUAL
+    assert weak_descent_composition(rho) is None
 
 
 def test_descent_composition_counts_42153():
